@@ -80,27 +80,10 @@ def generate_text() -> str:
         if isinstance(action, argparse._SubParsersAction)
     )
     lines = [HEADER]
-    lines.append(f"Top-level usage: `{parser.prog} [global options] <command> [options]`.")
+    lines.append(f"Top-level usage: `{parser.prog} <command> [options]`.")
     lines.append("")
     lines.append(f"{parser.description}")
     lines.append("")
-    global_actions = [
-        action
-        for action in parser._actions  # noqa: SLF001
-        if action.option_strings
-        and not isinstance(action, argparse._HelpAction)
-    ]
-    if global_actions:
-        lines.append("Global options (before the command name):")
-        lines.append("")
-        lines.append("| option | description |")
-        lines.append("|---|---|")
-        for action in global_actions:
-            lines.append(
-                f"| `{_escape(_argument_signature(action))}` "
-                f"| {_escape(_argument_notes(action))} |"
-            )
-        lines.append("")
     lines.append("| command | summary |")
     lines.append("|---|---|")
     helps = {

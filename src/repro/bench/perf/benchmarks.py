@@ -28,12 +28,6 @@ The registry covers the layers every experiment run exercises:
                           against ``pipeline_round_trip`` for the cost of
                           the monitor + tick machinery (repro.control)
 ========================  =====================================================
-
-Two ``*_batch`` entries mirror ``kernel_event_churn`` and
-``pipeline_round_trip`` through the :mod:`repro.sim.batch` kernel tier —
-identical workload, identical digest payload, different execution tier —
-so ``repro perf --compare`` quantifies the batch tier's speedup and the
-determinism digests double as one more cross-tier equivalence check.
 """
 
 from __future__ import annotations
@@ -56,13 +50,13 @@ class Microbenchmark:
     make: Callable[[], Trial]
 
 
-def _kernel_event_churn(tier: str = "reference") -> Trial:
-    from repro.sim.batch import make_kernel
+def _kernel_event_churn() -> Trial:
+    from repro.sim.kernel import Kernel
 
     count = 20_000
 
     def trial() -> object:
-        kernel = make_kernel(tier)
+        kernel = Kernel()
         cancelled = 0
         events = []
         # A braided schedule: interleaved times, two priority lanes, and a
@@ -86,7 +80,7 @@ def _noop() -> None:
     return None
 
 
-def _pipeline_round_trip(tier: str = "reference") -> Trial:
+def _pipeline_round_trip() -> Trial:
     from repro.bench.experiments import make_synthetic
 
     make = make_synthetic("default", seed=7, total_transactions=1500)
@@ -95,7 +89,6 @@ def _pipeline_round_trip(tier: str = "reference") -> Trial:
         from repro.fabric.network import run_workload
 
         config, family, requests = make()
-        config.kernel_tier = tier
         deployment = family.deploy()
         _, result = run_workload(config, deployment.contracts, requests)
         return result.summary_row()
@@ -124,14 +117,6 @@ def _controller_overhead() -> Trial:
         return payload
 
     return trial
-
-
-def _kernel_event_churn_batch() -> Trial:
-    return _kernel_event_churn("batch")
-
-
-def _pipeline_round_trip_batch() -> Trial:
-    return _pipeline_round_trip("batch")
 
 
 def _make_log():
@@ -316,16 +301,6 @@ _REGISTRY: tuple[Microbenchmark, ...] = (
         name="controller_overhead",
         description="the 1.5k-tx round trip with a noop SLO-guardian ticking",
         make=_controller_overhead,
-    ),
-    Microbenchmark(
-        name="kernel_event_churn_batch",
-        description="the same 20k-event churn through the batch kernel tier",
-        make=_kernel_event_churn_batch,
-    ),
-    Microbenchmark(
-        name="pipeline_round_trip_batch",
-        description="the same 1.5k-tx round trip under the batch kernel tier",
-        make=_pipeline_round_trip_batch,
     ),
 )
 

@@ -810,19 +810,9 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.sim.kernel import KERNEL_TIERS
-
     parser = argparse.ArgumentParser(
         prog="blockoptr",
         description="Multi-level blockchain optimization recommendations (BlockOptR reproduction)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_TIERS,
-        default=None,
-        help="kernel execution tier for every simulated run in this "
-        "invocation; results are bit-identical across tiers "
-        "(default: the REPRO_KERNEL environment variable, else reference)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1133,8 +1123,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Generate seeded random scenario compositions (faults, rate "
             "curves, hot-key drift, region lag, mix shifts), check each "
             "against differential oracles (determinism, stream≡batch "
-            "equivalence, tx conservation, JSON round-trip, batch-kernel "
-            "equivalence, control equivalence), shrink any "
+            "equivalence, tx conservation, JSON round-trip, "
+            "control equivalence), shrink any "
             "failure to a minimal reproducer, and rank oracle-clean "
             "survivors by abort/retry severity. The same seed and budget "
             "reproduce the campaign bit for bit. Exits 1 when an oracle "
@@ -1179,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="restrict to one oracle (repeatable; default all: "
         "determinism, stream_batch, conservation, roundtrip, "
-        "batch_equivalence, control_equivalence)",
+        "control_equivalence)",
     )
     fuzz.add_argument(
         "--no-shrink",
@@ -1323,29 +1313,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --kernel rides on the REPRO_KERNEL environment override so every
-    # network built anywhere in the subcommand picks it up; the previous
-    # value is restored because tests drive main() in-process.
-    from repro.sim.batch import KERNEL_ENV
-
-    saved = os.environ.get(KERNEL_ENV)
-    if args.kernel is not None:
-        os.environ[KERNEL_ENV] = args.kernel
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. ``repro suite | head``
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    finally:
-        if args.kernel is not None:
-            if saved is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = saved
 
 
 if __name__ == "__main__":  # pragma: no cover

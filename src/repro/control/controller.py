@@ -13,7 +13,7 @@ actuation seams and records the decision in the
 Determinism: ticks are ordinary kernel events, observables are pure
 functions of kernel-ordered transaction completions, and policies are
 pure functions of observables — so a controller-on run is bit-reproducible
-per (seed, policy, scenario) across replays and kernel tiers.  The
+per (seed, policy, scenario) across replays and run modes.  The
 controller never mutates the shared :class:`~repro.fabric.config
 .NetworkConfig`: block cutting is re-sized on the live orderer, the
 mitigation/retry toggles go through network setters, and the rate
@@ -56,15 +56,12 @@ class SLOGuardian:
         )
 
     def install(self) -> None:
-        """Register the monitor tap and schedule the first tick.
+        """Schedule the first tick.
 
-        In a streamed run the monitor rides the :class:`~repro.logs.stream
-        .RunStream` fan-out; in a batch run the network feeds it directly
-        from the commit/abort seams — both deliver every finished
-        transaction at its completion event, before any later tick.
+        The monitor needs no registration: the network feeds it every
+        finished transaction from its commit and abort seams, at the
+        completion event, before any later tick — in both run modes.
         """
-        if self.network.stream is not None:
-            self.network.stream.add_transaction_consumer(self.monitor)
         self.network.kernel.schedule_control(self.spec.interval, self._tick)
 
     def _tick(self) -> None:

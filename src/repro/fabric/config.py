@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.fabric.retry import RetryPolicy
-from repro.sim.kernel import KERNEL_TIERS
 
 #: Selectable failure-mitigation strategies (see docs/FAILURES.md):
 #: ``none`` is the seed behaviour, ``early_abort`` drops transactions with
@@ -117,12 +116,6 @@ class NetworkConfig:
     retry: RetryPolicy | None = None
     #: Failure-mitigation strategy, one of :data:`MITIGATIONS`.
     mitigation: str = "none"
-    #: Kernel execution tier, one of
-    #: :data:`~repro.sim.kernel.KERNEL_TIERS`; ``None`` defers to the
-    #: ``REPRO_KERNEL`` environment variable (default ``reference``).
-    #: Both tiers are bit-identical; ``batch`` trades per-event heap
-    #: maintenance for one array sort (see :mod:`repro.sim.batch`).
-    kernel_tier: str | None = None
     #: SLO-guardian controller configuration
     #: (:class:`repro.control.spec.ControlSpec`); ``None`` — the default —
     #: keeps the run controller-free and byte-identical to builds without
@@ -138,11 +131,6 @@ class NetworkConfig:
                 raise ValueError(
                     f"control must be a ControlSpec or None, got {self.control!r}"
                 )
-        if self.kernel_tier is not None and self.kernel_tier not in KERNEL_TIERS:
-            raise ValueError(
-                f"unknown kernel_tier {self.kernel_tier!r}; "
-                f"known: {', '.join(KERNEL_TIERS)}"
-            )
         if self.mitigation not in MITIGATIONS:
             raise ValueError(
                 f"unknown mitigation {self.mitigation!r}; known: {', '.join(MITIGATIONS)}"
@@ -199,7 +187,6 @@ class NetworkConfig:
             seed=self.seed,
             retry=self.retry,
             mitigation=self.mitigation,
-            kernel_tier=self.kernel_tier,
             control=self.control,
         )
 

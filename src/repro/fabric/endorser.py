@@ -72,17 +72,8 @@ class EndorserPool:
         # sampler (bit-identical to ``choice(n, p=weights)``, built once),
         # and the endorsement service time per (contract, activity) pair is
         # a pure function of static config, so it is computed at most once.
-        # Under the batch kernel tier the sampler prefetches uniforms in
-        # vectorized blocks — safe because "endorser-selection" is a
-        # dedicated stream with this sampler as its only consumer, and
-        # bit-identical because array fills and scalar draws consume the
-        # PCG64 stream identically (see WeightedSampler.draw_array).
-        from repro.sim.batch import BatchKernel
-
         self._selection = WeightedSampler(
-            rng.stream("endorser-selection"),
-            self._weights,
-            prefetch=256 if isinstance(kernel, BatchKernel) else 0,
+            rng.stream("endorser-selection"), self._weights
         )
         self._service_time_cache: dict[tuple[str, str], float] = {}
 

@@ -36,7 +36,7 @@ from repro.fabric.results import RunResult, summarize_run
 from repro.fabric.state import StateDatabase
 from repro.fabric.transaction import Transaction, TxRequest, TxStatus
 from repro.fabric.validator import ValidationPipeline, rwset_conflict
-from repro.sim.batch import make_kernel, resolve_kernel_tier
+from repro.sim.kernel import ARRIVAL_PRIORITY, Kernel
 from repro.sim.rng import SimRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -94,11 +94,7 @@ class FabricNetwork:
                 "request iterable up front and pass a network-only scenario)"
             )
         self.config = config
-        #: The resolved kernel tier ("reference" or "batch"): the config
-        #: wins when set, else the ``REPRO_KERNEL`` environment variable.
-        #: Both tiers are bit-identical (see :mod:`repro.sim.batch`).
-        self.kernel_tier = resolve_kernel_tier(config.kernel_tier)
-        self.kernel = make_kernel(self.kernel_tier)
+        self.kernel = Kernel()
         self.rng = SimRng(config.seed)
         self.conditions = NetworkConditions(config.timing)
         self.policy = parse_policy(config.endorsement_policy)
@@ -109,14 +105,20 @@ class FabricNetwork:
             )
         self.state_db = StateDatabase()
         self.stream = stream
+        #: Aborted transactions, retained only when the ledger is.
+        self.aborted: list[Transaction] = []
+        # The one difference between the two run modes is where finished
+        # transactions go: a retained ledger plus the aborted list, or a
+        # streaming ledger that fans every block and abort out to the
+        # RunStream's consumers and keeps only counters.
         if stream is not None:
             from repro.logs.stream import StreamingLedger
 
-            if self.kernel_tier == "batch":
-                stream.enable_batch_fanout()
             self.ledger: Ledger = StreamingLedger(stream)  # type: ignore[assignment]
+            self._abort_sink = stream.accept_abort
         else:
             self.ledger = Ledger()
+            self._abort_sink = self.aborted.append
         self.contracts = {contract.name: contract for contract in contracts}
         if len(self.contracts) != len(contracts):
             raise ValueError("duplicate contract names")
@@ -155,8 +157,6 @@ class FabricNetwork:
             early_abort=self._record_early_abort,
             conditions=self.conditions,
         )
-        #: Aborted transactions (batch mode only; streaming fans them out).
-        self.aborted: list[Transaction] = []
         self.aborted_count = 0
         self._tx_counter = 0
         self._retry = config.retry
@@ -390,27 +390,20 @@ class FabricNetwork:
         self._maybe_retry(tx)
 
     def _record_abort(self, tx: Transaction) -> None:
-        """Account one never-committed transaction.
-
-        Batch mode retains it for post-processing; streaming mode fans it
-        out to the stream's transaction consumers and lets it go.
-        """
+        """Account one never-committed transaction and hand it to the sink."""
         self.aborted_count += 1
-        if self.stream is not None:
-            self.stream.accept_abort(tx)
-        else:
-            self.aborted.append(tx)
-            if self.controller is not None:
-                self.controller.monitor.consume(tx)
+        self._abort_sink(tx)
+        if self.controller is not None:
+            self.controller.monitor.consume(tx)
 
     def _after_block(self, block: Block) -> None:
-        """Post-commit hook: account retry outcomes, resubmit failures."""
-        feed = self.controller is not None and self.stream is None
+        """Post-commit hook: feed the monitor, account retries, resubmit failures."""
+        monitor = self.controller.monitor if self.controller is not None else None
         for tx in block.transactions:
             if tx.is_config:
                 continue
-            if feed:
-                self.controller.monitor.consume(tx)
+            if monitor is not None:
+                monitor.consume(tx)
             if tx.status is TxStatus.SUCCESS:
                 if tx.attempt > 1:
                     self.retries_recovered += 1
@@ -449,67 +442,22 @@ class FabricNetwork:
 
     # -- running ----------------------------------------------------------------
 
-    def run(self, requests: list[TxRequest]) -> RunResult:
-        """Execute a workload to completion and summarize it."""
-        if self.stream is not None:
-            raise ValueError("use run_streamed() on a stream-mode network")
-        if not requests:
-            raise ValueError("empty workload")
-        if self.scenario_engine is not None:
-            requests = self.scenario_engine.transform_requests(requests)
-        ordered = sorted(requests, key=lambda r: r.submit_time)
-        for request in ordered:
-            self.submit_request(request)
-        self.kernel.run()
+    def _pump_arrivals(self, requests: Iterable[TxRequest]) -> tuple[int, float]:
+        """Pump submit-time-ordered ``requests`` through the kernel to completion.
 
-        committed = [tx for tx in self.ledger.transactions(include_config=False)]
-        accounted = len(committed) + len(self.aborted)
-        issued = len(requests) + self.retries_issued
-        if accounted != issued:
-            raise RuntimeError(
-                f"transaction accounting mismatch: {accounted} finished "
-                f"of {issued} issued ({self.retries_issued} retries)"
-            )
-
-        first_submit = ordered[0].submit_time
-        last_commit = max(
-            (tx.commit_time for tx in committed if tx.commit_time is not None),
-            default=first_submit,
-        )
-        self._assign_commit_order()
-        return summarize_run(
-            ledger=self.ledger,
-            aborted=self.aborted,
-            first_submit=first_submit,
-            last_commit=last_commit,
-            cut_reasons=self.orderer.cut_reasons,
-            utilization=self._utilization(last_commit),
-        )
-
-    def run_streamed(self, requests: Iterable[TxRequest]) -> StreamedRunStats:
-        """Execute a submit-time-ordered request *stream* to completion.
-
-        The counterpart of :meth:`run` for stream-mode networks: requests
-        are pulled from the iterator one at a time — each arrival event
-        schedules the next — so neither the request list nor the ledger
-        is ever materialized.  With the accumulators registered on the
-        :class:`~repro.logs.stream.RunStream`, a run's live state is the
-        in-flight transactions plus O(blocks) bookkeeping, independent of
-        how many transactions flow through.
+        The one arrival pump behind :meth:`run` and :meth:`run_streamed`:
+        requests are pulled one at a time — each arrival schedules the
+        next on the arrival lane (see ARRIVAL_PRIORITY) — so the kernel
+        holds one pending arrival, never the whole workload.  Returns
+        (requests issued, first submit time) once every issued
+        transaction, retries included, has committed or aborted exactly
+        once.
         """
-        if self.stream is None:
-            raise ValueError("run_streamed() needs a network built with a RunStream")
         iterator: Iterator[TxRequest] = iter(requests)
         first = next(iterator, None)
         if first is None:
             raise ValueError("empty workload")
         issued = 0
-        first_submit = first.submit_time
-
-        # Arrivals ride the dedicated arrival lane so same-instant ties
-        # against dynamic pipeline events resolve exactly as in a batch
-        # run, where every arrival is pre-scheduled (see ARRIVAL_PRIORITY).
-        from repro.sim.kernel import ARRIVAL_PRIORITY
 
         def pump(request: TxRequest) -> None:
             nonlocal issued
@@ -528,17 +476,63 @@ class FabricNetwork:
                     priority=ARRIVAL_PRIORITY,
                 )
 
-        self.kernel.schedule(first_submit, lambda: pump(first), priority=ARRIVAL_PRIORITY)
+        self.kernel.schedule(
+            first.submit_time, lambda: pump(first), priority=ARRIVAL_PRIORITY
+        )
         self.kernel.run()
 
-        ledger = self.ledger
-        accounted = ledger.committed_txs + self.aborted_count
+        committed = sum(self.validator.status_counts.values())
+        accounted = committed + self.aborted_count
         total_issued = issued + self.retries_issued
         if accounted != total_issued:
             raise RuntimeError(
                 f"transaction accounting mismatch: {accounted} finished "
                 f"of {total_issued} issued ({self.retries_issued} retries)"
             )
+        return issued, first.submit_time
+
+    def run(self, requests: list[TxRequest]) -> RunResult:
+        """Execute a workload to completion and summarize it."""
+        if self.stream is not None:
+            raise ValueError("use run_streamed() on a stream-mode network")
+        if not requests:
+            raise ValueError("empty workload")
+        if self.scenario_engine is not None:
+            requests = self.scenario_engine.transform_requests(requests)
+        _, first_submit = self._pump_arrivals(sorted(requests, key=lambda r: r.submit_time))
+
+        last_commit = max(
+            (
+                tx.commit_time
+                for tx in self.ledger.transactions(include_config=False)
+                if tx.commit_time is not None
+            ),
+            default=first_submit,
+        )
+        self._assign_commit_order()
+        return summarize_run(
+            ledger=self.ledger,
+            aborted=self.aborted,
+            first_submit=first_submit,
+            last_commit=last_commit,
+            cut_reasons=self.orderer.cut_reasons,
+            utilization=self._utilization(last_commit),
+        )
+
+    def run_streamed(self, requests: Iterable[TxRequest]) -> StreamedRunStats:
+        """Execute a submit-time-ordered request *stream* to completion.
+
+        The counterpart of :meth:`run` for stream-mode networks, on the
+        same arrival pump: neither the request list nor the ledger is
+        ever materialized.  With the accumulators registered on the
+        :class:`~repro.logs.stream.RunStream`, a run's live state is the
+        in-flight transactions plus O(blocks) bookkeeping, independent of
+        how many transactions flow through.
+        """
+        if self.stream is None:
+            raise ValueError("run_streamed() needs a network built with a RunStream")
+        issued, first_submit = self._pump_arrivals(requests)
+        ledger = self.ledger
         last_commit = (
             ledger.last_commit_time
             if ledger.last_commit_time is not None

@@ -74,9 +74,6 @@ class ValidationPipeline:
         self._state_db = state_db
         self._ledger = ledger
         self._on_block_committed = on_block_committed
-        from repro.sim.batch import BatchKernel
-
-        self._batch_tier = isinstance(kernel, BatchKernel)
         self._server = Server(kernel, "validator")
         self.status_counts: dict[TxStatus, int] = {status: 0 for status in TxStatus}
         # Policy evaluation is a pure function of the endorser-name tuple,
@@ -100,23 +97,8 @@ class ValidationPipeline:
         return 1.0 + self.RANGE_KEY_COST * range_keys
 
     def receive_block(self, transactions: list[Transaction], cut_reason: str) -> None:
-        """An ordered batch arrives from the ordering service.
-
-        The batch tier folds the block's validation cost in one sweep
-        when no transaction carries range queries: every per-tx cost
-        factor is then exactly 1.0, and a sequential sum of ``n`` ones is
-        exactly ``float(n)`` (integers are exact in IEEE doubles far past
-        any block size), so the cohort path is bit-identical to the
-        per-transaction fold.  Mixed blocks keep the sequential sum —
-        reordering or pairwise-summing float cost factors would change
-        the last bits and break digest equality across tiers.
-        """
-        if self._batch_tier and not any(
-            tx.rwset.range_queries for tx in transactions
-        ):
-            cost_sum = float(len(transactions))
-        else:
-            cost_sum = sum(self._tx_cost_factor(tx) for tx in transactions)
+        """An ordered batch arrives from the ordering service."""
+        cost_sum = sum(self._tx_cost_factor(tx) for tx in transactions)
         service = self._timing.commit_per_block + self._timing.validate_per_tx * cost_sum
 
         def on_done(finish: float) -> None:

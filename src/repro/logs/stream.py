@@ -47,19 +47,6 @@ class RecordConsumer(Protocol):
     def consume(self, record: LogRecord) -> None: ...  # pragma: no cover
 
 
-class BatchRecordConsumer(Protocol):
-    """A record consumer that can fold a whole block's records in one call.
-
-    ``consume_batch(records)`` must be exactly equivalent to calling
-    ``consume`` on each record in order — the batch kernel tier uses it
-    to replace per-record Python dispatch with one vectorized fold (see
-    :meth:`repro.shard.summary.RateSeriesAccumulator.consume_batch`),
-    and every digest golden holds under either fan-out mode.
-    """
-
-    def consume_batch(self, records: list[LogRecord]) -> None: ...  # pragma: no cover
-
-
 class TransactionConsumer(Protocol):
     """Anything that folds finished transactions in, aborts included."""
 
@@ -95,7 +82,6 @@ class RunStream:
         self._order = 0
         self.records_streamed = 0
         self.aborts_streamed = 0
-        self._batch_fanout = False
 
     def add_record_consumer(self, consumer: RecordConsumer) -> "RunStream":
         self.record_consumers.append(consumer)
@@ -105,29 +91,12 @@ class RunStream:
         self.tx_consumers.append(consumer)
         return self
 
-    def enable_batch_fanout(self) -> "RunStream":
-        """Fan records out block-at-a-time instead of one by one.
-
-        Enabled by the batch kernel tier: each committed block's records
-        are collected first, then handed to record consumers — via
-        ``consume_batch`` where implemented (the
-        :class:`BatchRecordConsumer` protocol), via per-record ``consume``
-        otherwise.  Each consumer still sees every record exactly once in
-        commit order, so accumulator state is identical to the per-record
-        fan-out; only the interleaving *between* consumers changes, which
-        is unobservable for independent accumulators.
-        """
-        self._batch_fanout = True
-        return self
-
     def accept_block(self, block: Block) -> int:
         """Convert and fan out one committed block; returns data-tx count.
 
         The block is not retained: once every consumer has folded its
         records in, the only references left are the caller's.
         """
-        if self._batch_fanout:
-            return self._accept_block_batched(block)
         streamed = 0
         for position, tx in enumerate(block.transactions):
             if tx.is_config:
@@ -155,33 +124,6 @@ class RunStream:
             block_bytes=int(self._settings["block_bytes"]),
             endorsement_policy=str(self._settings["endorsement_policy"]),
         )
-
-    def _accept_block_batched(self, block: Block) -> int:
-        """Batch-tier fan-out: build the block's records, then fold cohorts."""
-        records: list[LogRecord] = []
-        data_txs: list[Transaction] = []
-        for position, tx in enumerate(block.transactions):
-            if tx.is_config:
-                self._fold_config(tx)
-                continue
-            record = record_from_transaction(tx, self._order, position)
-            validate_record(record, self._order - 1)
-            self._order += 1
-            records.append(record)
-            data_txs.append(tx)
-        if records:
-            for consumer in self.record_consumers:
-                batch = getattr(consumer, "consume_batch", None)
-                if batch is not None:
-                    batch(records)
-                else:
-                    for record in records:
-                        consumer.consume(record)
-            for consumer in self.tx_consumers:
-                for tx in data_txs:
-                    consumer.consume(tx)
-        self.records_streamed += len(records)
-        return len(records)
 
     def accept_abort(self, tx: Transaction) -> None:
         """Fan out a transaction that aborted before reaching the chain.

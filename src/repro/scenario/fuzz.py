@@ -29,10 +29,11 @@ Oracles (each returns a list of violation strings, empty = pass):
     forensics taxonomy accounts for every failure.
 ``roundtrip``
     Every generated spec must survive JSON serialization unchanged.
-``batch_equivalence``
-    The vectorized batch kernel tier (:mod:`repro.sim.batch`) must
-    reproduce the primary execution bit for bit: identical kernel event
-    trace, identical run digest and identical forensics digest.
+``control_equivalence``
+    The SLO-guardian controller must keep the differential invariants: a
+    noop-policy controller reproduces the primary run digest, guardian-on
+    runs replay identically, and a guardian-on streamed run matches the
+    guardian-on batch run's control-timeline and forensics digests.
 
 Everything is deterministic: the generator derives one private
 ``random.Random`` per (campaign seed, composition index) via SHA-256, so
@@ -49,7 +50,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.forensics import (
     CAUSES,
@@ -69,6 +70,10 @@ from repro.scenario.spec import (
     ScenarioSpec,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.metrics import LogMetrics
+    from repro.fabric.config import NetworkConfig
+
 #: Corpus on-disk format version (bump on incompatible change).
 CORPUS_FORMAT = 1
 
@@ -78,7 +83,6 @@ ORACLES = (
     "stream_batch",
     "conservation",
     "roundtrip",
-    "batch_equivalence",
     "control_equivalence",
 )
 
@@ -306,20 +310,9 @@ class FuzzHarness:
     def _contracts(self):
         return self._family.deploy().contracts
 
-    def execute(
-        self, spec: ScenarioSpec, kernel_tier: str | None = None
-    ) -> _Execution:
-        """One fresh batch run of ``spec`` over the base workload.
-
-        ``kernel_tier`` forces a specific kernel implementation for the
-        ``batch_equivalence`` oracle; ``None`` keeps the campaign config
-        (and therefore the ``REPRO_KERNEL`` environment default).
-        """
-        config = self.network_config
-        if kernel_tier is not None:
-            config = config.copy()
-            config.kernel_tier = kernel_tier
-        network = FabricNetwork(config, self._contracts(), scenario=spec)
+    def execute(self, spec: ScenarioSpec) -> _Execution:
+        """One fresh batch run of ``spec`` over the base workload."""
+        network = FabricNetwork(self.network_config, self._contracts(), scenario=spec)
         trace = network.kernel.enable_trace()
         network.run(list(self.requests))
         report = forensics_report(network)
@@ -355,17 +348,19 @@ class FuzzHarness:
             violations.append("forensics digests diverged across identical runs")
         return violations
 
-    def check_stream_batch(self, spec: ScenarioSpec) -> list[str]:
-        """Streaming pipeline must equal the batch pipeline digest for digest."""
-        from repro.core.metrics import MetricsAccumulator, compute_metrics
-        from repro.logs.extract import extract_blockchain_log
+    def execute_streamed(
+        self, spec: ScenarioSpec, config: NetworkConfig | None = None
+    ) -> tuple[FabricNetwork, str, LogMetrics]:
+        """One streamed run of ``spec``: (network, forensics digest, metrics).
+
+        Workload transforms need the full request list, so they are
+        applied up front by a throwaway engine; only the network
+        interventions ride along into the streamed run.  ``config``
+        defaults to the campaign's network config.
+        """
+        from repro.core.metrics import MetricsAccumulator
         from repro.logs.stream import RunStream
 
-        batch = self.primary(spec)
-
-        # Workload transforms need the full request list, so they are
-        # applied up front by a throwaway engine; only the network
-        # interventions ride along into the streamed run.
         pre = ScenarioEngine(spec)
         transformed = pre.transform_requests(list(self.requests))
         ordered = sorted(transformed, key=lambda request: request.submit_time)
@@ -381,29 +376,39 @@ class FuzzHarness:
         metrics = MetricsAccumulator(interval_seconds=1.0)
         stream.add_transaction_consumer(forensics)
         stream.add_record_consumer(metrics)
+        config = config if config is not None else self.network_config
         network = FabricNetwork(
-            self.network_config, self._contracts(), scenario=live_spec, stream=stream
+            config, self._contracts(), scenario=live_spec, stream=stream
         )
         network.run_streamed(ordered)
 
         timeline = list(pre.timeline)
         if network.scenario_engine is not None:
             timeline += network.scenario_engine.timeline
-        streamed_report = forensics.finish(
+        report = forensics.finish(
             scenario=spec.name,
-            mitigation=self.network_config.mitigation,
+            mitigation=config.mitigation,
             timeline=sorted(timeline, key=lambda entry: (entry[0], entry[1])),
             resubmissions=network.retries_issued,
             recovered=network.retries_recovered,
             exhausted=network.retries_exhausted,
         )
+        metrics.config = stream.config
+        return network, report_digest(report), metrics.finish()
+
+    def check_stream_batch(self, spec: ScenarioSpec) -> list[str]:
+        """Streaming pipeline must equal the batch pipeline digest for digest."""
+        from repro.core.metrics import compute_metrics
+        from repro.logs.extract import extract_blockchain_log
+
+        batch = self.primary(spec)
+        _, streamed_digest, streamed_metrics = self.execute_streamed(spec)
 
         violations = []
-        if report_digest(streamed_report) != batch.forensics_digest:
+        if streamed_digest != batch.forensics_digest:
             violations.append("streamed forensics digest != batch forensics digest")
-        metrics.config = stream.config
         batch_metrics = compute_metrics(extract_blockchain_log(batch.network))
-        if metrics.finish() != batch_metrics:
+        if streamed_metrics != batch_metrics:
             violations.append("streamed LogMetrics != batch LogMetrics")
         return violations
 
@@ -461,58 +466,37 @@ class FuzzHarness:
             violations.append("from_dict(json(to_dict(spec))) != spec")
         return violations
 
-    def check_batch_equivalence(self, spec: ScenarioSpec) -> list[str]:
-        """The batch kernel tier must reproduce the primary run bit for bit.
-
-        The primary execution runs under the campaign's resolved tier
-        (the reference kernel by default); the comparison run forces
-        ``kernel_tier="batch"``.  Under ``REPRO_KERNEL=batch`` both runs
-        use the batch tier, which degrades this oracle to a batch-tier
-        determinism check — the cross-tier comparison then happens in the
-        reference-tier CI leg, where the same corpus digests must hold.
-        """
-        reference = self.primary(spec)
-        batch = self.execute(spec, kernel_tier="batch")
-        violations = []
-        if reference.trace != batch.trace:
-            violations.append("batch-tier kernel event trace diverged from primary")
-        if reference.digest != batch.digest:
-            violations.append(
-                f"batch-tier run digest diverged: {batch.digest[:12]} != "
-                f"{reference.digest[:12]}"
-            )
-        if reference.forensics_digest != batch.forensics_digest:
-            violations.append("batch-tier forensics digest diverged from primary")
-        return violations
-
     def check_control_equivalence(self, spec: ScenarioSpec) -> list[str]:
         """The SLO-guardian controller must preserve the differential invariants.
 
         Three sub-checks against the composition: a noop-policy controller
         reproduces the primary (controller-off) run digest bit for bit —
         controller *presence* never changes outcomes; a guardian-on run
-        is deterministic across replays (run digest and control-timeline
-        digest both stable); and the batch kernel tier reproduces the
-        guardian-on reference run.  Like ``batch_equivalence``, under
-        ``REPRO_KERNEL=batch`` the last sub-check degrades to a
-        batch-tier determinism check.
+        is deterministic across replays (run, control-timeline and
+        forensics digests all stable); and a guardian-on streamed run
+        reproduces the guardian-on batch run's control-timeline and
+        forensics digests — the monitor sees the same completions in the
+        same order whichever sink the network streams to.
         """
         from repro.control.spec import ControlSpec
 
-        def controlled(
-            policy: str, kernel_tier: str | None = None
-        ) -> tuple[str, str]:
+        def config_for(policy: str):
             config = self.network_config.copy()
             config.control = ControlSpec(policy=policy)
-            if kernel_tier is not None:
-                config.kernel_tier = kernel_tier
-            network = FabricNetwork(config, self._contracts(), scenario=spec)
+            return config
+
+        def controlled(policy: str) -> tuple[str, str, str]:
+            network = FabricNetwork(config_for(policy), self._contracts(), scenario=spec)
             network.run(list(self.requests))
-            return run_digest(network), network.controller.timeline.digest()
+            return (
+                run_digest(network),
+                network.controller.timeline.digest(),
+                report_digest(forensics_report(network)),
+            )
 
         violations = []
         primary = self.primary(spec)
-        noop_digest, _ = controlled("noop")
+        noop_digest = controlled("noop")[0]
         if noop_digest != primary.digest:
             violations.append(
                 "noop-policy controller perturbed the run digest: "
@@ -522,10 +506,12 @@ class FuzzHarness:
         second = controlled("guardian")
         if first != second:
             violations.append("guardian-on runs diverged across identical replays")
-        batch = controlled("guardian", kernel_tier="batch")
-        if batch != first:
+        network, forensics_digest, _ = self.execute_streamed(
+            spec, config_for("guardian")
+        )
+        if (network.controller.timeline.digest(), forensics_digest) != first[1:]:
             violations.append(
-                "guardian-on batch tier diverged from the reference tier"
+                "guardian-on streamed run diverged from the guardian-on batch run"
             )
         return violations
 
@@ -536,7 +522,6 @@ class FuzzHarness:
             "stream_batch": self.check_stream_batch,
             "conservation": self.check_conservation,
             "roundtrip": self.check_roundtrip,
-            "batch_equivalence": self.check_batch_equivalence,
             "control_equivalence": self.check_control_equivalence,
         }
         return {

@@ -27,8 +27,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.forensics import CAUSES, TOP_N, classify_transaction
 from repro.fabric.transaction import Transaction, TxStatus
 from repro.logs.blockchain_log import LogRecord, interval_index
@@ -119,50 +117,6 @@ class RateSeriesAccumulator:
         self.totals[index] = self.totals.get(index, 0) + 1
         if record.is_failure:
             self.failures[index] = self.failures.get(index, 0) + 1
-
-    def consume_batch(self, records: list[LogRecord]) -> None:
-        """Bin a whole block's records in one vectorized fold.
-
-        Bit-identical to calling :meth:`consume` per record: the
-        vectorized candidate index is the same IEEE division-and-truncate
-        :func:`~repro.logs.blockchain_log.interval_index` starts from,
-        the two half-open boundary predicates it nudges with are checked
-        vectorized, and any record that would need nudging falls back to
-        the scalar function.  Counting is integer-exact, so only dict
-        insertion order can differ — unobservable through the sorted
-        :meth:`series`.
-        """
-        if not records:
-            return
-        ins = self.interval_seconds
-        stamps = np.array(
-            [record.client_timestamp for record in records], dtype=np.float64
-        )
-        indices = (stamps / ins).astype(np.int64)
-        misbinned = ((indices > 0) & (stamps < indices * ins)) | (
-            stamps >= (indices + 1) * ins
-        )
-        if misbinned.any():
-            for position in np.nonzero(misbinned)[0].tolist():
-                indices[position] = interval_index(
-                    float(stamps[position]), 0.0, ins
-                )
-        totals = self.totals
-        for index, count in zip(*np.unique(indices, return_counts=True)):
-            index = int(index)
-            totals[index] = totals.get(index, 0) + int(count)
-        failed = indices[
-            np.fromiter(
-                (record.is_failure for record in records),
-                dtype=bool,
-                count=len(records),
-            )
-        ]
-        if failed.size:
-            failures = self.failures
-            for index, count in zip(*np.unique(failed, return_counts=True)):
-                index = int(index)
-                failures[index] = failures.get(index, 0) + int(count)
 
     def series(self) -> list[list[int]]:
         """``[interval index, committed, failed]`` rows, index-ascending."""

@@ -2,19 +2,22 @@
 
 The kernel is deliberately minimal: callers schedule callbacks at absolute
 simulated times and :meth:`Kernel.run` drains the heap in time order.
-Ties are broken by priority, then insertion order, which makes every
+Ties are broken by priority lane, then insertion order, which makes every
 simulation run fully deterministic for a fixed seed and workload.
 
-Two small control surfaces exist for the scenario engine
-(:mod:`repro.scenario`):
+Three lanes fire ahead of the default lane (0) at the same instant, in
+this order:
 
-* **interventions** — :meth:`Kernel.schedule_intervention` schedules a
-  callback on a dedicated priority lane that fires *before* any ordinary
-  event at the same instant, so a fault injected "at t=5" is in effect
-  for every workload event at t=5 regardless of insertion order;
-* **tracing** — :meth:`Kernel.enable_trace` records ``(time, priority,
-  seq)`` for every fired event, giving determinism tests an exact event
-  trace to compare across runs.
+* **interventions** (:meth:`Kernel.schedule_intervention`) — scenario
+  faults, so a fault injected "at t=5" is in effect for every other
+  event at t=5 regardless of insertion order;
+* **control** (:meth:`Kernel.schedule_control`) — SLO-guardian ticks;
+* **arrivals** (:data:`ARRIVAL_PRIORITY`) — workload requests, pumped one
+  at a time by the network's arrival pump.
+
+:meth:`Kernel.enable_trace` records ``(time, priority, seq)`` for every
+fired event, giving determinism tests an exact event trace to compare
+across runs.
 
 Performance note: the heap stores ``(time, priority, seq, Event)``
 tuples, not :class:`Event` objects.  ``seq`` is unique per kernel, so
@@ -23,12 +26,8 @@ elements and ``heapq`` never calls back into Python — the profiled
 ``Event.__lt__`` hot spot of the dataclass-based heap.  The :class:`Event`
 object in the last slot is the cancellation handle returned to callers.
 
-This class is the **reference tier**.  :mod:`repro.sim.batch` provides a
-drop-in ``batch`` tier (:class:`~repro.sim.batch.BatchKernel`) that
-stages idle-time schedules in arrays and orders them with one
-``numpy.lexsort`` instead of per-event heap maintenance; it must stay
-bit-identical to this implementation (see :data:`KERNEL_TIERS` and the
-differential harness in ``tests/test_batch_equivalence.py``).
+This is the simulator's only kernel: every run, whether it keeps its
+ledger or streams it, drains one heap through :meth:`Kernel.run`.
 """
 
 from __future__ import annotations
@@ -36,14 +35,9 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable
 
-#: Selectable kernel implementations: the reference event loop here and
-#: the array-staged batch tier in :mod:`repro.sim.batch`.
-KERNEL_TIERS = ("reference", "batch")
-
-#: Priority lane for scenario interventions: strictly before the default
-#: lane (0) at equal timestamps.  Lanes are integers because the batch
-#: tier sorts priorities through an ``int64`` array — a fractional lane
-#: would be silently truncated there and the tiers would diverge.
+#: Priority lane for scenario interventions: strictly before the
+#: control, arrival and default lanes at equal timestamps, so a fault
+#: injected at ``t`` is already in effect for everything else at ``t``.
 INTERVENTION_PRIORITY = -3
 
 #: Priority lane for the SLO-guardian controller (:mod:`repro.control`):
@@ -53,15 +47,14 @@ INTERVENTION_PRIORITY = -3
 #: ``t`` — regardless of insertion order.
 CONTROL_PRIORITY = -2
 
-#: Priority lane for pump-chained workload arrivals in streamed runs.
-#: Batch runs pre-schedule every arrival before the kernel starts, so at
-#: equal timestamps an arrival always carries a smaller sequence number
-#: than any dynamically scheduled pipeline event and wins the tie.  A
-#: streamed run schedules each arrival lazily (mid-run, with a *large*
-#: sequence number), so without this lane the same tie resolves the other
-#: way and the two modes diverge — a seam the scenario fuzzer's
-#: stream≡batch oracle caught.  Arrivals on this lane still yield to
-#: interventions and controller ticks at the same instant.
+#: Priority lane for workload arrivals.  Every run pumps its requests
+#: lazily — each arrival schedules the next one mid-run, with a large
+#: sequence number — yet must reproduce the order the goldens were
+#: recorded under, when every arrival was pre-scheduled before the
+#: clock started and so won every same-instant tie against pipeline
+#: events by its smaller sequence number.  This lane restores exactly
+#: that: an arrival at ``t`` fires before any default-lane event at
+#: ``t``, and still after the interventions and controller ticks at ``t``.
 ARRIVAL_PRIORITY = -1
 
 
@@ -206,13 +199,19 @@ class Kernel:
         """Drain the event heap.
 
         ``until`` stops the clock once the next event would fire strictly
-        after that time (the event stays queued).  ``max_events`` is a
-        safety valve for property tests over adversarial schedules.
+        after that time (the event stays queued); an ``until`` before
+        ``now`` raises ``ValueError``, since the clock never runs
+        backwards.  ``max_events`` is a safety valve for property tests
+        over adversarial schedules.
 
         The loop body is the hottest code in the simulator; locals are
         hoisted and the heap entries unpacked in place so a fired event
         costs one ``heappop`` plus the callback itself.
         """
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run until {until:.6f} before now={self._now:.6f}"
+            )
         heap = self._heap
         pop = heappop
         while heap:

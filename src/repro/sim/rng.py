@@ -44,61 +44,21 @@ class WeightedSampler:
     instead of rebuilding it on every call, which profiling shows dominates
     per-transaction endorser selection.  Equivalence is pinned by
     ``tests/test_sim_rng.py`` and, end to end, by the golden-file tests.
-
-    ``prefetch`` amortizes the per-call numpy dispatch further: draws are
-    served from a buffer filled ``prefetch`` uniforms at a time via one
-    vectorized ``generator.random(n)`` call.  The PCG64 bit stream fills
-    arrays element by element with the same ``next_double`` path scalar
-    ``random()`` uses, so the draw *values* are bit-identical — but the
-    generator advances ahead of consumption, so prefetching is only safe
-    when this sampler is the stream's **exclusive** consumer (true for the
-    dedicated ``endorser-selection`` stream; the batch kernel tier enables
-    it there and nowhere else).
     """
 
-    __slots__ = ("_generator", "_cdf", "_prefetch", "_buffer", "_cursor")
+    __slots__ = ("_generator", "_cdf")
 
-    def __init__(
-        self,
-        generator: np.random.Generator,
-        weights: np.ndarray,
-        prefetch: int = 0,
-    ) -> None:
+    def __init__(self, generator: np.random.Generator, weights: np.ndarray) -> None:
         cdf = np.asarray(weights, dtype=np.float64).cumsum()
         if cdf.size == 0:
             raise ValueError("need at least one weight")
-        if prefetch < 0:
-            raise ValueError(f"negative prefetch {prefetch!r}")
         cdf /= cdf[-1]
         self._generator = generator
         self._cdf = cdf
-        self._prefetch = prefetch
-        self._buffer: list[int] = []
-        self._cursor = 0
 
     def draw(self) -> int:
         """One weighted index in ``0..len(weights)-1``."""
-        if self._prefetch:
-            if self._cursor >= len(self._buffer):
-                self._buffer = self.draw_array(self._prefetch).tolist()
-                self._cursor = 0
-            index = self._buffer[self._cursor]
-            self._cursor += 1
-            return index
         return int(self._cdf.searchsorted(self._generator.random(), side="right"))
-
-    def draw_array(self, n: int) -> np.ndarray:
-        """``n`` weighted indices, bit-identical to ``n`` scalar draws.
-
-        One vectorized ``generator.random(n)`` consumes exactly the same
-        doubles, in the same order, as ``n`` scalar ``random()`` calls,
-        and the shared right-biased ``searchsorted`` resolves each the
-        same way — pinned against ``Generator.choice`` by
-        ``tests/test_sim_rng.py``.
-        """
-        if n < 0:
-            raise ValueError(f"negative draw count {n!r}")
-        return self._cdf.searchsorted(self._generator.random(n), side="right")
 
 
 class SimRng:

@@ -6,7 +6,7 @@ bounded-actuation envelope with the offline recommender (satellite 2),
 and the determinism properties (satellite 3): controller-off runs are
 byte-identical to pre-control builds, controller-on runs are
 deterministic per (seed, policy, scenario) across replays and across
-both kernel tiers.
+the batch and streamed run modes.
 """
 
 from __future__ import annotations
@@ -388,15 +388,22 @@ def test_unknown_actuator_raises_actuation_error():
 def test_controller_on_is_deterministic_per_seed_policy_scenario(
     seed, policy, scenario
 ):
-    from repro.analysis.forensics import forensics_report, report_digest
+    import dataclasses
 
-    def run(tier):
+    from repro.analysis.forensics import (
+        ForensicsAccumulator,
+        forensics_report,
+        report_digest,
+    )
+    from repro.logs.stream import RunStream
+    from repro.scenario.engine import ScenarioEngine
+
+    spec = get_scenario(scenario)
+
+    def run():
         config, family, requests = _bundle(total=250, seed=seed)
         config.control = ControlSpec(policy=policy)
-        config.kernel_tier = tier
-        network = FabricNetwork(
-            config, family.deploy().contracts, scenario=get_scenario(scenario)
-        )
+        network = FabricNetwork(config, family.deploy().contracts, scenario=spec)
         trace = network.kernel.enable_trace()
         network.run(requests)
         return (
@@ -406,8 +413,41 @@ def test_controller_on_is_deterministic_per_seed_policy_scenario(
             report_digest(forensics_report(network)),
         )
 
-    reference = run("reference")
-    replay = run("reference")
-    batch = run("batch")
-    assert replay == reference, "controller-on replay diverged"
-    assert batch == reference, "kernel tiers diverged under the controller"
+    def streamed():
+        # Workload transforms need the whole request list, so they are
+        # applied up front; only network interventions run live.
+        config, family, requests = _bundle(total=250, seed=seed)
+        config.control = ControlSpec(policy=policy)
+        pre = ScenarioEngine(spec)
+        ordered = sorted(
+            pre.transform_requests(requests), key=lambda r: r.submit_time
+        )
+        network_ivs = tuple(spec.network_interventions())
+        live = (
+            dataclasses.replace(spec, interventions=network_ivs)
+            if network_ivs
+            else None
+        )
+        stream = RunStream()
+        forensics = ForensicsAccumulator()
+        stream.add_transaction_consumer(forensics)
+        network = FabricNetwork(
+            config, family.deploy().contracts, scenario=live, stream=stream
+        )
+        network.run_streamed(ordered)
+        timeline = list(pre.timeline)
+        if network.scenario_engine is not None:
+            timeline += network.scenario_engine.timeline
+        report = forensics.finish(
+            scenario=spec.name,
+            mitigation=config.mitigation,
+            timeline=sorted(timeline, key=lambda entry: (entry[0], entry[1])),
+            resubmissions=network.retries_issued,
+            recovered=network.retries_recovered,
+            exhausted=network.retries_exhausted,
+        )
+        return network.controller.timeline.digest(), report_digest(report)
+
+    reference = run()
+    assert run() == reference, "controller-on replay diverged"
+    assert streamed() == reference[2:], "streamed run diverged under the controller"

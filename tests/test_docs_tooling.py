@@ -125,3 +125,27 @@ class TestDocCrossLinks:
         )
         assert any(path.name == "retry.py" for path in fabric)
         assert any(path.name == "forensics.py" for path in analysis)
+
+    def test_architecture_quotes_the_kernel_lanes_and_golden_count(self):
+        """The lane numbers and golden-file count ARCHITECTURE.md quotes
+        match the kernel's ``*_PRIORITY`` constants and ``tests/golden/``."""
+        import re
+
+        from repro.sim.kernel import (
+            ARRIVAL_PRIORITY,
+            CONTROL_PRIORITY,
+            INTERVENTION_PRIORITY,
+        )
+
+        text = " ".join((REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text().split())
+        lanes = re.findall(r"the (\w+) lane \(`priority=(-?\d+)`\)", text)
+        assert sorted(lanes) == sorted(
+            [
+                ("intervention", str(INTERVENTION_PRIORITY)),
+                ("control", str(CONTROL_PRIORITY)),
+                ("arrival", str(ARRIVAL_PRIORITY)),
+            ]
+        )
+        goldens = len(list((REPO_ROOT / "tests" / "golden").glob("*.json")))
+        quoted = re.findall(r"`tests/golden/` — (\d+) golden files", text)
+        assert quoted == [str(goldens)]

@@ -44,22 +44,8 @@ def test_registry_names_are_unique_and_cover_the_required_hot_paths():
         "pipeline_round_trip",
         "metrics_accumulation",
         "small_experiment",
-        "kernel_event_churn_batch",
-        "pipeline_round_trip_batch",
     ):
         assert required in names
-
-
-def test_batch_tier_benchmarks_compute_the_same_digests():
-    """The ``*_batch`` mirrors run identical workloads through the batch
-    kernel tier; equal digests are one more cross-tier equivalence check."""
-    report = run_benchmarks(
-        ["kernel_event_churn", "kernel_event_churn_batch"], warmup=0, trials=1
-    )
-    assert (
-        report.get("kernel_event_churn").digest
-        == report.get("kernel_event_churn_batch").digest
-    )
 
 
 def test_registry_lookup_and_unknown_name():

@@ -85,6 +85,22 @@ def test_run_until_past_all_events_advances_clock():
     assert kernel.now == 7.0
 
 
+def test_run_until_before_now_raises_instead_of_rewinding_the_clock():
+    kernel = Kernel()
+    fired = []
+    kernel.schedule(10.0, lambda: fired.append(10))
+    kernel.schedule(20.0, lambda: fired.append(20))
+    kernel.run(until=15.0)
+    with pytest.raises(ValueError, match="before now"):
+        kernel.run(until=5.0)
+    assert kernel.now == 15.0
+    # The clock did not move back, so 7.0 is still in the past.
+    with pytest.raises(ValueError):
+        kernel.schedule(7.0, lambda: fired.append(7))
+    kernel.run()
+    assert fired == [10, 20]
+
+
 def test_max_events_limits_processing():
     kernel = Kernel()
     fired = []

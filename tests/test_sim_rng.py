@@ -118,44 +118,6 @@ def test_weighted_sampler_matches_numpy_choice_draw_stream():
         assert actual == expected
 
 
-def test_weighted_sampler_draw_array_matches_numpy_choice_draw_stream():
-    """The vectorized batch draw must consume the identical PCG64 double
-    stream as ``Generator.choice`` scalar calls — the batch kernel tier's
-    endorser selection depends on it (ISSUE 9)."""
-    from repro.sim.rng import WeightedSampler
-
-    for n, skew in [(2, 0.0), (3, 1.0), (5, 2.5), (8, 0.3)]:
-        weights = zipf_weights(n, skew)
-        reference = np.random.default_rng(99)
-        sampler = WeightedSampler(np.random.default_rng(99), weights)
-        expected = [int(reference.choice(n, p=weights)) for _ in range(2000)]
-        actual = []
-        # Uneven chunk sizes: array draws must be chunking-invariant.
-        for size in (1, 7, 256, 1000, 736):
-            actual.extend(sampler.draw_array(size).tolist())
-        assert actual == expected
-
-
-def test_weighted_sampler_prefetch_matches_scalar_draws():
-    """Prefetched scalar draws == unbuffered scalar draws, draw for draw,
-    including across refill boundaries."""
-    from repro.sim.rng import WeightedSampler
-
-    weights = zipf_weights(6, 1.2)
-    plain = WeightedSampler(np.random.default_rng(42), weights)
-    buffered = WeightedSampler(np.random.default_rng(42), weights, prefetch=64)
-    assert [buffered.draw() for _ in range(333)] == [
-        plain.draw() for _ in range(333)
-    ]
-
-
-def test_weighted_sampler_rejects_negative_prefetch():
-    from repro.sim.rng import WeightedSampler
-
-    with pytest.raises(ValueError):
-        WeightedSampler(np.random.default_rng(1), [1.0], prefetch=-1)
-
-
 def test_weighted_sampler_accepts_plain_lists_and_rejects_empty():
     from repro.sim.rng import WeightedSampler
 
