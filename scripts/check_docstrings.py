@@ -11,9 +11,9 @@ through the data model).
 
 Scope: all ``repro.*`` package ``__init__.py`` files plus the public-API
 modules the documentation contract names — the simulation kernel, the
-suite executor, the scenario engine, the whole ``repro.bench.perf``
-package, the whole ``repro.analysis`` and ``repro.control`` packages, and
-every public module of ``repro.fabric``.
+suite executor, the scenario engine and fuzzer, the whole
+``repro.analysis`` and ``repro.control`` packages, and every public module
+of ``repro.fabric``.
 
 Usage::
 
@@ -42,10 +42,6 @@ DEFAULT_SCOPE = [
     SRC / "bench" / "executor.py",
     SRC / "scenario" / "engine.py",
     SRC / "scenario" / "fuzz.py",
-    SRC / "bench" / "perf" / "__init__.py",
-    SRC / "bench" / "perf" / "benchmarks.py",
-    SRC / "bench" / "perf" / "runner.py",
-    SRC / "bench" / "perf" / "compare.py",
 ]
 
 

@@ -48,6 +48,11 @@ CAUSES = (
     "early_abort_chaincode",
 )
 
+#: Causes attributable to a specific key (conflict_key is recorded).
+KEYED_CAUSES = frozenset(
+    {"mvcc_conflict", "phantom_conflict", "early_abort_stale_read"}
+)
+
 #: Default number of buckets in the failure-rate time series.
 DEFAULT_BUCKETS = 12
 
@@ -218,11 +223,6 @@ class ForensicsReport:
             raise ValueError(f"malformed forensics report: {exc}") from exc
 
 
-#: Causes attributable to a specific key (conflict_key is recorded).
-_KEYED_CAUSES = frozenset(
-    {"mvcc_conflict", "phantom_conflict", "early_abort_stale_read"}
-)
-
 #: How many hot keys / families a report keeps.
 TOP_N = 10
 
@@ -268,7 +268,7 @@ class ForensicsAccumulator:
             self._successes += 1
             return
         self._cause_counts[cause] += 1
-        if cause in _KEYED_CAUSES and tx.conflict_key is not None:
+        if cause in KEYED_CAUSES and tx.conflict_key is not None:
             key_hits = self._key_hits
             key_hits[tx.conflict_key] = key_hits.get(tx.conflict_key, 0) + 1
             parsed = key_family(tx.conflict_key)
@@ -299,8 +299,8 @@ class ForensicsAccumulator:
             successes=self._successes,
             failures=total - self._successes,
             cause_counts=self._cause_counts,
-            hot_keys=_top(self._key_hits),
-            key_families=_top(self._family_hits),
+            hot_keys=top_hits(self._key_hits),
+            key_families=top_hits(self._family_hits),
             org_policy_failures=dict(sorted(self._org_failures.items())),
             buckets=self._series(),
             timeline=list(timeline) if timeline else [],
@@ -397,7 +397,7 @@ def forensics_report(
     )
 
 
-def _top(hits: dict[str, int], n: int = TOP_N) -> list[tuple[str, int]]:
+def top_hits(hits: dict[str, int], n: int = TOP_N) -> list[tuple[str, int]]:
     """Most-hit entries first; count desc, then key asc (deterministic)."""
     return sorted(hits.items(), key=lambda item: (-item[1], item[0]))[:n]
 

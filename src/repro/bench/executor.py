@@ -5,15 +5,17 @@ embarrassingly parallel across experiments, and within one experiment the
 per-plan optimized runs are independent of one another once the baseline
 has been analyzed.  The executor exploits both levels:
 
-* **wave 1** — one pool task per experiment runs the baseline workload,
-  analyzes it with BlockOptR and resolves each plan's recommendations;
-* **wave 2** — as each baseline completes, one pool task per plan applies
-  the resolved recommendations to a freshly generated bundle and re-runs.
+* **wave 1** — one pool task per experiment calls
+  :func:`~repro.bench.harness.run_baseline`: run the baseline workload,
+  analyze it with BlockOptR and resolve each plan's recommendations;
+* **wave 2** — as each baseline completes, one pool task per plan calls
+  :func:`~repro.bench.harness.run_plan` on a freshly generated bundle.
 
-Because the simulator is fully deterministic for a fixed seed (the kernel
-breaks ties by insertion order and nothing depends on process state), the
-fan-out is bit-for-bit equivalent to serial :func:`execute_experiment`
-output — ``tests/test_executor_equivalence.py`` pins this down.
+These are the steps serial :func:`execute_experiment` calls too.  Because
+the simulator is fully deterministic for a fixed seed (the kernel breaks
+ties by insertion order and nothing depends on process state), the fan-out
+is bit-for-bit equivalent to serial output —
+``tests/test_executor_equivalence.py`` pins this down.
 
 Results are memoized via :class:`~repro.bench.cache.ResultCache`; a warm
 re-run performs zero simulation runs.
@@ -31,17 +33,15 @@ from typing import Callable, Sequence
 from repro.bench.cache import ResultCache
 from repro.bench.harness import (
     ExperimentOutcome,
-    RunRow,
-    control_timeline_dict,
-    default_recommendation,
+    PlanTask,
+    RunRecord,
+    assemble_outcome,
     execute_experiment,
-    unpack_bundle,
+    run_baseline,
+    run_plan,
 )
 from repro.bench.registry import ExperimentSpec
-from repro.core.apply import apply_recommendations
-from repro.core.recommendations import Recommendation
-from repro.core.recommender import BlockOptR
-from repro.fabric.network import run_workload
+from repro.core.recommendations import OptimizationKind
 
 #: Optional progress sink: called with one human-readable line per event.
 Progress = Callable[[str], None]
@@ -132,73 +132,21 @@ def run_spec(spec: ExperimentSpec) -> ExperimentOutcome:
 # the payload shipped between processes tiny.
 
 
-@dataclass
-class _BaselineResult:
-    exp_id: str
-    row: RunRow
-    recommendations: list[str]
-    #: Per plan: (label, resolved recommendations, forced flag).
-    plan_tasks: list[tuple[str, tuple[Recommendation, ...], bool]]
-    #: Baseline failure-forensics report (dict form).
-    forensics: dict = None  # type: ignore[assignment]
-    #: Baseline control timeline (dict form), ``None`` when controller-off.
-    control: dict | None = None
+def _baseline_task(
+    spec: ExperimentSpec,
+) -> tuple[RunRecord, set[OptimizationKind], list[PlanTask]]:
+    """Wave 1: :func:`~repro.bench.harness.run_baseline` on a fresh bundle.
+
+    Only the recommended kinds leave the worker, not the analysis report
+    (which holds the whole blockchain log).
+    """
+    record, report, tasks = run_baseline(spec.make_bundle()(), spec.resolved_plans())
+    return record, report.recommended_kinds(), tasks
 
 
-def _baseline_task(spec: ExperimentSpec) -> _BaselineResult:
-    """Wave 1: baseline run + analysis + plan resolution (mirrors
-    the first half of :func:`repro.bench.harness.execute_experiment`)."""
-    from repro.analysis.forensics import forensics_report
-
-    config, family, requests, scenario = unpack_bundle(spec.make_bundle()())
-    deployment = family.deploy()
-    network, baseline = run_workload(
-        config, deployment.contracts, requests, scenario=scenario
-    )
-    report = BlockOptR().analyze_network(network)
-    recommended = report.recommended_kinds()
-
-    plan_tasks = []
-    for label, kinds in spec.resolved_plans():
-        recs: list[Recommendation] = []
-        forced = False
-        for kind in kinds:
-            if kind in recommended:
-                recs.append(report.get(kind))
-            else:
-                recs.append(default_recommendation(kind, report))
-                forced = True
-        plan_tasks.append((label, tuple(recs), forced))
-
-    return _BaselineResult(
-        exp_id=spec.exp_id,
-        row=RunRow.from_result("without", baseline),
-        recommendations=sorted(kind.value for kind in recommended),
-        plan_tasks=plan_tasks,
-        forensics=forensics_report(network).to_dict(),
-        control=control_timeline_dict(network),
-    )
-
-
-def _plan_task(
-    spec: ExperimentSpec, label: str, recs: tuple[Recommendation, ...], forced: bool
-) -> tuple[RunRow, dict, dict | None]:
-    """Wave 2: apply one plan's recommendations and re-run (mirrors the
-    per-plan loop of :func:`repro.bench.harness.execute_experiment`).
-    Returns the row plus the run's forensics report (dict form) and its
-    control timeline (``None`` when the run has no controller)."""
-    from repro.analysis.forensics import forensics_report
-
-    config, family, requests, scenario = unpack_bundle(spec.make_bundle()())
-    applied = apply_recommendations(list(recs), config, family, requests)
-    network, optimized = run_workload(
-        applied.config,
-        applied.deployment.contracts,
-        applied.requests,
-        scenario=scenario,
-    )
-    row = RunRow.from_result(label, optimized, applied=applied.applied, forced=forced)
-    return row, forensics_report(network).to_dict(), control_timeline_dict(network)
+def _plan_task(spec: ExperimentSpec, task: PlanTask) -> RunRecord:
+    """Wave 2: :func:`~repro.bench.harness.run_plan` on a fresh bundle."""
+    return run_plan(spec.make_bundle()(), task)
 
 
 # -- the suite runner ---------------------------------------------------------------
@@ -232,20 +180,23 @@ def run_suite(
         else:
             to_run.append(spec)
 
+    def finish(spec: ExperimentSpec, outcome: ExperimentOutcome) -> None:
+        outcomes[spec.exp_id] = outcome
+        report.executed.append(spec.exp_id)
+        if cache is not None:
+            cache.put(spec, outcome)
+        note(f"executed {spec.exp_id}")
+
     if to_run and report.jobs == 1:
         for spec in to_run:
             try:
                 outcome = run_spec(spec)
             except Exception as exc:
                 raise _attribute(spec.exp_id, "serial run", exc) from exc
-            outcomes[spec.exp_id] = outcome
-            report.executed.append(spec.exp_id)
             report.simulated_runs += spec.run_count()
-            if cache is not None:
-                cache.put(spec, outcome)
-            note(f"executed {spec.exp_id}")
+            finish(spec, outcome)
     elif to_run:
-        _run_parallel(to_run, report, outcomes, cache, note)
+        _run_parallel(to_run, report, finish)
 
     report.outcomes = [outcomes[spec.exp_id] for spec in specs]
     report.wall_seconds = time.perf_counter() - started
@@ -255,20 +206,15 @@ def run_suite(
 def _run_parallel(
     to_run: list[ExperimentSpec],
     report: SuiteReport,
-    outcomes: dict[str, ExperimentOutcome],
-    cache: ResultCache | None,
-    note: Progress,
+    finish: Callable[[ExperimentSpec, ExperimentOutcome], None],
 ) -> None:
     by_id = {spec.exp_id: spec for spec in to_run}
-    baselines: dict[str, _BaselineResult] = {}
-    # exp_id -> {plan index -> (RunRow, forensics dict, control dict)},
-    # filled as wave-2 tasks finish.  Keyed by index, not label: duplicate
-    # plan labels must still produce one row each, exactly as the serial
-    # path does.
-    plan_rows: dict[str, dict[int, tuple[RunRow, dict, dict | None]]] = {
-        spec.exp_id: {} for spec in to_run
-    }
-    plans_open: dict[str, int] = {}
+    recommended: dict[str, set[OptimizationKind]] = {}
+    # exp_id -> {row index -> RunRecord}: the baseline is row 0 and plan i
+    # is row i + 1, filled as tasks finish.  Keyed by index, not label:
+    # duplicate plan labels must still produce one row each, exactly as
+    # the serial path does.
+    records: dict[str, dict[int, RunRecord]] = {spec.exp_id: {} for spec in to_run}
 
     with ProcessPoolExecutor(max_workers=report.jobs) as pool:
         futures = {}
@@ -294,57 +240,23 @@ def _run_parallel(
                         stage = f"plan {spec.plans[plan_index][0]!r}"
                     raise _attribute(exp_id, stage, error) from error
                 if kind == "whole":
-                    outcomes[exp_id] = future.result()
                     report.simulated_runs += spec.run_count()
-                    report.executed.append(exp_id)
-                    if cache is not None:
-                        cache.put(spec, outcomes[exp_id])
-                    note(f"executed {exp_id}")
+                    finish(spec, future.result())
                     continue
+                report.simulated_runs += 1
+                rows = records[exp_id]
                 if kind == "baseline":
-                    result: _BaselineResult = future.result()
-                    baselines[exp_id] = result
-                    report.simulated_runs += 1
-                    plans_open[exp_id] = len(result.plan_tasks)
-                    for index, (plan_label, recs, forced) in enumerate(
-                        result.plan_tasks
-                    ):
-                        plan_future = pool.submit(
-                            _plan_task, spec, plan_label, recs, forced
-                        )
+                    rows[0], recommended[exp_id], tasks = future.result()
+                    for index, task in enumerate(tasks):
+                        plan_future = pool.submit(_plan_task, spec, task)
                         futures[plan_future] = ("plan", exp_id, index)
                 else:
-                    plan_rows[exp_id][plan_index] = future.result()
-                    report.simulated_runs += 1
-                    plans_open[exp_id] -= 1
-                if plans_open.get(exp_id) == 0:
-                    outcome = _assemble(spec, baselines[exp_id], plan_rows[exp_id])
-                    outcomes[exp_id] = outcome
-                    report.executed.append(exp_id)
-                    if cache is not None:
-                        cache.put(spec, outcome)
-                    note(f"executed {exp_id}")
-
-
-def _assemble(
-    spec: ExperimentSpec,
-    baseline: _BaselineResult,
-    rows_by_index: dict[int, tuple[RunRow, dict, dict | None]],
-) -> ExperimentOutcome:
-    """Rows in plan order, identical to what ``execute_experiment`` builds."""
-    rows = [baseline.row]
-    forensics = [baseline.forensics]
-    control: list[dict | None] = [baseline.control]
-    for index in range(len(spec.plans)):
-        row, row_forensics, row_control = rows_by_index[index]
-        rows.append(row)
-        forensics.append(row_forensics)
-        control.append(row_control)
-    return ExperimentOutcome(
-        name=spec.title,
-        rows=rows,
-        recommendations=baseline.recommendations,
-        paper=spec.paper_dict(),
-        forensics=forensics,
-        control=control if any(entry is not None for entry in control) else None,
-    )
+                    rows[plan_index + 1] = future.result()
+                if len(rows) == len(spec.plans) + 1:
+                    ordered = [rows[index] for index in range(len(rows))]
+                    finish(
+                        spec,
+                        assemble_outcome(
+                            spec.title, ordered, recommended[exp_id], spec.paper_dict()
+                        ),
+                    )

@@ -4,6 +4,10 @@ The paper's protocol (Section 5): execute a workload without
 optimizations, feed the ledger to BlockOptR, implement the recommended
 optimizations (Table 4 settings), re-execute the same workload, and
 compare success throughput, average latency and success rate.
+
+The protocol is written once, as :func:`run_baseline`, :func:`run_plan`
+and :func:`assemble_outcome`.  Serial :func:`execute_experiment` calls
+them in turn; the parallel executor runs the first two as pool tasks.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ def unpack_bundle(
     """Normalize a bundle to ``(config, family, requests, scenario)``.
 
     Pre-scenario makers return 3-tuples; scenario makers append the
-    :class:`ScenarioSpec`.  Everything downstream (serial harness, both
-    executor waves) handles the two shapes through this one helper.
+    :class:`ScenarioSpec`.  :func:`run_baseline` and :func:`run_plan`
+    handle the two shapes through this one helper.
     """
     if len(bundle) == 3:
         config, family, requests = bundle
@@ -156,6 +160,88 @@ def control_timeline_dict(network) -> dict | None:
     return controller.timeline.to_dict() if controller is not None else None
 
 
+#: One run's share of an :class:`ExperimentOutcome`: its row, its
+#: failure-forensics report and its control timeline (dict forms; the
+#: timeline is ``None`` for controller-off runs).
+RunRecord = tuple[RunRow, dict, dict | None]
+#: One resolved plan: its label, the recommendations to apply, and
+#: whether any of them was forced (applied although not recommended).
+PlanTask = tuple[str, tuple[Recommendation, ...], bool]
+
+
+def _record(row: RunRow, network) -> RunRecord:
+    from repro.analysis.forensics import forensics_report
+
+    return row, forensics_report(network).to_dict(), control_timeline_dict(network)
+
+
+def run_baseline(
+    bundle: tuple,
+    plans: list[tuple[str, tuple[OptimizationKind, ...]]],
+    thresholds: Thresholds | None = None,
+) -> tuple[RunRecord, AnalysisReport, list[PlanTask]]:
+    """Run the unoptimized workload, analyze it, and resolve every plan.
+
+    Returns the baseline's record, BlockOptR's analysis report, and one
+    :data:`PlanTask` per plan: each plan kind maps to the report's
+    recommendation, or to :func:`default_recommendation` (and the task is
+    marked forced) when the rule did not fire.
+    """
+    config, family, requests, scenario = unpack_bundle(bundle)
+    network, baseline = run_workload(
+        config, family.deploy().contracts, requests, scenario=scenario
+    )
+    report = BlockOptR(thresholds).analyze_network(network)
+    recommended = report.recommended_kinds()
+    tasks = []
+    for label, kinds in plans:
+        recs = tuple(
+            report.get(kind) if kind in recommended else default_recommendation(kind, report)
+            for kind in kinds
+        )
+        tasks.append((label, recs, not recommended.issuperset(kinds)))
+    return _record(RunRow.from_result("without", baseline), network), report, tasks
+
+
+def run_plan(bundle: tuple, task: PlanTask) -> RunRecord:
+    """Apply one resolved plan to ``bundle`` and re-run it.
+
+    Scenario bundles re-run under the same scenario as the baseline: the
+    recommendations are evaluated under the faults they were derived from.
+    """
+    label, recs, forced = task
+    config, family, requests, scenario = unpack_bundle(bundle)
+    applied = apply_recommendations(list(recs), config, family, requests)
+    network, optimized = run_workload(
+        applied.config,
+        applied.deployment.contracts,
+        applied.requests,
+        scenario=scenario,
+    )
+    row = RunRow.from_result(label, optimized, applied=applied.applied, forced=forced)
+    return _record(row, network)
+
+
+def assemble_outcome(
+    name: str,
+    records: list[RunRecord],
+    recommended: set[OptimizationKind],
+    paper: dict[str, tuple[float, float, float]] | None = None,
+    report: AnalysisReport | None = None,
+) -> ExperimentOutcome:
+    """The outcome of one experiment from its records, baseline first."""
+    rows, forensics, control = (list(column) for column in zip(*records))
+    return ExperimentOutcome(
+        name=name,
+        rows=rows,
+        recommendations=sorted(kind.value for kind in recommended),
+        paper=dict(paper or {}),
+        report=report,
+        forensics=forensics,
+        control=control if any(entry is not None for entry in control) else None,
+    )
+
+
 def execute_experiment(
     name: str,
     make: MakeBundle,
@@ -168,55 +254,17 @@ def execute_experiment(
 
     ``plans`` lists the optimization combinations the figure shows, e.g.
     ``[("rate control", (TRANSACTION_RATE_CONTROL,)), ("all", (...))]``.
-
-    Scenario bundles run both the baseline and every optimized re-run
-    under the same scenario: the recommendations are evaluated under the
-    same faults they were derived from.
+    The baseline and every plan share one bundle from ``make``.
     """
-    from repro.analysis.forensics import forensics_report
-
-    config, family, requests, scenario = unpack_bundle(make())
-    deployment = family.deploy()
-    network, baseline = run_workload(
-        config, deployment.contracts, requests, scenario=scenario
-    )
-    advisor = BlockOptR(thresholds)
-    report = advisor.analyze_network(network)
-
-    rows = [RunRow.from_result("without", baseline)]
-    forensics = [forensics_report(network).to_dict()]
-    control: list[dict | None] = [control_timeline_dict(network)]
-    recommended = report.recommended_kinds()
-    for label, kinds in plans:
-        recs: list[Recommendation] = []
-        forced = False
-        for kind in kinds:
-            if kind in recommended:
-                recs.append(report.get(kind))
-            else:
-                recs.append(default_recommendation(kind, report))
-                forced = True
-        applied = apply_recommendations(recs, config, family, requests)
-        optimized_network, optimized = run_workload(
-            applied.config,
-            applied.deployment.contracts,
-            applied.requests,
-            scenario=scenario,
-        )
-        rows.append(
-            RunRow.from_result(label, optimized, applied=applied.applied, forced=forced)
-        )
-        forensics.append(forensics_report(optimized_network).to_dict())
-        control.append(control_timeline_dict(optimized_network))
-
-    return ExperimentOutcome(
-        name=name,
-        rows=rows,
-        recommendations=sorted(k.value for k in recommended),
-        paper=dict(paper or {}),
-        report=report if keep_report else None,
-        forensics=forensics,
-        control=control if any(entry is not None for entry in control) else None,
+    bundle = make()
+    baseline, report, tasks = run_baseline(bundle, plans, thresholds)
+    records = [baseline] + [run_plan(bundle, task) for task in tasks]
+    return assemble_outcome(
+        name,
+        records,
+        report.recommended_kinds(),
+        paper,
+        report if keep_report else None,
     )
 
 

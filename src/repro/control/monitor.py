@@ -20,13 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.forensics import classify_transaction
+from repro.analysis.forensics import KEYED_CAUSES, classify_transaction
 from repro.fabric.transaction import Transaction, TxStatus
-
-#: Causes attributable to a specific conflicting key.
-_KEYED_CAUSES = frozenset(
-    {"mvcc_conflict", "phantom_conflict", "early_abort_stale_read"}
-)
 
 
 def quantile(sorted_values: list[float], q: float) -> float:
@@ -118,7 +113,7 @@ class WindowedMonitor:
                 self._latencies.append(tx.latency)
             return
         self._causes[cause] = self._causes.get(cause, 0) + 1
-        if cause in _KEYED_CAUSES and tx.conflict_key is not None:
+        if cause in KEYED_CAUSES and tx.conflict_key is not None:
             self._key_hits[tx.conflict_key] = self._key_hits.get(tx.conflict_key, 0) + 1
         if tx.status is TxStatus.ENDORSEMENT_FAILURE:
             for org in tx.missing_endorsements:

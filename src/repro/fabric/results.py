@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from repro.fabric.ledger import Ledger
 from repro.fabric.transaction import Transaction, TxStatus
 
+#: Makespan floor when computing throughput, so an empty or instant run
+#: never divides by zero.
+MIN_MAKESPAN = 1e-9
+
 
 @dataclass
 class RunResult:
@@ -81,7 +85,7 @@ def summarize_run(
         else:
             failure_counts[status.value] = failure_counts.get(status.value, 0) + 1
 
-    makespan = max(last_commit - first_submit, 1e-9)
+    makespan = max(last_commit - first_submit, MIN_MAKESPAN)
     latencies.sort()
     avg_latency = sum(latencies) / len(latencies) if latencies else 0.0
     p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0

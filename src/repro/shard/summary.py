@@ -27,20 +27,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.analysis.forensics import CAUSES, TOP_N, classify_transaction
+from repro.analysis.forensics import (
+    CAUSES,
+    KEYED_CAUSES,
+    classify_transaction,
+    top_hits,
+)
+from repro.fabric.results import MIN_MAKESPAN
 from repro.fabric.transaction import Transaction, TxStatus
 from repro.logs.blockchain_log import LogRecord, interval_index
 from repro.logs.eventlog import key_family
 from repro.shard.plan import ChannelPlan, ShardPlan
-
-#: Makespan floor when computing throughput, matching
-#: :func:`repro.fabric.results.summarize_run`.
-_MIN_MAKESPAN = 1e-9
-
-#: Causes attributable to a specific key (mirrors the forensics pass).
-_KEYED_CAUSES = frozenset(
-    {"mvcc_conflict", "phantom_conflict", "early_abort_stale_read"}
-)
 
 
 class RunStatsAccumulator:
@@ -83,7 +80,7 @@ class RunStatsAccumulator:
                     self.latency_max = latency
             return
         self.cause_counts[cause] += 1
-        if cause in _KEYED_CAUSES and tx.conflict_key is not None:
+        if cause in KEYED_CAUSES and tx.conflict_key is not None:
             self.key_hits[tx.conflict_key] = self.key_hits.get(tx.conflict_key, 0) + 1
             parsed = key_family(tx.conflict_key)
             if parsed is not None:
@@ -160,7 +157,7 @@ class ChannelSummary:
     @property
     def makespan(self) -> float:
         """First submission to last commit, floored like ``summarize_run``."""
-        return max(self.last_commit - self.first_submit, _MIN_MAKESPAN)
+        return max(self.last_commit - self.first_submit, MIN_MAKESPAN)
 
     @property
     def success_rate(self) -> float:
@@ -235,8 +232,8 @@ def summarize_channel(
         successes=run_stats.successes,
         failures=run_stats.total - run_stats.successes,
         cause_counts=dict(run_stats.cause_counts),
-        hot_keys=[list(item) for item in _top(run_stats.key_hits)],
-        key_families=[list(item) for item in _top(run_stats.family_hits)],
+        hot_keys=[list(item) for item in top_hits(run_stats.key_hits)],
+        key_families=[list(item) for item in top_hits(run_stats.family_hits)],
         org_policy_failures=dict(run_stats.org_failures),
         max_attempt=run_stats.max_attempt,
         latency_sum=run_stats.latency_sum,
@@ -306,10 +303,10 @@ class StitchedSummary:
         the max, not the sum.
         """
         if not self.channels:
-            return _MIN_MAKESPAN
+            return MIN_MAKESPAN
         first = min(channel.first_submit for channel in self.channels)
         last = max(channel.last_commit for channel in self.channels)
-        return max(last - first, _MIN_MAKESPAN)
+        return max(last - first, MIN_MAKESPAN)
 
     @property
     def throughput(self) -> float:
@@ -350,7 +347,7 @@ class StitchedSummary:
         for channel in self.channels:
             for key, count in channel.hot_keys:
                 merged[key] = merged.get(key, 0) + count
-        return [list(item) for item in _top(merged)]
+        return [list(item) for item in top_hits(merged)]
 
     def rate_series(self) -> list[list[int]]:
         """Per-interval ``[index, committed, failed]`` summed over channels."""
@@ -416,8 +413,3 @@ def stitch(plan: ShardPlan, summaries: list[ChannelSummary]) -> StitchedSummary:
         interval_seconds=plan.interval_seconds,
         channels=list(summaries),
     )
-
-
-def _top(hits: dict[str, int], n: int = TOP_N) -> list[tuple[str, int]]:
-    """Most-hit entries first; count desc, then key asc (deterministic)."""
-    return sorted(hits.items(), key=lambda item: (-item[1], item[0]))[:n]

@@ -92,7 +92,7 @@ class TestCliReference:
 
     def test_reference_documents_every_subcommand_and_new_flags(self):
         text = generate_cli_md.generate_text()
-        for command in ("analyze", "export", "demo", "suite", "scenario", "perf"):
+        for command in ("analyze", "export", "demo", "suite", "scenario"):
             assert f"## {command}" in text
         assert "--cached EXP_ID" in text
         assert "--mitigation" in text
@@ -149,3 +149,26 @@ class TestDocCrossLinks:
         goldens = len(list((REPO_ROOT / "tests" / "golden").glob("*.json")))
         quoted = re.findall(r"`tests/golden/` — (\d+) golden files", text)
         assert quoted == [str(goldens)]
+
+    def test_docs_quote_the_registry_size_and_every_subcommand(self):
+        """README and ARCHITECTURE.md quote the registry's experiment count,
+        and the ``repro.cli`` docstring lists every subcommand."""
+        import argparse
+        import re
+
+        import repro.cli
+        from repro.bench.registry import all_specs
+
+        for doc in ("README.md", "docs/ARCHITECTURE.md"):
+            text = " ".join((REPO_ROOT / doc).read_text().split())
+            quoted = re.findall(r"`repro\.bench\.registry`, (\d+) experiments", text)
+            assert quoted == [str(len(all_specs()))], doc
+        (subcommands,) = [
+            action
+            for action in repro.cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        unlisted = [
+            name for name in subcommands.choices if f"* ``{name}" not in repro.cli.__doc__
+        ]
+        assert unlisted == []
