@@ -4,8 +4,9 @@
 The reference is derived from :func:`repro.cli.build_parser` itself —
 subcommand list, per-subcommand description, and every argument's flags,
 metavar, choices, default and help string — so the document cannot drift
-from the implementation: ``tests/test_cli_docs.py`` regenerates the text
-in memory and asserts it matches the committed file byte for byte.
+from the implementation: ``tests/test_docs_tooling.py::TestCliReference``
+regenerates the text in memory and asserts it matches the committed file
+byte for byte.
 
 Usage::
 
@@ -33,8 +34,9 @@ Generated by `scripts/generate_cli_md.py` from the argparse tree in
 PYTHONPATH=src python scripts/generate_cli_md.py
 ```
 
-`tests/test_cli_docs.py` fails when this file is out of date.  Every
-command is also described by `python -m repro <command> --help`.
+`tests/test_docs_tooling.py::TestCliReference` fails when this file is
+out of date.  Every command is also described by
+`python -m repro <command> --help`.
 """
 
 

@@ -227,58 +227,89 @@ class ForensicsReport:
 TOP_N = 10
 
 
-class ForensicsAccumulator:
+class OutcomeTally:
+    """Outcome counts over finished transactions: the abort taxonomy, folded once.
+
+    Implements the transaction-consumer protocol (``consume``): committed
+    and aborted transactions are folded in as a run surfaces them, in any
+    order.  It is the one place a finished transaction is classified —
+    :class:`ForensicsAccumulator`, the shard channel summaries and the
+    controller's windowed monitor all count through it.  State is bounded
+    by the key space and org count, never by the transaction count.
+    """
+
+    def __init__(self) -> None:
+        self.total = 0
+        #: ``total`` minus chaincode-stage (endorsement) aborts.
+        self.submitted = 0
+        self.successes = 0
+        #: Client retries (attempt > 1) among ``total``.
+        self.retries = 0
+        self.max_attempt = 1
+        self.cause_counts = {cause: 0 for cause in CAUSES}
+        self.key_hits: dict[str, int] = {}
+        self.family_hits: dict[str, int] = {}
+        #: Organization -> transactions it failed to endorse.
+        self.org_failures: dict[str, int] = {}
+
+    def consume(self, tx: Transaction) -> str | None:
+        """Fold one finished transaction in; return its cause (``None`` = success)."""
+        self.total += 1
+        attempt = tx.attempt
+        if attempt > 1:
+            self.retries += 1
+            if attempt > self.max_attempt:
+                self.max_attempt = attempt
+        if tx.abort_stage != "endorsement":
+            self.submitted += 1
+        cause = classify_transaction(tx)
+        if cause is None:
+            self.successes += 1
+            return None
+        self.cause_counts[cause] += 1
+        if cause in KEYED_CAUSES and tx.conflict_key is not None:
+            key_hits = self.key_hits
+            key_hits[tx.conflict_key] = key_hits.get(tx.conflict_key, 0) + 1
+            parsed = key_family(tx.conflict_key)
+            if parsed is not None:
+                family_hits = self.family_hits
+                family_hits[parsed[0]] = family_hits.get(parsed[0], 0) + 1
+        if tx.status is TxStatus.ENDORSEMENT_FAILURE:
+            org_failures = self.org_failures
+            for org in tx.missing_endorsements:
+                org_failures[org] = org_failures.get(org, 0) + 1
+        return cause
+
+
+class ForensicsAccumulator(OutcomeTally):
     """Streaming forensics: fold finished transactions in, then :meth:`finish`.
 
-    Implements the transaction-consumer protocol (``consume``/``finish``).
-    Every internal structure is insensitive to consumption order (counts,
-    sorted tops, fixed-order cause maps), so feeding committed and aborted
-    transactions interleaved — the way a live run surfaces them — yields
-    the same :class:`ForensicsReport` as the historical committed-then-
-    aborted batch pass.  Per-transaction state is one timestamp double and
-    one cause byte (the bucket series needs the global span before it can
-    bin); everything else is bounded by the key space and org count.
+    An :class:`OutcomeTally` that also keeps, per transaction, one
+    timestamp double and one cause byte — the bucket series needs the
+    global span before it can bin.  Every structure is insensitive to
+    consumption order (counts, sorted tops, fixed-order cause maps), so
+    feeding committed and aborted transactions interleaved — the way a
+    live run surfaces them — yields the same :class:`ForensicsReport` as
+    the historical committed-then-aborted batch pass.
     """
 
     def __init__(self, buckets: int = DEFAULT_BUCKETS) -> None:
         if buckets < 1:
             raise ValueError(f"need at least one bucket, got {buckets}")
+        super().__init__()
         self._buckets = buckets
-        self._cause_counts = {cause: 0 for cause in CAUSES}
         self._cause_index = {cause: i for i, cause in enumerate(CAUSES)}
-        self._key_hits: dict[str, int] = {}
-        self._family_hits: dict[str, int] = {}
-        self._org_failures: dict[str, int] = {}
-        self._submitted = 0
-        self._successes = 0
-        self._max_attempt = 1
         self._stamps = array("d")
         self._stamp_causes = array("b")
 
-    def consume(self, tx: Transaction) -> None:
+    def consume(self, tx: Transaction) -> str | None:
         """Fold one finished (committed or aborted) transaction in."""
-        if tx.attempt > self._max_attempt:
-            self._max_attempt = tx.attempt
-        if tx.abort_stage != "endorsement":
-            self._submitted += 1
-        cause = classify_transaction(tx)
+        # A direct base-class call: ``super()`` costs measurably more on
+        # this per-transaction path.
+        cause = OutcomeTally.consume(self, tx)
         self._stamps.append(tx.client_timestamp)
         self._stamp_causes.append(-1 if cause is None else self._cause_index[cause])
-        if cause is None:
-            self._successes += 1
-            return
-        self._cause_counts[cause] += 1
-        if cause in KEYED_CAUSES and tx.conflict_key is not None:
-            key_hits = self._key_hits
-            key_hits[tx.conflict_key] = key_hits.get(tx.conflict_key, 0) + 1
-            parsed = key_family(tx.conflict_key)
-            if parsed is not None:
-                family_hits = self._family_hits
-                family_hits[parsed[0]] = family_hits.get(parsed[0], 0) + 1
-        if tx.status is TxStatus.ENDORSEMENT_FAILURE:
-            org_failures = self._org_failures
-            for org in tx.missing_endorsements:
-                org_failures[org] = org_failures.get(org, 0) + 1
+        return cause
 
     def finish(
         self,
@@ -290,25 +321,24 @@ class ForensicsAccumulator:
         exhausted: int = 0,
     ) -> ForensicsReport:
         """Close the stream and build the :class:`ForensicsReport`."""
-        total = len(self._stamps)
         return ForensicsReport(
             scenario=scenario,
             mitigation=mitigation,
-            total_issued=total,
-            submitted=self._submitted,
-            successes=self._successes,
-            failures=total - self._successes,
-            cause_counts=self._cause_counts,
-            hot_keys=top_hits(self._key_hits),
-            key_families=top_hits(self._family_hits),
-            org_policy_failures=dict(sorted(self._org_failures.items())),
+            total_issued=self.total,
+            submitted=self.submitted,
+            successes=self.successes,
+            failures=self.total - self.successes,
+            cause_counts=self.cause_counts,
+            hot_keys=top_hits(self.key_hits),
+            key_families=top_hits(self.family_hits),
+            org_policy_failures=dict(sorted(self.org_failures.items())),
             buckets=self._series(),
             timeline=list(timeline) if timeline else [],
             retry=RetryStats(
                 resubmissions=resubmissions,
                 recovered=recovered,
                 exhausted=exhausted,
-                max_attempt=self._max_attempt,
+                max_attempt=self.max_attempt,
             ),
         )
 

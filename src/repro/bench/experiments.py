@@ -13,11 +13,9 @@ recorded next to the paper's in EXPERIMENTS.md.
 from __future__ import annotations
 
 import os
-from typing import Callable
 
 from repro.bench.harness import MakeBundle
 from repro.contracts.registry import (
-    ContractFamily,
     drm_family,
     ehr_family,
     genchain_family,
@@ -116,16 +114,41 @@ def make_synthetic(
     seed: int = 7,
     scheduler: str = "fifo",
     total_transactions: int | None = None,
+    overrides: tuple = (),
 ) -> MakeBundle:
-    """Bundle factory for a named synthetic experiment.
+    """Bundle factory for a named synthetic experiment, optionally tuned.
 
     ``total_transactions`` overrides the bench budget (tests use small
     runs); phased schedules rescale their per-phase counts proportionally.
+    ``overrides`` is a declarative ``((field, value), ...)`` tuple applied
+    on top of :func:`synthetic_spec`'s ``experiment`` — the factorial
+    front-end of :mod:`repro.bench.matrix` (maker ``tuned``) uses it to
+    cross *numeric* factors (block size × send rate × workload mix) that
+    no single named experiment exposes.  Names are checked when this
+    factory is called: the experiment, the fields (restricted to
+    :data:`TUNABLE_FIELDS`) and ``workload_type`` values.  The combined
+    spec is re-validated when the bundle is built, so an impossible
+    combination (e.g. a P1 policy with 2 orgs) fails then, before the run.
     """
+    synthetic_spec(experiment)  # unknown experiment names fail here
+    for field_name, _ in overrides:
+        if field_name not in TUNABLE_FIELDS:
+            raise KeyError(
+                f"unknown tunable field {field_name!r}; "
+                f"valid: {', '.join(sorted(TUNABLE_FIELDS))}"
+            )
+    overrides = tuple(
+        (name, WorkloadType(value) if name == "workload_type" else value)
+        for name, value in overrides
+    )
 
     def make():
         spec = synthetic_spec(experiment, seed=seed)
         spec.scheduler = scheduler
+        for field_name, value in overrides:
+            setattr(spec, field_name, value)
+        if overrides:
+            spec.__post_init__()  # re-validate the combined knob settings
         if total_transactions is not None:
             _rescale_transactions(spec, total_transactions)
         config, _, requests = synthetic_workload(spec)
@@ -154,45 +177,6 @@ TUNABLE_FIELDS = frozenset(
         "scheduler",
     }
 )
-
-
-def make_tuned(
-    base: str,
-    overrides: tuple,
-    seed: int = 7,
-    total_transactions: int | None = None,
-) -> MakeBundle:
-    """Bundle factory for a synthetic experiment with knob overrides.
-
-    ``overrides`` is a declarative ``((field, value), ...)`` tuple applied
-    on top of :func:`synthetic_spec`'s ``base`` — the factorial front-end
-    of :mod:`repro.bench.matrix` uses this to cross *numeric* factors
-    (block size × send rate × workload mix) that no single named
-    experiment exposes.  Fields are restricted to :data:`TUNABLE_FIELDS`
-    and the combined spec is re-validated after all overrides land, so an
-    impossible combination (e.g. a P1 policy with 2 orgs) fails at
-    expansion time, not mid-sweep.
-    """
-    for field_name, _ in overrides:
-        if field_name not in TUNABLE_FIELDS:
-            raise KeyError(
-                f"unknown tunable field {field_name!r}; "
-                f"valid: {', '.join(sorted(TUNABLE_FIELDS))}"
-            )
-
-    def make():
-        spec = synthetic_spec(base, seed=seed)
-        for field_name, value in overrides:
-            if field_name == "workload_type":
-                value = WorkloadType(value)
-            setattr(spec, field_name, value)
-        spec.__post_init__()  # re-validate the combined knob settings
-        if total_transactions is not None:
-            _rescale_transactions(spec, total_transactions)
-        config, _, requests = synthetic_workload(spec)
-        return config, genchain_family(num_keys=spec.num_keys), requests
-
-    return make
 
 
 def _rescale_transactions(spec: ControlVariables, total: int) -> None:
@@ -490,6 +474,12 @@ def make_usecase(
 ) -> MakeBundle:
     """Bundle factory for one of the paper's use cases."""
     total = total_transactions if total_transactions is not None else SCALE_TXS
+    if usecase == "loan":
+        return make_loan(10.0, seed=seed, num_applications=scaled(2000, total))
+    if usecase == "synthetic":
+        return make_synthetic("default", seed=seed, total_transactions=total)
+    if usecase not in ("scm", "drm", "ehr", "voting"):
+        raise KeyError(f"unknown use case {usecase!r}")
 
     def make():
         spec = UseCaseSpec(total_transactions=total, seed=seed)
@@ -502,27 +492,12 @@ def make_usecase(
         if usecase == "ehr":
             config, _, requests = ehr_workload(spec)
             return config, ehr_family(), requests
-        if usecase == "voting":
-            config, _, requests = voting_workload(
-                spec,
-                query_count=scaled(1000, total),
-                vote_count=scaled(5000, total),
-            )
-            return config, voting_family(), requests
-        if usecase == "loan":
-            events = generate_loan_event_log(
-                num_applications=scaled(2000, total), seed=seed
-            )
-            config, _, requests = loan_workload(
-                UseCaseSpec(seed=seed), events=events, send_rate=10.0
-            )
-            return config, loan_family(), requests
-        if usecase == "synthetic":
-            spec_syn = synthetic_spec("default", seed=seed)
-            spec_syn.total_transactions = total
-            config, _, requests = synthetic_workload(spec_syn)
-            return config, genchain_family(num_keys=spec_syn.num_keys), requests
-        raise KeyError(f"unknown use case {usecase!r}")
+        config, _, requests = voting_workload(
+            spec,
+            query_count=scaled(1000, total),
+            vote_count=scaled(5000, total),
+        )
+        return config, voting_family(), requests
 
     return make
 
@@ -530,8 +505,11 @@ def make_usecase(
 def make_scenario(
     base: str,
     scenario: str,
-    total_transactions: int | None = None,
+    mitigation: str = "none",
+    retry_attempts: int = 1,
+    policy: str = "off",
     seed: int = 7,
+    total_transactions: int | None = None,
 ) -> MakeBundle:
     """Bundle factory for a synthetic experiment run under a named scenario.
 
@@ -539,80 +517,30 @@ def make_scenario(
     is a :mod:`repro.scenario.library` name.  The bundle carries the
     resolved :class:`~repro.scenario.spec.ScenarioSpec` as its fourth
     element, which both executor waves thread into ``run_workload``.
+    On top ride a ``mitigation`` (:data:`repro.fabric.config.MITIGATIONS`),
+    a client :class:`~repro.fabric.retry.RetryPolicy` when
+    ``retry_attempts`` > 1, and the live SLO-guardian controller unless
+    ``policy`` is ``"off"`` (:data:`repro.control.spec.POLICIES`).  The
+    defaults reproduce the plain scenario run bit for bit — the ``none``
+    and ``off`` sweep cells.  Every name and choice is checked when this
+    factory is called.
     """
-    from repro.scenario.library import get_scenario
-
-    inner = make_synthetic(base, seed=seed, total_transactions=total_transactions)
-
-    def make():
-        config, family, requests = inner()
-        return config, family, requests, get_scenario(scenario)
-
-    return make
-
-
-def make_forensics(
-    base: str,
-    scenario: str,
-    mitigation: str = "none",
-    retry_attempts: int = 1,
-    seed: int = 7,
-    total_transactions: int | None = None,
-) -> MakeBundle:
-    """Bundle factory for the ``failure_forensics`` mitigation sweep.
-
-    A synthetic ``base`` experiment run under a named ``scenario`` with a
-    mitigation strategy and/or a client retry policy applied on top.
-    ``mitigation`` is one of :data:`repro.fabric.config.MITIGATIONS`;
-    ``retry_attempts`` > 1 enables a
-    :class:`~repro.fabric.retry.RetryPolicy` with that many total
-    attempts.  ``mitigation="none"``/``retry_attempts=1`` reproduces the
-    plain scenario run bit for bit (the sweep's baseline cell).
-    """
-    from repro.fabric.retry import RetryPolicy
-    from repro.scenario.library import get_scenario
-
-    inner = make_synthetic(base, seed=seed, total_transactions=total_transactions)
-
-    def make():
-        config, family, requests = inner()
-        config.mitigation = mitigation
-        if retry_attempts > 1:
-            config.retry = RetryPolicy(max_attempts=retry_attempts)
-        return config, family, requests, get_scenario(scenario)
-
-    return make
-
-
-def make_control(
-    base: str,
-    scenario: str,
-    policy: str = "off",
-    retry_attempts: int = 2,
-    seed: int = 7,
-    total_transactions: int | None = None,
-) -> MakeBundle:
-    """Bundle factory for the ``slo_guardian`` controller-on/off sweep.
-
-    A synthetic ``base`` experiment run under a named ``scenario`` with a
-    client retry policy, with or without the live SLO-guardian controller
-    (:mod:`repro.control`).  ``policy`` is ``"off"`` — no controller, the
-    comparison baseline — or a registered control policy name
-    (:data:`repro.control.spec.POLICIES`).  The ``off`` cells are
-    bit-identical to the same run without the control package.
-    """
+    from repro.control.bounds import validate_actuation
     from repro.control.spec import ControlSpec
     from repro.fabric.retry import RetryPolicy
     from repro.scenario.library import get_scenario
 
     inner = make_synthetic(base, seed=seed, total_transactions=total_transactions)
+    get_scenario(scenario)  # unknown scenario names fail here
+    validate_actuation("mitigation", mitigation)
+    retry = RetryPolicy(max_attempts=retry_attempts) if retry_attempts > 1 else None
+    control = None if policy == "off" else ControlSpec(policy=policy)
 
     def make():
         config, family, requests = inner()
-        if retry_attempts > 1:
-            config.retry = RetryPolicy(max_attempts=retry_attempts)
-        if policy != "off":
-            config.control = ControlSpec(policy=policy)
+        config.mitigation = mitigation
+        config.retry = retry
+        config.control = control
         return config, family, requests, get_scenario(scenario)
 
     return make

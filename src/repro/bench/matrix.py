@@ -68,8 +68,8 @@ class MatrixError(ValueError):
 # Each maker accepts a fixed set of factor names; ``args`` lists the ones
 # that map positionally onto ``ExperimentSpec.maker_args`` (in order),
 # ``defaults`` fills the optional ones, and ``free`` marks makers whose
-# remaining factors become declarative knob overrides (the ``tuned``
-# bundle of repro.bench.experiments).
+# remaining factors become declarative knob overrides (the ``overrides``
+# of repro.bench.experiments.make_synthetic).
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,9 @@ def expand(matrix: MatrixSpec) -> list[MatrixRun]:
     Cells enumerate in factor declaration order (last factor varies
     fastest), seeds innermost — the row order of ``run_table.csv``.
     Duplicate cell ids (two value combinations that render to the same
-    variant string) are an error, not a silent overwrite.
+    variant string) are an error, not a silent overwrite, and so is a
+    cell whose bundle factory rejects a name or choice (a mistyped base,
+    scenario, mitigation or policy): the sweep stops before any run.
     """
     shape = _MAKER_SHAPES[matrix.maker]
     names = matrix.factor_names()
@@ -307,6 +309,10 @@ def expand(matrix: MatrixSpec) -> list[MatrixRun]:
             )
         seen_cells.add(cell_id)
         template = _cell_spec(matrix, shape, cell_id, variant, bound)
+        try:
+            template.make_bundle()  # checks names and choices; runs nothing
+        except (KeyError, ValueError) as exc:
+            raise MatrixError(f"cell {cell_id!r}: {exc.args[0]}") from exc
         for seed in matrix.seeds:
             spec = template.with_overrides(seed=seed)
             # with_overrides keeps the exp_id; re-key it per seed so the

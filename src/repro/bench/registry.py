@@ -25,6 +25,15 @@ from repro.core.recommendations import OptimizationKind as K
 PlanTable = tuple[tuple[str, tuple[str, ...]], ...]
 
 
+#: The scenario makers: the :func:`~repro.bench.experiments.make_scenario`
+#: settings each one's ``maker_args`` carry after ``(base, scenario)``.
+_SCENARIO_SETTINGS: dict[str, tuple[str, ...]] = {
+    "scenario": (),
+    "forensics": ("mitigation", "retry_attempts"),
+    "control": ("policy", "retry_attempts"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment of the paper as a declarative, picklable record."""
@@ -35,7 +44,9 @@ class ExperimentSpec:
     variant: str
     #: Human title matching the historical bench output (``Figure 9 / ...``).
     title: str
-    #: Bundle factory kind: ``synthetic``, ``usecase`` or ``loan``.
+    #: Bundle factory kind: ``synthetic``, ``tuned``, ``usecase``, ``loan``,
+    #: ``sharded`` or one of the scenario makers (``scenario``,
+    #: ``forensics``, ``control``).
     maker: str
     maker_args: tuple = ()
     scheduler: str = "fifo"
@@ -56,54 +67,31 @@ class ExperimentSpec:
                 "no single workload bundle; the executor routes it through "
                 "repro.shard.run_registry_spec"
             )
-        if self.maker == "synthetic":
-            (experiment,) = self.maker_args
+        if self.maker in ("synthetic", "tuned"):
+            experiment, overrides = (
+                self.maker_args if self.maker == "tuned" else (*self.maker_args, ())
+            )
             return defs.make_synthetic(
                 experiment,
                 seed=self.seed,
                 scheduler=self.scheduler,
                 total_transactions=self.total_transactions,
+                overrides=tuple((name, value) for name, value in overrides),
             )
-        if self.maker == "tuned":
-            base, overrides = self.maker_args
-            return defs.make_tuned(
-                base,
-                tuple((name, value) for name, value in overrides),
-                seed=self.seed,
-                total_transactions=self.total_transactions,
-            )
-        if self.maker == "usecase":
-            (usecase,) = self.maker_args
-            return defs.make_usecase(
-                usecase, total_transactions=self.total_transactions, seed=self.seed
-            )
-        if self.maker == "scenario":
-            base, scenario = self.maker_args
+        if self.maker in _SCENARIO_SETTINGS:
+            base, scenario, *values = self.maker_args
+            settings = zip(_SCENARIO_SETTINGS[self.maker], values, strict=True)
             return defs.make_scenario(
                 base,
                 scenario,
                 seed=self.seed,
                 total_transactions=self.total_transactions,
+                **dict(settings),
             )
-        if self.maker == "forensics":
-            base, scenario, mitigation, retry_attempts = self.maker_args
-            return defs.make_forensics(
-                base,
-                scenario,
-                mitigation=mitigation,
-                retry_attempts=retry_attempts,
-                seed=self.seed,
-                total_transactions=self.total_transactions,
-            )
-        if self.maker == "control":
-            base, scenario, policy, retry_attempts = self.maker_args
-            return defs.make_control(
-                base,
-                scenario,
-                policy=policy,
-                retry_attempts=retry_attempts,
-                seed=self.seed,
-                total_transactions=self.total_transactions,
+        if self.maker == "usecase":
+            (usecase,) = self.maker_args
+            return defs.make_usecase(
+                usecase, total_transactions=self.total_transactions, seed=self.seed
             )
         if self.maker == "loan":
             (send_rate,) = self.maker_args

@@ -1,4 +1,4 @@
-"""Command-line interface: ``blockoptr`` / ``python -m repro``.
+"""Command-line interface: ``python -m repro``.
 
 Subcommands:
 
@@ -713,8 +713,11 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.control.spec import POLICIES
+    from repro.fabric.config import MITIGATIONS
+
     parser = argparse.ArgumentParser(
-        prog="blockoptr",
+        prog="python -m repro",
         description="Multi-level blockchain optimization recommendations (BlockOptR reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -928,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--mitigation",
         default="none",
-        choices=("none", "early_abort", "reorder"),
+        choices=MITIGATIONS,
         help="run a third comparison row with this mitigation strategy "
         "applied under the same scenario (see docs/FAILURES.md)",
     )
@@ -976,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     control.add_argument(
         "--policy",
         default="guardian",
-        choices=("guardian", "noop"),
+        choices=POLICIES,
         help="control policy: guardian (rule-based SLO guardian) or noop "
         "(observe and record, never actuate)",
     )

@@ -2,10 +2,9 @@
 
 :class:`WindowedMonitor` implements the transaction-consumer protocol of
 :class:`repro.logs.stream.RunStream` (``consume(tx)`` sees every finished
-transaction — committed or aborted — as it happens).  In a batch run the
-network feeds it directly from the commit/abort seams; in a streamed run
-it is registered on the stream hub.  Either way the controller calls
-:meth:`WindowedMonitor.snapshot` once per tick, closing a *tumbling*
+transaction — committed or aborted — as it happens).  The network feeds
+it from its commit and abort seams, in both run modes, and the controller
+calls :meth:`WindowedMonitor.snapshot` once per tick, closing a *tumbling*
 window: every transaction that finished since the previous tick,
 summarized into abort rate by taxonomy cause, retry rate, per-org
 endorsement gaps, hot-key conflict share and latency quantiles.
@@ -20,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.forensics import KEYED_CAUSES, classify_transaction
-from repro.fabric.transaction import Transaction, TxStatus
+from repro.analysis.forensics import OutcomeTally
+from repro.fabric.transaction import Transaction
 
 
 def quantile(sorted_values: list[float], q: float) -> float:
@@ -83,17 +82,17 @@ class WindowObservables:
 
 
 class WindowedMonitor:
-    """Accumulate finished transactions; emit one window per controller tick."""
+    """Accumulate finished transactions; emit one window per controller tick.
+
+    Each window folds its transactions through a fresh
+    :class:`~repro.analysis.forensics.OutcomeTally` — the same counts
+    forensics reports — plus the window's success latencies.
+    """
 
     def __init__(self) -> None:
         self._window_index = 0
         self._window_start = 0.0
-        self._submitted = 0
-        self._successes = 0
-        self._retries = 0
-        self._causes: dict[str, int] = {}
-        self._key_hits: dict[str, int] = {}
-        self._org_gaps: dict[str, int] = {}
+        self._tally = OutcomeTally()
         self._latencies: list[float] = []
         #: Finished transactions seen over the whole run (all windows).
         self.total_seen = 0
@@ -103,59 +102,45 @@ class WindowedMonitor:
         self.total_seen += 1
         if tx.is_config or tx.abort_stage == "endorsement":
             return
-        self._submitted += 1
-        if tx.attempt > 1:
-            self._retries += 1
-        cause = classify_transaction(tx)
-        if cause is None:
-            self._successes += 1
-            if tx.latency is not None:
-                self._latencies.append(tx.latency)
-            return
-        self._causes[cause] = self._causes.get(cause, 0) + 1
-        if cause in KEYED_CAUSES and tx.conflict_key is not None:
-            self._key_hits[tx.conflict_key] = self._key_hits.get(tx.conflict_key, 0) + 1
-        if tx.status is TxStatus.ENDORSEMENT_FAILURE:
-            for org in tx.missing_endorsements:
-                self._org_gaps[org] = self._org_gaps.get(org, 0) + 1
+        if self._tally.consume(tx) is None:
+            latency = tx.latency
+            if latency is not None:
+                self._latencies.append(latency)
 
     def snapshot(self, now: float) -> WindowObservables:
         """Close the open window at simulated time ``now`` and start the next."""
-        submitted = self._submitted
-        aborted = submitted - self._successes
+        tally = self._tally
+        submitted = tally.submitted
+        aborted = submitted - tally.successes
         duration = now - self._window_start
         latencies = sorted(self._latencies)
+        causes = {cause: count for cause, count in tally.cause_counts.items() if count}
         dominant = None
-        if self._causes:
+        if causes:
             # Deterministic: highest count, cause name breaking ties.
-            dominant = min(self._causes, key=lambda c: (-self._causes[c], c))
+            dominant = min(causes, key=lambda c: (-causes[c], c))
         hot_share = 0.0
-        if self._key_hits and submitted:
-            hot_share = max(self._key_hits.values()) / submitted
+        if tally.key_hits and submitted:
+            hot_share = max(tally.key_hits.values()) / submitted
         window = WindowObservables(
             index=self._window_index,
             start=self._window_start,
             end=now,
             submitted=submitted,
-            successes=self._successes,
+            successes=tally.successes,
             aborted=aborted,
             abort_rate=aborted / submitted if submitted else 0.0,
-            causes=dict(self._causes),
+            causes=causes,
             dominant_cause=dominant,
-            retry_rate=self._retries / submitted if submitted else 0.0,
+            retry_rate=tally.retries / submitted if submitted else 0.0,
             hot_key_share=hot_share,
-            org_gaps=dict(self._org_gaps),
+            org_gaps=dict(tally.org_failures),
             p50_latency=quantile(latencies, 0.50),
             p95_latency=quantile(latencies, 0.95),
-            throughput=self._successes / duration if duration > 0 else 0.0,
+            throughput=tally.successes / duration if duration > 0 else 0.0,
         )
         self._window_index += 1
         self._window_start = now
-        self._submitted = 0
-        self._successes = 0
-        self._retries = 0
-        self._causes = {}
-        self._key_hits = {}
-        self._org_gaps = {}
+        self._tally = OutcomeTally()
         self._latencies = []
         return window

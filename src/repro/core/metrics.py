@@ -141,9 +141,6 @@ class LogMetrics:
     intra_block_pairs: int
     endorsement_policy: str
 
-    def mean_interval_rate(self) -> float:
-        return sum(self.trd) / len(self.trd) if self.trd else 0.0
-
 
 #: MVCC-like statuses (read-conflict failures the correlation pass tracks).
 _MVCC_LIKE = (TxStatus.MVCC_CONFLICT, TxStatus.PHANTOM_CONFLICT)

@@ -156,22 +156,6 @@ class NetworkConfig:
                 return org
         raise KeyError(f"unknown organization {name!r}")
 
-    def total_clients(self) -> int:
-        """Client processes across all organizations."""
-        return sum(org.num_clients for org in self.orgs)
-
-    def with_policy(self, expression: str) -> "NetworkConfig":
-        """Copy with a new endorsement policy (a config-update transaction)."""
-        clone = self.copy()
-        clone.endorsement_policy = expression
-        return clone
-
-    def with_block_count(self, block_count: int) -> "NetworkConfig":
-        """Copy with a new block count (a config-update transaction)."""
-        clone = self.copy()
-        clone.block_count = block_count
-        return clone
-
     def copy(self) -> "NetworkConfig":
         """Deep-enough copy: orgs are cloned, immutable members shared."""
         return NetworkConfig(

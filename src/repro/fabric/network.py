@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.fabric.chaincode import Contract
 from repro.fabric.client import ClientPool
 from repro.fabric.conditions import NetworkConditions
-from repro.fabric.config import NetworkConfig
+from repro.fabric.config import MITIGATIONS, NetworkConfig
 from repro.fabric.endorser import EndorserPool
 from repro.fabric.ledger import Block, Ledger
 from repro.fabric.orderer import OrderingService
@@ -135,12 +135,7 @@ class FabricNetwork:
             self.rng,
             conditions=self.conditions,
         )
-        # The "reorder" mitigation swaps in the abort-free conflict-aware
-        # scheduler; every other mitigation leaves the configured one.
-        scheduler_name = (
-            "conflict_aware" if config.mitigation == "reorder" else config.scheduler
-        )
-        self._scheduler = make_scheduler(scheduler_name, config.scheduler_window)
+        self._scheduler = self._scheduler_for(config.mitigation)
         self.validator = ValidationPipeline(
             self.kernel,
             config,
@@ -212,18 +207,23 @@ class FabricNetwork:
         applies to the *next* block cut.  The shared config is untouched —
         it may be reused by offline re-runs.
         """
-        from repro.fabric.config import MITIGATIONS
+        self._scheduler = self._scheduler_for(mitigation)
+        self._mitigation = mitigation
+        self.orderer.set_scheduler(self._scheduler)
 
+    def _scheduler_for(self, mitigation: str):
+        """The ordering scheduler ``mitigation`` runs with.
+
+        The ``reorder`` mitigation swaps in the abort-free conflict-aware
+        scheduler; every other mitigation keeps the configured one.  An
+        unknown mitigation name raises ``ValueError``.
+        """
         if mitigation not in MITIGATIONS:
             raise ValueError(
                 f"unknown mitigation {mitigation!r}; known: {', '.join(MITIGATIONS)}"
             )
-        self._mitigation = mitigation
-        scheduler_name = (
-            "conflict_aware" if mitigation == "reorder" else self.config.scheduler
-        )
-        self._scheduler = make_scheduler(scheduler_name, self.config.scheduler_window)
-        self.orderer.set_scheduler(self._scheduler)
+        name = "conflict_aware" if mitigation == "reorder" else self.config.scheduler
+        return make_scheduler(name, self.config.scheduler_window)
 
     def set_retry_policy(self, policy) -> None:
         """Replace the live client retry policy (``None`` disables retries)."""

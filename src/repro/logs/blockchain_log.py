@@ -28,6 +28,34 @@ class ChannelConfig:
     endorsement_policy: str
 
 
+#: The channel settings config transactions carry, with the value each
+#: takes until a config transaction sets it.
+CONFIG_DEFAULTS: dict[str, object] = {
+    "block_count": 100,
+    "block_timeout": 1.0,
+    "block_bytes": 2 * 1024 * 1024,
+    "endorsement_policy": "",
+}
+
+
+def fold_config(settings: dict[str, object], tx: "Transaction") -> ChannelConfig:
+    """Apply one config transaction to ``settings`` (a copy of
+    :data:`CONFIG_DEFAULTS`, updated in place) and return the result.
+
+    Keys the transaction omits keep their value: the last config
+    transaction to set a key wins, mirroring Fabric's config updates.
+    """
+    for key, value in tx.args:
+        if key in settings:
+            settings[key] = value
+    return ChannelConfig(
+        block_count=int(settings["block_count"]),
+        block_timeout=float(settings["block_timeout"]),
+        block_bytes=int(settings["block_bytes"]),
+        endorsement_policy=str(settings["endorsement_policy"]),
+    )
+
+
 @dataclass(slots=True)
 class LogRecord:
     """One transaction's entry in the blockchain log."""
@@ -104,9 +132,6 @@ class BlockchainLog:
 
     def failed(self) -> list[LogRecord]:
         return [record for record in self.records if record.is_failure]
-
-    def by_status(self, status: TxStatus) -> list[LogRecord]:
-        return [record for record in self.records if record.status is status]
 
     def duration(self) -> float:
         """Span of client timestamps covered by the log."""

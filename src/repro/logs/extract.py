@@ -13,41 +13,13 @@ from __future__ import annotations
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import (
+    CONFIG_DEFAULTS,
     BlockchainLog,
     ChannelConfig,
     LogRecord,
+    fold_config,
     record_from_transaction,
 )
-
-
-def _config_from_ledger(ledger: Ledger) -> ChannelConfig:
-    """Recover the channel configuration from config transactions.
-
-    The *last* config transaction wins, mirroring Fabric's config-update
-    semantics.
-    """
-    settings: dict[str, object] = {
-        "block_count": 100,
-        "block_timeout": 1.0,
-        "block_bytes": 2 * 1024 * 1024,
-        "endorsement_policy": "",
-    }
-    found = False
-    for tx in ledger.transactions(include_config=True):
-        if not tx.is_config:
-            continue
-        found = True
-        for key, value in tx.args:
-            if key in settings:
-                settings[key] = value
-    if not found:
-        raise ValueError("ledger contains no configuration transaction")
-    return ChannelConfig(
-        block_count=int(settings["block_count"]),
-        block_timeout=float(settings["block_timeout"]),
-        block_bytes=int(settings["block_bytes"]),
-        endorsement_policy=str(settings["endorsement_policy"]),
-    )
 
 
 def extract_blockchain_log(
@@ -59,7 +31,9 @@ def extract_blockchain_log(
 
     ``include_early_aborts`` additionally appends transactions that never
     reached the chain (endorsement-phase aborts); real Fabric ledgers do
-    not contain them, so the default matches the paper.
+    not contain them, so the default matches the paper.  The channel
+    configuration comes from the ledger's config transactions (the last
+    one to set a key wins); a ledger without one raises ``ValueError``.
     """
     if isinstance(source, FabricNetwork):
         ledger = source.ledger
@@ -68,15 +42,19 @@ def extract_blockchain_log(
         ledger = source
         early_aborts = []
 
-    config = _config_from_ledger(ledger)
+    settings = dict(CONFIG_DEFAULTS)
+    config: ChannelConfig | None = None
     records: list[LogRecord] = []
     order = 0
     for block in ledger:
         for position, tx in enumerate(block.transactions):
             if tx.is_config:
+                config = fold_config(settings, tx)
                 continue
             records.append(record_from_transaction(tx, order, position))
             order += 1
+    if config is None:
+        raise ValueError("ledger contains no configuration transaction")
     for tx in early_aborts:
         records.append(record_from_transaction(tx, order, -1))
         order += 1

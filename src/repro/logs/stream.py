@@ -34,8 +34,10 @@ from typing import Protocol
 from repro.fabric.ledger import Block, Ledger
 from repro.fabric.transaction import Transaction
 from repro.logs.blockchain_log import (
+    CONFIG_DEFAULTS,
     ChannelConfig,
     LogRecord,
+    fold_config,
     record_from_transaction,
     validate_record,
 )
@@ -53,16 +55,6 @@ class TransactionConsumer(Protocol):
     def consume(self, tx: Transaction) -> None: ...  # pragma: no cover
 
 
-#: Channel-configuration defaults when the genesis config omits a key —
-#: identical to the batch extraction's defaults.
-_CONFIG_DEFAULTS: dict[str, object] = {
-    "block_count": 100,
-    "block_timeout": 1.0,
-    "block_bytes": 2 * 1024 * 1024,
-    "endorsement_policy": "",
-}
-
-
 class RunStream:
     """Fan-out hub between the committing ledger and streaming consumers.
 
@@ -78,7 +70,7 @@ class RunStream:
         #: Channel configuration captured from config transactions; the
         #: last config update wins, mirroring Fabric's semantics.
         self.config: ChannelConfig | None = None
-        self._settings = dict(_CONFIG_DEFAULTS)
+        self._settings = dict(CONFIG_DEFAULTS)
         self._order = 0
         self.records_streamed = 0
         self.aborts_streamed = 0
@@ -100,7 +92,7 @@ class RunStream:
         streamed = 0
         for position, tx in enumerate(block.transactions):
             if tx.is_config:
-                self._fold_config(tx)
+                self.config = fold_config(self._settings, tx)
                 continue
             record = record_from_transaction(tx, self._order, position)
             validate_record(record, self._order - 1)
@@ -112,18 +104,6 @@ class RunStream:
                 consumer.consume(tx)
         self.records_streamed += streamed
         return streamed
-
-    def _fold_config(self, tx: Transaction) -> None:
-        """Apply one config transaction to the captured channel settings."""
-        for key, value in tx.args:
-            if key in self._settings:
-                self._settings[key] = value
-        self.config = ChannelConfig(
-            block_count=int(self._settings["block_count"]),
-            block_timeout=float(self._settings["block_timeout"]),
-            block_bytes=int(self._settings["block_bytes"]),
-            endorsement_policy=str(self._settings["endorsement_policy"]),
-        )
 
     def accept_abort(self, tx: Transaction) -> None:
         """Fan out a transaction that aborted before reaching the chain.

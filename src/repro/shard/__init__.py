@@ -18,7 +18,6 @@ from repro.shard.runner import run_channel, run_registry_spec, run_sharded
 from repro.shard.summary import (
     ChannelSummary,
     RateSeriesAccumulator,
-    RunStatsAccumulator,
     StitchedSummary,
     stitch,
     summarize_channel,
@@ -28,7 +27,6 @@ __all__ = [
     "ChannelPlan",
     "ChannelSummary",
     "RateSeriesAccumulator",
-    "RunStatsAccumulator",
     "ShardPlan",
     "StitchedSummary",
     "assign_clients",

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.analysis.forensics import OutcomeTally
 from repro.shard.plan import ChannelPlan, ShardPlan
 from repro.shard.summary import (
     ChannelSummary,
     RateSeriesAccumulator,
-    RunStatsAccumulator,
     StitchedSummary,
     stitch,
     summarize_channel,
@@ -53,13 +53,13 @@ def run_channel(plan: ShardPlan, channel: ChannelPlan) -> ChannelSummary:
     contract_name = deployment.contracts[0].name
 
     stream = RunStream()
-    run_stats = RunStatsAccumulator()
+    tally = OutcomeTally()
     rates = RateSeriesAccumulator(plan.interval_seconds)
-    stream.add_transaction_consumer(run_stats).add_record_consumer(rates)
+    stream.add_transaction_consumer(tally).add_record_consumer(rates)
 
     network = FabricNetwork(config, deployment.contracts, stream=stream)
     stats = network.run_streamed(iter_synthetic_requests(spec, contract_name))
-    return summarize_channel(channel, stats, run_stats, rates, network.ledger)
+    return summarize_channel(channel, stats, tally, rates, network.ledger)
 
 
 def _split_send_rate(spec, channels: int) -> None:

@@ -4,16 +4,17 @@ The whole point of a sharded run is that nothing O(transactions) is ever
 held: each channel registers two accumulators on its
 :class:`~repro.logs.stream.RunStream` —
 
-* :class:`RunStatsAccumulator` (transaction consumer: sees commits *and*
-  aborts) folds the headline numbers, the abort-cause taxonomy of
-  :mod:`repro.analysis.forensics`, conflict hot keys and per-org policy
-  failures; state is bounded by the key space and org count, never by
-  the transaction count;
+* an :class:`~repro.analysis.forensics.OutcomeTally` (transaction
+  consumer: sees commits *and* aborts) folds the headline counts, the
+  abort-cause taxonomy, conflict hot keys and per-org policy failures;
+  state is bounded by the key space and org count, never by the
+  transaction count;
 * :class:`RateSeriesAccumulator` (record consumer) bins committed
   records into fixed-width wall-clock intervals with
   :func:`repro.logs.blockchain_log.interval_index` — the robust binning
   that :func:`~repro.logs.blockchain_log.slice_by_interval` uses — so
-  state is bounded by the run's duration.
+  state is bounded by the run's duration, and folds the success latency
+  as (sum, count, max) so the stitcher can merge channels exactly.
 
 :func:`stitch` merges the per-channel :class:`ChannelSummary` objects
 into one :class:`StitchedSummary`, whose :meth:`~StitchedSummary.digest`
@@ -27,76 +28,21 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.analysis.forensics import (
-    CAUSES,
-    KEYED_CAUSES,
-    classify_transaction,
-    top_hits,
-)
+from repro.analysis.forensics import CAUSES, OutcomeTally, top_hits
 from repro.fabric.results import MIN_MAKESPAN
-from repro.fabric.transaction import Transaction, TxStatus
 from repro.logs.blockchain_log import LogRecord, interval_index
-from repro.logs.eventlog import key_family
 from repro.shard.plan import ChannelPlan, ShardPlan
 
 
-class RunStatsAccumulator:
-    """Streaming headline stats + abort taxonomy for one channel.
-
-    Implements the transaction-consumer protocol: committed and aborted
-    transactions are folded in as the run surfaces them.  Latency is
-    accumulated as (sum, count, max) over successful transactions so the
-    stitcher can merge channels exactly.
-    """
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.submitted = 0
-        self.successes = 0
-        self.cause_counts = {cause: 0 for cause in CAUSES}
-        self.key_hits: dict[str, int] = {}
-        self.family_hits: dict[str, int] = {}
-        self.org_failures: dict[str, int] = {}
-        self.max_attempt = 1
-        self.latency_sum = 0.0
-        self.latency_count = 0
-        self.latency_max = 0.0
-
-    def consume(self, tx: Transaction) -> None:
-        """Fold one finished (committed or aborted) transaction in."""
-        self.total += 1
-        if tx.attempt > self.max_attempt:
-            self.max_attempt = tx.attempt
-        if tx.abort_stage != "endorsement":
-            self.submitted += 1
-        cause = classify_transaction(tx)
-        if cause is None:
-            self.successes += 1
-            latency = tx.latency
-            if latency is not None:
-                self.latency_sum += latency
-                self.latency_count += 1
-                if latency > self.latency_max:
-                    self.latency_max = latency
-            return
-        self.cause_counts[cause] += 1
-        if cause in KEYED_CAUSES and tx.conflict_key is not None:
-            self.key_hits[tx.conflict_key] = self.key_hits.get(tx.conflict_key, 0) + 1
-            parsed = key_family(tx.conflict_key)
-            if parsed is not None:
-                self.family_hits[parsed[0]] = self.family_hits.get(parsed[0], 0) + 1
-        if tx.status is TxStatus.ENDORSEMENT_FAILURE:
-            for org in tx.missing_endorsements:
-                self.org_failures[org] = self.org_failures.get(org, 0) + 1
-
-
 class RateSeriesAccumulator:
-    """Commit/failure counts per fixed wall-clock interval.
+    """Commit/failure counts per fixed wall-clock interval, plus success latency.
 
     Record consumer over the committed chain.  Intervals share a fixed
     origin (t = 0, the simulation epoch) so every channel's series lines
     up index-for-index when stitched; state is one pair of counters per
     *occupied* interval — bounded by run duration, not transactions.
+    Successes only ever commit, so the records are every success, in
+    commit order: latency is folded here as (sum, count, max).
     """
 
     def __init__(self, interval_seconds: float) -> None:
@@ -107,6 +53,9 @@ class RateSeriesAccumulator:
         self.interval_seconds = interval_seconds
         self.totals: dict[int, int] = {}
         self.failures: dict[int, int] = {}
+        self.latency_sum = 0.0
+        self.latency_count = 0
+        self.latency_max = 0.0
 
     def consume(self, record: LogRecord) -> None:
         """Bin one committed record by its client submit time."""
@@ -114,6 +63,12 @@ class RateSeriesAccumulator:
         self.totals[index] = self.totals.get(index, 0) + 1
         if record.is_failure:
             self.failures[index] = self.failures.get(index, 0) + 1
+            return
+        latency = record.commit_time - record.client_timestamp
+        self.latency_sum += latency
+        self.latency_count += 1
+        if latency > self.latency_max:
+            self.latency_max = latency
 
     def series(self) -> list[list[int]]:
         """``[interval index, committed, failed]`` rows, index-ascending."""
@@ -207,7 +162,7 @@ class ChannelSummary:
 def summarize_channel(
     channel: ChannelPlan,
     stats,
-    run_stats: RunStatsAccumulator,
+    tally: OutcomeTally,
     rates: RateSeriesAccumulator,
     ledger,
 ) -> ChannelSummary:
@@ -228,17 +183,17 @@ def summarize_channel(
         data_blocks=stats.data_blocks,
         max_block_transactions=ledger.max_block_transactions,
         cut_reasons=dict(ledger.cut_reason_counts),
-        submitted=run_stats.submitted,
-        successes=run_stats.successes,
-        failures=run_stats.total - run_stats.successes,
-        cause_counts=dict(run_stats.cause_counts),
-        hot_keys=[list(item) for item in top_hits(run_stats.key_hits)],
-        key_families=[list(item) for item in top_hits(run_stats.family_hits)],
-        org_policy_failures=dict(run_stats.org_failures),
-        max_attempt=run_stats.max_attempt,
-        latency_sum=run_stats.latency_sum,
-        latency_count=run_stats.latency_count,
-        latency_max=run_stats.latency_max,
+        submitted=tally.submitted,
+        successes=tally.successes,
+        failures=tally.total - tally.successes,
+        cause_counts=dict(tally.cause_counts),
+        hot_keys=[list(item) for item in top_hits(tally.key_hits)],
+        key_families=[list(item) for item in top_hits(tally.family_hits)],
+        org_policy_failures=dict(tally.org_failures),
+        max_attempt=tally.max_attempt,
+        latency_sum=rates.latency_sum,
+        latency_count=rates.latency_count,
+        latency_max=rates.latency_max,
         first_submit=stats.first_submit,
         last_commit=stats.last_commit,
         rate_series=rates.series(),

@@ -88,11 +88,6 @@ def _invoker_org_stream(spec: ControlVariables, rng: SimRng):
             yield others[int(stream.integers(0, len(others)))] if others else "Org1"
 
 
-def _invoker_orgs(spec: ControlVariables, rng: SimRng) -> list[str | None]:
-    """Batch form of :func:`_invoker_org_stream` (kept for tests)."""
-    return list(_invoker_org_stream(spec, rng))
-
-
 def iter_synthetic_requests(spec: ControlVariables, contract_name: str):
     """Yield the spec's requests one at a time, in submit order.
 

@@ -14,17 +14,14 @@ import pytest
 
 from repro.analysis import (
     CAUSES,
-    MITIGATIONS,
     ForensicsReport,
     classify_transaction,
-    describe_mitigations,
     forensics_report,
     render_cause_summary,
     render_forensics,
     report_digest,
-    validate_mitigation,
 )
-from repro.bench.experiments import make_forensics, make_synthetic
+from repro.bench.experiments import make_scenario, make_synthetic
 from repro.bench.harness import unpack_bundle
 from repro.fabric.network import run_workload
 from repro.fabric.transaction import Transaction, TxStatus
@@ -206,16 +203,6 @@ class TestRenderer:
             assert render_cause_summary(report) == "no failures"
 
 
-class TestMitigationRegistry:
-    def test_names_and_descriptions_agree(self):
-        assert validate_mitigation("early_abort") == "early_abort"
-        with pytest.raises(ValueError):
-            validate_mitigation("hope")
-        listing = describe_mitigations()
-        for name in MITIGATIONS:
-            assert name in listing
-
-
 class TestBenchWiring:
     def test_failure_forensics_sweep_mitigation_beats_baseline(self):
         """Acceptance: at identical seed, at least one mitigation cell of
@@ -247,8 +234,12 @@ class TestBenchWiring:
         from repro.scenario.engine import run_digest
 
         bundle = unpack_bundle(
-            make_forensics(
-                "workload_update_heavy", "conflict_storm", total_transactions=400
+            make_scenario(
+                "workload_update_heavy",
+                "conflict_storm",
+                mitigation="none",
+                retry_attempts=1,
+                total_transactions=400,
             )()
         )
         config, family, requests, scenario = bundle

@@ -172,3 +172,36 @@ class TestDocCrossLinks:
             name for name in subcommands.choices if f"* ``{name}" not in repro.cli.__doc__
         ]
         assert unlisted == []
+
+
+class TestDocsMatchCode:
+    def test_matrices_maker_table_lists_every_accepted_maker(self):
+        """docs/MATRICES.md's maker table names exactly the makers
+        ``repro.bench.matrix`` accepts."""
+        import re
+
+        from repro.bench.matrix import _MAKER_SHAPES
+
+        text = (REPO_ROOT / "docs" / "MATRICES.md").read_text()
+        section = text.split("### Makers and their factors", 1)[1].split("\n\n")[1]
+        documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert sorted(documented) == sorted(_MAKER_SHAPES)
+
+    def test_package_docstring_quickstart_runs(self):
+        """The quickstart in ``repro.__doc__`` runs as written (at 300
+        transactions instead of 2000, to keep the test quick)."""
+        import textwrap
+
+        import repro
+
+        block = repro.__doc__.split("Quickstart::\n", 1)[1]
+        lines = []
+        for line in block.splitlines():
+            if line and not line.startswith("    "):
+                break
+            lines.append(line)
+        code = textwrap.dedent("\n".join(lines))
+        assert "total_transactions=2000" in code
+        namespace: dict = {}
+        exec(code.replace("total_transactions=2000", "total_transactions=300"), namespace)
+        assert namespace["result"].total_issued == 300

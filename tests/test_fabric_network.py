@@ -119,6 +119,19 @@ def test_no_contracts_rejected():
         FabricNetwork(small_config(), [])
 
 
+def test_unknown_mitigation_rejected(counter_contract):
+    """A mitigation assigned after the config's own check still cannot
+    run under a mistyped name, at construction or mid-run."""
+    config = small_config()
+    config.mitigation = "reordr"
+    with pytest.raises(ValueError, match="unknown mitigation 'reordr'"):
+        FabricNetwork(config, [counter_contract])
+    network = FabricNetwork(small_config(), [counter_contract])
+    with pytest.raises(ValueError, match="unknown mitigation"):
+        network.set_mitigation("early_abrot")
+    assert network.mitigation == "none"
+
+
 def test_determinism_same_seed(counter_contract):
     requests = counter_requests(count=150, rate=300.0)
     _, r1 = run_workload(small_config(), [CounterContract()], list(requests))

@@ -87,6 +87,94 @@ class TestExtraction:
 
         with pytest.raises(ValueError):
             extract_blockchain_log(Ledger())
+        ledger = Ledger()
+        for block in _chain([_data_tx("tx-1")]):
+            ledger.append(block)
+        with pytest.raises(ValueError, match="no configuration transaction"):
+            extract_blockchain_log(ledger)
+
+    def test_last_config_wins_in_extraction_and_stream(self):
+        """A later config transaction overrides only the keys it sets, and
+        the batch extraction and the streaming hub agree on the result."""
+        from repro.fabric.ledger import Ledger
+        from repro.logs.stream import RunStream, StreamingLedger
+
+        blocks = _chain(
+            [_config_tx("config-0", (("block_count", 50), ("block_timeout", 2.0),
+                                     ("block_bytes", 4096),
+                                     ("endorsement_policy", "OutOf(1,Org1,Org2)")))],
+            [_data_tx("tx-1")],
+            [_config_tx("config-1", (("block_count", 300),))],
+            [_data_tx("tx-2")],
+        )
+        ledger = Ledger()
+        stream = RunStream()
+        streaming = StreamingLedger(stream)
+        for block in blocks:
+            ledger.append(block)
+            streaming.append(block)
+        expected = ChannelConfig(
+            block_count=300,
+            block_timeout=2.0,
+            block_bytes=4096,
+            endorsement_policy="OutOf(1,Org1,Org2)",
+        )
+        log = extract_blockchain_log(ledger)
+        assert log.config == expected
+        assert stream.config == expected
+        assert [record.tx_id for record in log] == ["tx-1", "tx-2"]
+
+
+def _config_tx(tx_id, args):
+    from repro.fabric.transaction import Transaction
+
+    return Transaction(
+        tx_id=tx_id,
+        client_timestamp=0.0,
+        activity="__config__",
+        args=args,
+        contract="__channel__",
+        invoker_client="admin",
+        invoker_org="OrdererOrg",
+        is_config=True,
+        status=TxStatus.SUCCESS,
+        commit_time=0.0,
+    )
+
+
+def _data_tx(tx_id):
+    from repro.fabric.transaction import Transaction
+
+    return Transaction(
+        tx_id=tx_id,
+        client_timestamp=0.5,
+        activity="put",
+        args=("k1",),
+        contract="counter",
+        invoker_client="Org1-client0",
+        invoker_org="Org1",
+        endorsers=("Org1-peer0",),
+        status=TxStatus.SUCCESS,
+        commit_time=1.0,
+    )
+
+
+def _chain(*block_transactions):
+    """Hash-chained blocks holding the given transaction lists, in order."""
+    from repro.fabric.ledger import Block, Ledger
+
+    blocks = []
+    previous = Ledger.GENESIS_HASH
+    for number, transactions in enumerate(block_transactions):
+        block = Block(
+            number=number,
+            transactions=list(transactions),
+            previous_hash=previous,
+            committed_at=float(number),
+        )
+        blocks.append(block)
+        previous = block.block_hash
+    return blocks
 
 
 class TestSlicing:

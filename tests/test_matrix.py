@@ -331,6 +331,50 @@ class TestCli:
         assert main(["matrix", "--spec", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "maker, factors, cell, message",
+        [
+            (
+                "forensics",
+                "base: workload_update_heavy\n  scenario: conflict_storm\n"
+                "  mitigation: [none, early_abrot]",
+                "typo/workload_update_heavy_conflict_storm_early_abrot",
+                "mitigation='early_abrot' not one of none, early_abort, reorder",
+            ),
+            (
+                # Unquoted, YAML reads ``off`` as the boolean False.
+                "control",
+                "base: default\n  scenario: crash_burst\n  policy: [off]",
+                "typo/default_crash_burst_False",
+                "unknown control policy 'False'",
+            ),
+            (
+                "scenario",
+                "base: [defualt]\n  scenario: crash_burst",
+                "typo/defualt_crash_burst",
+                "unknown synthetic experiment 'defualt'",
+            ),
+        ],
+        ids=["mitigation", "policy", "base"],
+    )
+    def test_value_typo_exits_2_at_dry_run_naming_the_cell(
+        self, tmp_path, capsys, maker, factors, cell, message
+    ):
+        """A mistyped value stops the sweep before anything runs, and
+        ``--dry-run`` already reports it."""
+        path = tmp_path / "typo.yaml"
+        path.write_text(
+            f"name: typo\nmaker: {maker}\ntxs: 200\nseeds: [7]\n"
+            f"factors:\n  {factors}\n"
+        )
+        assert main(["matrix", "--spec", str(path), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert f"cell {cell!r}" in err
+        assert message in err
+        assert main(["matrix", "--spec", str(path), "--no-cache",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestExampleMatrices:
     def test_examples_expand_to_documented_sizes(self):
