@@ -57,23 +57,25 @@ class EndorserPool:
             self._peers_by_org[org.name] = [
                 Server(kernel, name) for name in org.endorser_names()
             ]
-        self._alternatives = [
+        alternatives = [
             alt
             for alt in policy.minimal_satisfying_sets()
             if all(org in self._peers_by_org for org in alt)
         ]
-        if not self._alternatives:
+        if not alternatives:
             raise ValueError(
                 f"policy {policy.to_expression()} has no satisfiable alternative "
                 f"with orgs {sorted(self._peers_by_org)}"
             )
-        self._weights = zipf_weights(len(self._alternatives), self._selection_skew)
-        # Hot-path caches: the selection draw goes through a precomputed-CDF
-        # sampler (bit-identical to ``choice(n, p=weights)``, built once),
-        # and the endorsement service time per (contract, activity) pair is
-        # a pure function of static config, so it is computed at most once.
+        # Hot-path caches: each alternative's orgs are sorted once; the
+        # selection draw goes through a precomputed-CDF sampler
+        # (bit-identical to ``choice(n, p=weights)``, built once); and the
+        # endorsement service time per (contract, activity) pair is a pure
+        # function of static config, so it is computed at most once.
+        self._alternatives = [tuple(sorted(alt)) for alt in alternatives]
         self._selection = WeightedSampler(
-            rng.stream("endorser-selection"), self._weights
+            rng.stream("endorser-selection"),
+            zipf_weights(len(alternatives), self._selection_skew),
         )
         self._service_time_cache: dict[tuple[str, str], float] = {}
 
@@ -100,34 +102,38 @@ class EndorserPool:
             f"({sorted(self._peers_by_org)}) or a peer name"
         )
 
-    def select_orgs(self) -> frozenset[str]:
-        """Choose the endorsing orgs for one transaction."""
-        return self._alternatives[self._selection.draw()]
-
     def _least_loaded_peer(self, org: str) -> Server | None:
-        """The org's least busy *reachable* peer, or ``None`` if all are down."""
-        peers = [p for p in self._peers_by_org[org] if p.enabled]
-        if not peers:
-            return None
-        return min(peers, key=lambda p: p.busy_until)
+        """The org's least busy *reachable* peer, or ``None`` if all are down.
+
+        Ties go to the first such peer, as with ``min``.
+        """
+        best = None
+        for peer in self._peers_by_org[org]:
+            if peer.enabled and (best is None or peer.busy_until < best.busy_until):
+                best = peer
+        return best
 
     def endorse(
         self,
         tx: Transaction,
-        on_done: Callable[[float], None],
-        on_abort: Callable[[float, str], None],
+        on_done: Callable[[], None],
+        on_abort: Callable[[], None],
     ) -> None:
         """Run the endorsement phase for ``tx``.
 
         Fills ``tx.endorsers`` / ``tx.missing_endorsements`` / ``tx.rwset``
-        and calls ``on_done(time)`` when the slowest endorsement returns to
-        the client, or ``on_abort(time, reason)`` if the chaincode
-        early-aborts the transaction (pruned contracts).
+        and schedules ``on_done`` for when the slowest endorsement returns
+        to the client, or ``on_abort`` if the chaincode early-aborts the
+        transaction (pruned contracts).
         """
-        orgs = sorted(self.select_orgs())
-        endorsing: list[tuple[str, Server]] = []
+        orgs = self._alternatives[self._selection.draw()]
+        endorsing: list[Server] = []
         missing: list[str] = []
         reasons: list[str] = []
+        # The earliest-starting peer executes the chaincode and produces the
+        # read-write set (endorsers are deterministic, so one execution
+        # stands for all); ties go to the first, as with ``min``.
+        executor = None
         for org in orgs:
             peer = self._least_loaded_peer(org)
             if peer is None:
@@ -137,7 +143,9 @@ class EndorserPool:
                 missing.append(org)
                 reasons.append("timeout")
             else:
-                endorsing.append((org, peer))
+                endorsing.append(peer)
+                if executor is None or peer.busy_until < executor.busy_until:
+                    executor = peer
 
         tx.missing_endorsements = tuple(missing)
         tx.missing_reasons = tuple(reasons)
@@ -146,18 +154,11 @@ class EndorserPool:
             # envelope with no endorsements at all, doomed to a policy failure.
             tx.endorsers = ()
             self._kernel.schedule_in(
-                self._conditions.network_delay(tx.invoker_org),
-                lambda: on_done(self._kernel.now),
+                self._conditions.network_delay(tx.invoker_org), on_done
             )
             return
 
-        tx.endorsers = tuple(peer.name for _, peer in endorsing)
-        # The earliest-starting peer executes the chaincode and produces the
-        # read-write set (endorsers are deterministic, so one execution
-        # stands for all).
-        executor = min(endorsing, key=lambda item: item[1].busy_until)[1]
-        pending = len(endorsing)
-        aborted: list[str] = []
+        tx.endorsers = tuple([peer.name for peer in endorsing])
         cache_key = (tx.contract, tx.activity)
         service_time = self._service_time_cache.get(cache_key)
         if service_time is None:
@@ -166,27 +167,12 @@ class EndorserPool:
             service_time = self._timing.endorse_per_tx * cost
             self._service_time_cache[cache_key] = service_time
 
-        def execute(start_time: float) -> None:
-            del start_time
-            try:
-                self._execute_chaincode(tx)
-            except ChaincodeAbort as abort:
-                aborted.append(str(abort))
-
-        def peer_done(finish_time: float) -> None:
-            nonlocal pending
-            pending -= 1
-            if pending > 0:
-                return
-            done_at = finish_time + self._conditions.network_delay(tx.invoker_org)
-            if aborted:
-                self._kernel.schedule(done_at, lambda: on_abort(self._kernel.now, aborted[0]))
+        round_ = _EndorsementRound(self, tx, len(endorsing), on_done, on_abort)
+        for peer in endorsing:
+            if peer is executor:
+                peer.submit(service_time, round_.peer_done, round_.execute)
             else:
-                self._kernel.schedule(done_at, lambda: on_done(self._kernel.now))
-
-        for _, peer in endorsing:
-            on_start = execute if peer is executor else None
-            peer.submit(service_time, peer_done, on_start=on_start)
+                peer.submit(service_time, round_.peer_done)
 
     def _execute_chaincode(self, tx: Transaction) -> None:
         contract = self._contracts.get(tx.contract)
@@ -200,3 +186,47 @@ class EndorserPool:
         contract.invoke(ctx, tx.activity, tx.args)
         tx.rwset = ctx.rwset
         tx.endorse_time = self._kernel.now
+
+
+class _EndorsementRound:
+    """One transaction's endorsement in flight: the peers still working and
+    the chaincode's abort reason, if it aborted.
+
+    Its two methods are the ``Server`` callbacks of the endorsing peers;
+    the round is freed once the last peer reports back.
+    """
+
+    __slots__ = ("pool", "tx", "pending", "abort_reason", "on_done", "on_abort")
+
+    def __init__(
+        self,
+        pool: EndorserPool,
+        tx: Transaction,
+        pending: int,
+        on_done: Callable[[], None],
+        on_abort: Callable[[], None],
+    ) -> None:
+        self.pool = pool
+        self.tx = tx
+        self.pending = pending
+        self.abort_reason: str | None = None
+        self.on_done = on_done
+        self.on_abort = on_abort
+
+    def execute(self, start: float) -> None:
+        """The executor starts service: run the chaincode against state now."""
+        try:
+            self.pool._execute_chaincode(self.tx)
+        except ChaincodeAbort as abort:
+            self.abort_reason = str(abort)
+
+    def peer_done(self, finish: float) -> None:
+        """One endorsement is back; the last one schedules the client's turn."""
+        self.pending -= 1
+        if self.pending:
+            return
+        pool = self.pool
+        done_at = finish + pool._conditions.network_delay(self.tx.invoker_org)
+        pool._kernel.schedule(
+            done_at, self.on_done if self.abort_reason is None else self.on_abort
+        )

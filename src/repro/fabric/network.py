@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.fabric.chaincode import Contract
 from repro.fabric.client import ClientPool
@@ -137,19 +137,13 @@ class FabricNetwork:
         )
         self._scheduler = self._scheduler_for(config.mitigation)
         self.validator = ValidationPipeline(
-            self.kernel,
-            config,
-            self.policy,
-            self.state_db,
-            self.ledger,
-            on_block_committed=self._after_block,
+            self.kernel, config, self.policy, self.state_db, self.ledger
         )
         self.orderer = OrderingService(
             self.kernel,
             config,
             self._scheduler,
-            deliver=self._deliver_block,
-            early_abort=self._record_early_abort,
+            deliver=self.validator.receive_block,
             conditions=self.conditions,
         )
         self.aborted_count = 0
@@ -163,9 +157,9 @@ class FabricNetwork:
         self.retries_recovered = 0
         self.retries_exhausted = 0
         # Admission-pacing state (the controller's rate throttle): a FIFO
-        # of deferred requests, the next free admission slot, and whether
+        # of deferred arrivals, the next free admission slot, and whether
         # a drain event is already on the kernel.
-        self._pace_queue: deque[TxRequest] = deque()
+        self._pace_queue: deque[_Flight] = deque()
         self._pace_slot = 0.0
         self._pace_draining = False
         self._append_genesis()
@@ -268,20 +262,20 @@ class FabricNetwork:
 
     def submit_request(self, request: TxRequest) -> None:
         """Schedule ``request`` for execution at its submit time."""
-        self.kernel.schedule(request.submit_time, lambda: self._start_request(request))
+        self.kernel.schedule(request.submit_time, _Flight(self, request).arrive)
 
-    def _start_request(self, request: TxRequest) -> None:
+    def _admit(self, flight: _Flight) -> None:
         # Admission pacing (the controller's rate throttle).  Uncapped
         # with an empty queue — the default — this is a straight
         # passthrough, so controller-off runs are byte-identical.  Under
-        # a cap, requests join a FIFO queue drained one per ``1 / cap``
+        # a cap, arrivals join a FIFO queue drained one per ``1 / cap``
         # seconds; the cap is re-read at every drain, so relaxing it
         # speeds the drain up and clearing it flushes the whole backlog
         # at the next slot instead of leaving work booked far out.
         if self.conditions.send_rate_cap is None and not self._pace_queue:
-            self._start_request_now(request)
+            flight.start()
             return
-        self._pace_queue.append(request)
+        self._pace_queue.append(flight)
         self._schedule_drain()
 
     def _schedule_drain(self) -> None:
@@ -294,67 +288,18 @@ class FabricNetwork:
         self.kernel.schedule(when, self._drain_paced)
 
     def _drain_paced(self) -> None:
-        """Admit the oldest deferred request and book the next slot."""
+        """Admit the oldest deferred arrival and book the next slot."""
         self._pace_draining = False
         if not self._pace_queue:
             return
-        request = self._pace_queue.popleft()
+        flight = self._pace_queue.popleft()
         cap = self.conditions.send_rate_cap
         if cap is not None:
             self._pace_slot = self.kernel.now + 1.0 / cap
         else:
             self._pace_slot = self.kernel.now
-        self._start_request_now(request)
+        flight.start()
         self._schedule_drain()
-
-    def _start_request_now(self, request: TxRequest) -> None:
-        client = self.clients.assign(request.invoker_org)
-        tx = Transaction(
-            tx_id=self._next_tx_id(),
-            client_timestamp=self.kernel.now,
-            activity=request.activity,
-            args=tuple(request.args),
-            contract=request.contract,
-            invoker_client=client.name,
-            invoker_org=self.clients.org_of(client.name),
-            attempt=request.attempt,
-            retry_of=request.retry_of,
-        )
-
-        def proposal_done(finish: float) -> None:
-            del finish
-            self.kernel.schedule_in(
-                self.conditions.network_delay(tx.invoker_org),
-                lambda: self._endorse(tx, client),
-            )
-
-        self.clients.propose(client, proposal_done)
-
-    def _endorse(self, tx: Transaction, client) -> None:
-        def endorsed(at: float) -> None:
-            del at
-
-            def packaged(finish: float) -> None:
-                del finish
-                if self._mitigation == "early_abort" and self._abort_if_stale(tx):
-                    return
-                self.kernel.schedule_in(
-                    self.conditions.network_delay(tx.invoker_org),
-                    lambda: self.orderer.submit(tx),
-                )
-
-            self.clients.package(client, len(tx.endorsers), packaged)
-
-        def aborted(at: float, reason: str) -> None:
-            del reason
-            tx.status = TxStatus.EARLY_ABORT
-            tx.abort_stage = "endorsement"
-            tx.commit_time = at
-            self._record_abort(tx)
-            # No retry: the chaincode deterministically rejects these
-            # arguments, so a resubmission would abort identically.
-
-        self.endorsers.endorse(tx, on_done=endorsed, on_abort=aborted)
 
     def _abort_if_stale(self, tx: Transaction) -> bool:
         """The ``early_abort`` mitigation: drop a doomed envelope at the client.
@@ -436,50 +381,34 @@ class FabricNetwork:
             )
         )
 
-    def _deliver_block(self, transactions: list[Transaction], cut_reason: str, at: float) -> None:
-        del at
-        self.validator.receive_block(transactions, cut_reason)
-
     # -- running ----------------------------------------------------------------
 
     def _pump_arrivals(self, requests: Iterable[TxRequest]) -> tuple[int, float]:
         """Pump submit-time-ordered ``requests`` through the kernel to completion.
 
-        The one arrival pump behind :meth:`run` and :meth:`run_streamed`:
-        requests are pulled one at a time — each arrival schedules the
-        next on the arrival lane (see ARRIVAL_PRIORITY) — so the kernel
-        holds one pending arrival, never the whole workload.  Returns
-        (requests issued, first submit time) once every issued
-        transaction, retries included, has committed or aborted exactly
-        once.
+        The one arrival pump behind :meth:`run` and :meth:`run_streamed`
+        (see :class:`_ArrivalPump`).  Returns (requests issued, first
+        submit time) once every issued transaction, retries included, has
+        committed or aborted exactly once.
         """
-        iterator: Iterator[TxRequest] = iter(requests)
-        first = next(iterator, None)
+        pump = _ArrivalPump(self, requests)
+        first = pump.request
         if first is None:
             raise ValueError("empty workload")
-        issued = 0
-
-        def pump(request: TxRequest) -> None:
-            nonlocal issued
-            issued += 1
-            self._start_request(request)
-            upcoming = next(iterator, None)
-            if upcoming is not None:
-                if upcoming.submit_time < request.submit_time:
-                    raise ValueError(
-                        "request stream must be ordered by submit time: "
-                        f"{upcoming.submit_time} after {request.submit_time}"
-                    )
-                self.kernel.schedule(
-                    upcoming.submit_time,
-                    lambda: pump(upcoming),
-                    priority=ARRIVAL_PRIORITY,
-                )
-
-        self.kernel.schedule(
-            first.submit_time, lambda: pump(first), priority=ARRIVAL_PRIORITY
-        )
-        self.kernel.run()
+        # The stages call back into this network only while it runs;
+        # dropping the links once the heap drains leaves no reference
+        # cycle, so a finished network is freed by reference counting.
+        self.orderer.early_abort = self._record_early_abort
+        self.validator.on_block_committed = self._after_block
+        try:
+            self.kernel.schedule(
+                first.submit_time, pump.arrive, priority=ARRIVAL_PRIORITY
+            )
+            self.kernel.run()
+        finally:
+            self.orderer.early_abort = None
+            self.validator.on_block_committed = None
+        issued = pump.issued
 
         committed = sum(self.validator.status_counts.values())
         accounted = committed + self.aborted_count
@@ -564,6 +493,127 @@ class FabricNetwork:
         stats["orderer"] = self.orderer.server.stats.utilization(horizon)
         stats["validator"] = self.validator.server.stats.utilization(horizon)
         return stats
+
+
+class _ArrivalPump:
+    """Feeds a submit-time-ordered request stream to the kernel, one at a time.
+
+    Each arrival admits its request and schedules the next on the arrival
+    lane (see ARRIVAL_PRIORITY), so the kernel holds one pending arrival,
+    never the whole workload.  Only the kernel's heap refers to the pump,
+    so it is freed with the last arrival.
+    """
+
+    __slots__ = ("network", "iterator", "request", "issued")
+
+    def __init__(self, network: FabricNetwork, requests: Iterable[TxRequest]) -> None:
+        self.network = network
+        self.iterator = iter(requests)
+        #: The request whose arrival is on the kernel (``None`` when done).
+        self.request: TxRequest | None = next(self.iterator, None)
+        self.issued = 0
+
+    def arrive(self) -> None:
+        """Admit the current request, then put the next one on the kernel."""
+        request = self.request
+        network = self.network
+        self.issued += 1
+        network._admit(_Flight(network, request))
+        upcoming = self.request = next(self.iterator, None)
+        if upcoming is not None:
+            if upcoming.submit_time < request.submit_time:
+                raise ValueError(
+                    "request stream must be ordered by submit time: "
+                    f"{upcoming.submit_time} after {request.submit_time}"
+                )
+            network.kernel.schedule(
+                upcoming.submit_time, self.arrive, priority=ARRIVAL_PRIORITY
+            )
+
+
+class _Flight:
+    """One transaction's trip through the execute-order-validate pipeline.
+
+    Each stage is a method handed to the kernel or to a ``Server`` as it
+    stands, in place of a chain of per-transaction closures; the
+    transaction and its client ride along in two slots.  In order:
+    :meth:`start` (admission: the proposal at a client), :meth:`proposed`,
+    :meth:`endorse`, then :meth:`endorsed` or :meth:`aborted`,
+    :meth:`packaged` and :meth:`submit` (to ordering).  Only the kernel's
+    heap and the servers' queues refer to a flight, so it is freed once
+    the transaction reaches the orderer or aborts.
+    """
+
+    __slots__ = ("network", "request", "tx", "client")
+
+    def __init__(self, network: FabricNetwork, request: TxRequest) -> None:
+        self.network = network
+        self.request = request
+
+    def arrive(self) -> None:
+        """A resubmission reaches admission at its submit time."""
+        self.network._admit(self)
+
+    def start(self) -> None:
+        """Admitted: create the transaction and queue its proposal."""
+        network = self.network
+        request = self.request
+        clients = network.clients
+        client = self.client = clients.assign(request.invoker_org)
+        self.tx = Transaction(
+            tx_id=network._next_tx_id(),
+            client_timestamp=network.kernel.now,
+            activity=request.activity,
+            args=tuple(request.args),
+            contract=request.contract,
+            invoker_client=client.name,
+            invoker_org=clients.org_of(client.name),
+            attempt=request.attempt,
+            retry_of=request.retry_of,
+        )
+        clients.propose(client, self.proposed)
+
+    def proposed(self, finish: float) -> None:
+        """The client built the proposal; send it to the endorsers."""
+        network = self.network
+        network.kernel.schedule_in(
+            network.conditions.network_delay(self.tx.invoker_org), self.endorse
+        )
+
+    def endorse(self) -> None:
+        """The proposal reached the endorsing peers."""
+        self.network.endorsers.endorse(
+            self.tx, on_done=self.endorsed, on_abort=self.aborted
+        )
+
+    def endorsed(self) -> None:
+        """The endorsements are back: the client packages the envelope."""
+        self.network.clients.package(self.client, len(self.tx.endorsers), self.packaged)
+
+    def packaged(self, finish: float) -> None:
+        """The envelope is packed; send it to ordering unless it is stale."""
+        network = self.network
+        if network._mitigation == "early_abort" and network._abort_if_stale(self.tx):
+            return
+        network.kernel.schedule_in(
+            network.conditions.network_delay(self.tx.invoker_org), self.submit
+        )
+
+    def submit(self) -> None:
+        """The envelope reached the ordering service."""
+        self.network.orderer.submit(self.tx)
+
+    def aborted(self) -> None:
+        """The chaincode rejected the transaction during endorsement.
+
+        No retry: the chaincode deterministically rejects these arguments,
+        so a resubmission would abort identically.
+        """
+        tx = self.tx
+        tx.status = TxStatus.EARLY_ABORT
+        tx.abort_stage = "endorsement"
+        tx.commit_time = self.network.kernel.now
+        self.network._record_abort(tx)
 
 
 def run_workload(

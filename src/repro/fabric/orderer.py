@@ -31,8 +31,7 @@ class OrderingService:
         kernel: Kernel,
         config: NetworkConfig,
         scheduler: Scheduler,
-        deliver: Callable[[list[Transaction], str, float], None],
-        early_abort: Callable[[Transaction, float], None],
+        deliver: Callable[[list[Transaction], str], None],
         conditions: NetworkConditions | None = None,
     ) -> None:
         self._kernel = kernel
@@ -41,7 +40,10 @@ class OrderingService:
         self._conditions = conditions or NetworkConditions(config.timing)
         self._scheduler = scheduler
         self._deliver = deliver
-        self._early_abort = early_abort
+        #: Called as ``early_abort(tx, now)`` for each envelope the batch
+        #: scheduler drops at a cut.  The network binds it for the length
+        #: of a run (see ``FabricNetwork._pump_arrivals``).
+        self.early_abort: Callable[[Transaction, float], None] | None = None
         self._server = Server(kernel, "orderer")
         self._buffer: list[Transaction] = []
         self._buffer_bytes = 0
@@ -85,8 +87,8 @@ class OrderingService:
         self._scheduler = scheduler
 
     def _arm_timeout(self) -> None:
-        self._timeout_event = self._kernel.schedule_in(
-            self.block_timeout, self._on_timeout
+        self._timeout_event = self._kernel.schedule_cancellable(
+            self._kernel.now + self.block_timeout, self._on_timeout
         )
 
     def _on_timeout(self) -> None:
@@ -94,6 +96,8 @@ class OrderingService:
             self._cut("timeout")
 
     def _cut(self, reason: str) -> None:
+        # A no-op when the timeout itself is cutting: a fired event has
+        # already left the heap.
         if self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
@@ -104,7 +108,7 @@ class OrderingService:
         ordered, aborts = self._scheduler.schedule(batch)
         now = self._kernel.now
         for tx in aborts:
-            self._early_abort(tx, now)
+            self.early_abort(tx, now)
         if not ordered:
             # The scheduler aborted the whole batch; Fabric never emits
             # empty blocks.
@@ -116,8 +120,6 @@ class OrderingService:
 
         def on_done(finish: float) -> None:
             deliver_at = finish + self._conditions.network_delay()
-            self._kernel.schedule(
-                deliver_at, lambda: self._deliver(ordered, reason, self._kernel.now)
-            )
+            self._kernel.schedule(deliver_at, lambda: self._deliver(ordered, reason))
 
         self._server.submit(service, on_done)

@@ -66,14 +66,16 @@ class ValidationPipeline:
         policy: EndorsementPolicy,
         state_db: StateDatabase,
         ledger: Ledger,
-        on_block_committed: Callable[[Block], None] | None = None,
     ) -> None:
         self._kernel = kernel
         self._timing = config.timing
         self._policy = policy
         self._state_db = state_db
         self._ledger = ledger
-        self._on_block_committed = on_block_committed
+        #: Post-commit hook, called with each committed block.  The network
+        #: binds it for the length of a run (see
+        #: ``FabricNetwork._pump_arrivals``).
+        self.on_block_committed: Callable[[Block], None] | None = None
         self._server = Server(kernel, "validator")
         self.status_counts: dict[TxStatus, int] = {status: 0 for status in TxStatus}
         # Policy evaluation is a pure function of the endorser-name tuple,
@@ -130,8 +132,8 @@ class ValidationPipeline:
             committed_at=now,
         )
         self._ledger.append(block)
-        if self._on_block_committed is not None:
-            self._on_block_committed(block)
+        if self.on_block_committed is not None:
+            self.on_block_committed(block)
 
     def _validate(self, tx: Transaction) -> TxStatus:
         if tx.is_config:

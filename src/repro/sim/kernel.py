@@ -19,12 +19,13 @@ this order:
 fired event, giving determinism tests an exact event trace to compare
 across runs.
 
-Performance note: the heap stores ``(time, priority, seq, Event)``
-tuples, not :class:`Event` objects.  ``seq`` is unique per kernel, so
-tuple comparison always resolves within the first three (C-compared)
-elements and ``heapq`` never calls back into Python — the profiled
-``Event.__lt__`` hot spot of the dataclass-based heap.  The :class:`Event`
-object in the last slot is the cancellation handle returned to callers.
+Performance note: the heap stores plain ``(time, priority, seq, action)``
+tuples.  ``seq`` is unique per kernel, so tuple comparison always
+resolves within the first three (C-compared) elements and ``heapq`` never
+calls back into Python.  Scheduling allocates no handle: only
+:meth:`Kernel.schedule_cancellable` returns one (an :class:`Event`), and
+the one schedule in the simulator that is ever cancelled — the orderer's
+block timeout — is its only caller.
 
 This is the simulator's only kernel: every run, whether it keeps its
 ledger or streams it, drains one heap through :meth:`Kernel.run`.
@@ -57,55 +58,41 @@ CONTROL_PRIORITY = -2
 #: ``t``, and still after the interventions and controller ticks at ``t``.
 ARRIVAL_PRIORITY = -1
 
+_INF = float("inf")
+
 
 class Event:
-    """A scheduled callback: the handle :meth:`Kernel.schedule` returns.
+    """The cancellation handle :meth:`Kernel.schedule_cancellable` returns.
 
-    Events fire in ``(time, priority, seq)`` order; ``seq`` is a
-    monotonically increasing insertion counter so that two events scheduled
-    for the same instant on the same lane fire in the order they were
-    scheduled.  The ordering itself lives in the kernel's heap tuples; the
-    handle only carries the fields callers may inspect and the
-    :meth:`cancel` control surface.
+    The kernel keeps the handle, keyed by its ``seq``, only while the
+    event is on the heap; the heap entry itself is an ordinary
+    ``(time, priority, seq, action)`` tuple on the default lane.
     """
 
-    __slots__ = ("time", "priority", "seq", "action", "cancelled", "popped", "_kernel")
+    __slots__ = ("seq", "cancelled", "_kernel")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        action: Callable[[], None],
-        kernel: "Kernel | None" = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
+    def __init__(self, seq: int, kernel: "Kernel") -> None:
         self.seq = seq
-        self.action = action
-        #: True once :meth:`cancel` ran; the kernel skips the event on pop.
+        #: True once :meth:`cancel` ran; the kernel drops the event on pop.
         self.cancelled = False
-        #: Set by the kernel when the event leaves the heap (fired or skipped).
-        self.popped = False
         self._kernel = kernel
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(time={self.time!r}, priority={self.priority!r}, "
-            f"seq={self.seq!r}, cancelled={self.cancelled!r})"
-        )
+        return f"Event(seq={self.seq!r}, cancelled={self.cancelled!r})"
 
     def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped.
+        """Mark the event so the kernel drops it when popped.
 
-        Idempotent, and a no-op once the event has already left the heap —
-        cancelling a fired timeout must not corrupt the live-event count.
+        Idempotent, and a no-op once the event has left the heap —
+        including from inside the event's own callback, which is how the
+        orderer's timeout cuts a block — so cancelling can never corrupt
+        the live-event count.
         """
-        if self.cancelled or self.popped:
+        kernel = self._kernel
+        if self.cancelled or kernel._handles.get(self.seq) is not self:
             return
         self.cancelled = True
-        if self._kernel is not None:
-            self._kernel._live -= 1
+        kernel._cancelled_queued += 1
 
 
 class Kernel:
@@ -113,58 +100,85 @@ class Kernel:
 
     >>> k = Kernel()
     >>> fired = []
-    >>> _ = k.schedule(2.0, lambda: fired.append(k.now))
-    >>> _ = k.schedule(1.0, lambda: fired.append(k.now))
+    >>> k.schedule(2.0, lambda: fired.append(k.now))
+    >>> k.schedule(1.0, lambda: fired.append(k.now))
     >>> k.run()
     >>> fired
     [1.0, 2.0]
+
+    Counts are derived, not tallied per event: every scheduled event is
+    either still on the heap, fired, or dropped after a cancel, so
+    :attr:`events_processed` is ``scheduled - queued - dropped`` and
+    :meth:`pending` is ``queued - cancelled-but-queued``.  The run loop
+    touches no counter for an event that fires.
     """
 
-    def __init__(self) -> None:
-        #: Heap of ``(time, priority, seq, Event)`` — see the module note.
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._next_seq = 0
-        self._now = 0.0
-        self._processed = 0
-        self._live = 0
-        self._trace: list[tuple[float, int, int]] | None = None
+    __slots__ = (
+        "now",
+        "_heap",
+        "_next_seq",
+        "_handles",
+        "_cancelled_queued",
+        "_dropped",
+        "_trace",
+    )
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+    def __init__(self) -> None:
+        #: Current simulated time in seconds.  A plain attribute, read on
+        #: every pipeline step; only the run loop writes it.
+        self.now = 0.0
+        #: Heap of ``(time, priority, seq, action)`` — see the module note.
+        self._heap: list[tuple[float, int, int, Callable[[], None]]] = []
+        self._next_seq = 0
+        #: Cancellable events still on the heap, by ``seq``.
+        self._handles: dict[int, Event] = {}
+        #: Cancelled events still on the heap.
+        self._cancelled_queued = 0
+        #: Cancelled events already popped and dropped.
+        self._dropped = 0
+        self._trace: list[tuple[float, int, int]] | None = None
 
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (cancelled events excluded)."""
-        return self._processed
+        return self._next_seq - len(self._heap) - self._dropped
 
     def schedule(
         self, time: float, action: Callable[[], None], priority: int = 0
-    ) -> Event:
+    ) -> None:
         """Schedule ``action`` to run at absolute simulated time ``time``.
 
         Scheduling in the past raises ``ValueError`` — it would silently
         corrupt causality in the pipeline models built on top.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule event at {time:.6f} before now={self._now:.6f}"
+                f"cannot schedule event at {time:.6f} before now={self.now:.6f}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, priority, seq, action, self)
-        heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
+        heappush(self._heap, (time, priority, seq, action))
 
-    def schedule_in(self, delay: float, action: Callable[[], None]) -> Event:
+    def schedule_in(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, action)
+        self.schedule(self.now + delay, action)
 
-    def schedule_intervention(self, time: float, action: Callable[[], None]) -> Event:
+    def schedule_cancellable(self, time: float, action: Callable[[], None]) -> Event:
+        """Schedule ``action`` at ``time`` like :meth:`schedule`; return a handle.
+
+        The only scheduling call that allocates an :class:`Event`.  The
+        event itself goes through :meth:`schedule` unchanged — same lane,
+        same ``seq`` — so taking a handle never changes the event order.
+        """
+        seq = self._next_seq
+        self.schedule(time, action)
+        handle = Event(seq, self)
+        self._handles[seq] = handle
+        return handle
+
+    def schedule_intervention(self, time: float, action: Callable[[], None]) -> None:
         """Schedule a scenario intervention at absolute time ``time``.
 
         Interventions run on a priority lane ahead of every ordinary event
@@ -172,9 +186,9 @@ class Kernel:
         effect for workload events scheduled at ``t`` — regardless of
         which was scheduled first.
         """
-        return self.schedule(time, action, priority=INTERVENTION_PRIORITY)
+        self.schedule(time, action, priority=INTERVENTION_PRIORITY)
 
-    def schedule_control(self, time: float, action: Callable[[], None]) -> Event:
+    def schedule_control(self, time: float, action: Callable[[], None]) -> None:
         """Schedule a controller tick at absolute time ``time``.
 
         Controller ticks run on their own lane between interventions and
@@ -182,7 +196,7 @@ class Kernel:
         and its actuations are already in effect for every workload event
         at ``t`` (see :mod:`repro.control`).
         """
-        return self.schedule(time, action, priority=CONTROL_PRIORITY)
+        self.schedule(time, action, priority=CONTROL_PRIORITY)
 
     def enable_trace(self) -> list[tuple[float, int, int]]:
         """Record ``(time, priority, seq)`` of every subsequently fired event.
@@ -195,50 +209,45 @@ class Kernel:
             self._trace = []
         return self._trace
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
+    def run(self, until: float | None = None) -> None:
         """Drain the event heap.
 
         ``until`` stops the clock once the next event would fire strictly
         after that time (the event stays queued); an ``until`` before
         ``now`` raises ``ValueError``, since the clock never runs
-        backwards.  ``max_events`` is a safety valve for property tests
-        over adversarial schedules.
+        backwards.
 
-        The loop body is the hottest code in the simulator; locals are
-        hoisted and the heap entries unpacked in place so a fired event
-        costs one ``heappop`` plus the callback itself.
+        The loop body is the hottest code in the simulator: a fired event
+        costs one ``heappop``, one lookup among the cancellable handles,
+        the clock store and the callback itself.  A cancelled event is
+        dropped before it is counted or traced.  The event past ``until``
+        is popped and pushed back, which leaves the heap's order intact
+        (keys are unique) and keeps a peek out of the loop.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise ValueError(
-                f"cannot run until {until:.6f} before now={self._now:.6f}"
+                f"cannot run until {until:.6f} before now={self.now:.6f}"
             )
+        limit = _INF if until is None else until
         heap = self._heap
+        handles = self._handles
         pop = heappop
         while heap:
-            if max_events is not None and self._processed >= max_events:
-                return
-            time, priority, seq, event = heap[0]
-            if until is not None and time > until:
-                self._now = until
-                return
-            pop(heap)
-            event.popped = True
-            if event.cancelled:
-                # Its cancel() already removed it from the live count.
+            time, priority, seq, action = pop(heap)
+            if time > limit:
+                heappush(heap, (time, priority, seq, action))
+                break
+            if seq in handles and handles.pop(seq).cancelled:
+                self._cancelled_queued -= 1
+                self._dropped += 1
                 continue
-            self._live -= 1
-            self._now = time
-            self._processed += 1
+            self.now = time
             if self._trace is not None:
                 self._trace.append((time, priority, seq))
-            event.action()
-        if until is not None and until > self._now:
-            self._now = until
+            action()
+        if until is not None and until > self.now:
+            self.now = until
 
     def pending(self) -> int:
-        """Number of queued, non-cancelled events.
-
-        Tracked incrementally (schedule/cancel/pop), so this is O(1) even
-        with millions of queued events — it used to scan the whole heap.
-        """
-        return self._live
+        """Number of queued, non-cancelled events (O(1))."""
+        return len(self._heap) - self._cancelled_queued

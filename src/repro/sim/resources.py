@@ -9,6 +9,7 @@ statistics so experiments can report utilization and locate bottlenecks.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,14 +49,31 @@ class Server:
     accepting new work; queued jobs drain) and ``service_multiplier``
     (a degraded component serves every *subsequent* job slower — jobs
     already queued keep the service time they were admitted with).
+
+    Jobs allocate no closure.  ``submit`` appends the callbacks to two
+    FIFO queues and schedules the server's own :meth:`_started` and
+    :meth:`_complete`, which pop the oldest callback and hand it
+    ``kernel.now``.  That is exactly what a per-job closure capturing
+    ``start`` and ``finish`` would do:
+
+    * a job's start is ``max(now, previous finish)`` and its finish is
+      start plus a non-negative service time, so across submissions both
+      never decrease (IEEE addition of a non-negative float is monotone);
+    * every server event rides lane 0, and equal-time events on one lane
+      fire in ``seq`` order, which is submission order;
+    * so the completions (and, separately, the starts) fire in
+      submission order, each pops its own job's callback, and
+      ``kernel.now`` is the exact ``start`` or ``finish`` it was
+      scheduled at.
     """
 
     __slots__ = (
         "kernel",
         "name",
         "stats",
-        "_busy_until",
-        "_queue_len",
+        "busy_until",
+        "_on_done",
+        "_on_start",
         "enabled",
         "_service_multiplier",
     )
@@ -64,15 +82,16 @@ class Server:
         self.kernel = kernel
         self.name = name
         self.stats = ServerStats()
-        self._busy_until = 0.0
-        self._queue_len = 0
+        #: Earliest simulated time at which the server becomes idle; only
+        #: :meth:`submit` writes it.
+        self.busy_until = 0.0
+        #: ``on_done`` of every submitted, unfinished job, oldest first;
+        #: its length is the server's queue (waiting + in service).
+        self._on_done: deque[Callable[[float], None]] = deque()
+        #: ``on_start`` of every job that gave one and has not started.
+        self._on_start: deque[Callable[[float], None]] = deque()
         self.enabled = True
         self._service_multiplier = 1.0
-
-    @property
-    def busy_until(self) -> float:
-        """Earliest simulated time at which the server becomes idle."""
-        return self._busy_until
 
     @property
     def service_multiplier(self) -> float:
@@ -87,7 +106,8 @@ class Server:
 
     def queue_delay(self) -> float:
         """Wait a job submitted right now would incur before starting."""
-        return max(0.0, self._busy_until - self.kernel.now)
+        delay = self.busy_until - self.kernel.now
+        return delay if delay > 0.0 else 0.0
 
     def submit(
         self,
@@ -98,29 +118,36 @@ class Server:
         """Enqueue a job; returns the completion time.
 
         Callbacks receive the simulated time at which they fire.  FIFO order
-        is guaranteed because ``_busy_until`` advances monotonically with
-        each submission.
+        is guaranteed because ``busy_until`` advances monotonically with
+        each submission (see the class note).
         """
         if service_time < 0:
             raise ValueError(f"negative service time {service_time!r}")
         service_time *= self._service_multiplier
-        now = self.kernel.now
-        start = max(now, self._busy_until)
+        kernel = self.kernel
+        now = kernel.now
+        busy = self.busy_until
+        start = now if now >= busy else busy
         finish = start + service_time
-        self._busy_until = finish
+        self.busy_until = finish
 
-        self.stats.jobs += 1
-        self.stats.busy_time += service_time
-        self.stats.total_wait += start - now
-        self._queue_len += 1
-        self.stats.max_queue = max(self.stats.max_queue, self._queue_len)
+        stats = self.stats
+        stats.jobs += 1
+        stats.busy_time += service_time
+        stats.total_wait += start - now
+        queue = self._on_done
+        queue.append(on_done)
+        if len(queue) > stats.max_queue:
+            stats.max_queue = len(queue)
 
         if on_start is not None:
-            self.kernel.schedule(start, lambda: on_start(start))
-
-        def _complete() -> None:
-            self._queue_len -= 1
-            on_done(finish)
-
-        self.kernel.schedule(finish, _complete)
+            self._on_start.append(on_start)
+            kernel.schedule(start, self._started)
+        kernel.schedule(finish, self._complete)
         return finish
+
+    def _started(self) -> None:
+        self._on_start.popleft()(self.kernel.now)
+
+    def _complete(self) -> None:
+        self._on_done.popleft()(self.kernel.now)

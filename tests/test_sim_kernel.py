@@ -59,7 +59,7 @@ def test_schedule_in_is_relative():
 def test_cancelled_event_does_not_fire():
     kernel = Kernel()
     fired = []
-    event = kernel.schedule(1.0, lambda: fired.append("x"))
+    event = kernel.schedule_cancellable(1.0, lambda: fired.append("x"))
     event.cancel()
     kernel.run()
     assert fired == []
@@ -101,15 +101,6 @@ def test_run_until_before_now_raises_instead_of_rewinding_the_clock():
     assert fired == [10, 20]
 
 
-def test_max_events_limits_processing():
-    kernel = Kernel()
-    fired = []
-    for i in range(10):
-        kernel.schedule(float(i), lambda i=i: fired.append(i))
-    kernel.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_events_scheduled_during_run_are_processed():
     kernel = Kernel()
     fired = []
@@ -128,7 +119,7 @@ def test_events_scheduled_during_run_are_processed():
 def test_pending_counts_non_cancelled():
     kernel = Kernel()
     kernel.schedule(1.0, lambda: None)
-    event = kernel.schedule(2.0, lambda: None)
+    event = kernel.schedule_cancellable(2.0, lambda: None)
     event.cancel()
     assert kernel.pending() == 1
 
@@ -156,7 +147,7 @@ def test_property_cancelled_events_never_fire(items):
     fired = []
     events = []
     for t, cancel in items:
-        events.append((kernel.schedule(t, lambda t=t: fired.append(t)), cancel))
+        events.append((kernel.schedule_cancellable(t, lambda t=t: fired.append(t)), cancel))
     for event, cancel in events:
         if cancel:
             event.cancel()
@@ -173,7 +164,7 @@ def test_pending_tracks_cancel_then_pop():
     not decrement again.
     """
     kernel = Kernel()
-    cancelled = kernel.schedule(1.0, lambda: None)
+    cancelled = kernel.schedule_cancellable(1.0, lambda: None)
     kernel.schedule(2.0, lambda: None)
     kernel.schedule(3.0, lambda: None)
     assert kernel.pending() == 3
@@ -187,7 +178,7 @@ def test_pending_tracks_cancel_then_pop():
 
 def test_double_cancel_decrements_once():
     kernel = Kernel()
-    event = kernel.schedule(1.0, lambda: None)
+    event = kernel.schedule_cancellable(1.0, lambda: None)
     kernel.schedule(2.0, lambda: None)
     event.cancel()
     event.cancel()
@@ -198,12 +189,54 @@ def test_cancel_after_fire_is_a_noop():
     """Cancelling a fired timeout (the orderer does this) must not corrupt
     the live count of still-queued events."""
     kernel = Kernel()
-    fired = kernel.schedule(1.0, lambda: None)
+    fired = kernel.schedule_cancellable(1.0, lambda: None)
     kernel.schedule(5.0, lambda: None)
     kernel.run(until=2.0)
     assert kernel.pending() == 1
     fired.cancel()
     assert kernel.pending() == 1
+
+
+def test_cancel_from_inside_its_own_callback_is_a_noop():
+    """The orderer's timeout cuts a block, and the cut cancels the timeout:
+    a handle cancelled while its own callback runs has already left the
+    heap, so the cancel must change nothing."""
+    kernel = Kernel()
+    seen = []
+    handle = None
+
+    def on_fire():
+        handle.cancel()
+        seen.append((handle.cancelled, kernel.pending(), kernel.events_processed))
+
+    handle = kernel.schedule_cancellable(1.0, on_fire)
+    kernel.schedule(2.0, lambda: None)
+    kernel.schedule(3.0, lambda: None)
+    kernel.run(until=1.5)
+    assert seen == [(False, 2, 1)]
+    assert kernel.pending() == 2
+    kernel.run()
+    assert kernel.pending() == 0
+    assert kernel.events_processed == 3
+
+
+def test_schedule_cancellable_keeps_the_event_order():
+    """Taking a handle allocates the same ``seq`` on the same lane as a
+    plain schedule, so the trace is identical either way."""
+    traces = []
+    for cancellable in (False, True):
+        kernel = Kernel()
+        trace = kernel.enable_trace()
+        kernel.schedule(1.0, lambda: None)
+        if cancellable:
+            kernel.schedule_cancellable(1.0, lambda: None)
+        else:
+            kernel.schedule(1.0, lambda: None)
+        kernel.schedule_intervention(1.0, lambda: None)
+        kernel.run()
+        traces.append(trace)
+    assert traces[0] == traces[1]
+    assert [seq for _, _, seq in traces[1]] == [2, 0, 1]
 
 
 @given(
@@ -215,7 +248,7 @@ def test_cancel_after_fire_is_a_noop():
 )
 def test_property_pending_matches_heap_scan(items):
     kernel = Kernel()
-    events = [kernel.schedule(t, lambda: None) for t, _ in items]
+    events = [kernel.schedule_cancellable(t, lambda: None) for t, _ in items]
     for event, (_, cancel) in zip(events, items):
         if cancel:
             event.cancel()
@@ -250,7 +283,7 @@ def test_trace_records_fired_events_only():
     kernel = Kernel()
     trace = kernel.enable_trace()
     kernel.schedule(1.0, lambda: None)
-    cancelled = kernel.schedule(2.0, lambda: None)
+    cancelled = kernel.schedule_cancellable(2.0, lambda: None)
     cancelled.cancel()
     kernel.schedule_intervention(3.0, lambda: None)
     kernel.run()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.kernel import Kernel
-from repro.sim.resources import Server
+from repro.sim.resources import Server, ServerStats
 
 
 def test_single_job_completes_after_service_time():
@@ -149,3 +149,93 @@ def test_servers_start_enabled_at_nominal_speed():
     server = Server(Kernel(), "s")
     assert server.enabled
     assert server.service_multiplier == 1.0
+
+
+class _ClosureServer:
+    """The closure-per-job ``Server`` that the queue-based one replaced.
+
+    Kept verbatim in its logic as the reference the property test below
+    checks the queue-based server against: every job schedules its own
+    closures, which capture ``start`` and ``finish``.
+    """
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self.stats = ServerStats()
+        self._busy_until = 0.0
+        self._queue_len = 0
+        self._service_multiplier = 1.0
+
+    def set_service_multiplier(self, factor: float) -> None:
+        self._service_multiplier = factor
+
+    def submit(self, service_time, on_done, on_start=None) -> float:
+        service_time *= self._service_multiplier
+        now = self.kernel.now
+        start = max(now, self._busy_until)
+        finish = start + service_time
+        self._busy_until = finish
+
+        self.stats.jobs += 1
+        self.stats.busy_time += service_time
+        self.stats.total_wait += start - now
+        self._queue_len += 1
+        self.stats.max_queue = max(self.stats.max_queue, self._queue_len)
+
+        if on_start is not None:
+            self.kernel.schedule(start, lambda: on_start(start))
+
+        def _complete() -> None:
+            self._queue_len -= 1
+            on_done(finish)
+
+        self.kernel.schedule(finish, _complete)
+        return finish
+
+
+_JOB = st.tuples(
+    # gap since the previous submission: zero gives same-instant ties
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+    # service time: zero-length jobs included
+    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0)),
+    # with or without an on_start callback
+    st.booleans(),
+    # a multiplier change just before this submission, or none
+    st.one_of(st.none(), st.floats(min_value=0.1, max_value=4.0)),
+)
+
+
+def _drive(server_cls, script):
+    kernel = Kernel()
+    trace = kernel.enable_trace()
+    server = server_cls(kernel, "s") if server_cls is Server else server_cls(kernel)
+    log = []
+    finishes = []
+    at = 0.0
+    for job, (gap, service, with_start, multiplier) in enumerate(script):
+        at += gap
+
+        def submit(job=job, service=service, with_start=with_start, multiplier=multiplier):
+            if multiplier is not None:
+                server.set_service_multiplier(multiplier)
+            on_start = (lambda t, job=job: log.append((job, "start", t))) if with_start else None
+            finishes.append(
+                server.submit(service, lambda t, job=job: log.append((job, "done", t)), on_start)
+            )
+
+        kernel.schedule(at, submit)
+    kernel.run()
+    return log, finishes, server.stats, trace
+
+
+@given(st.lists(_JOB, min_size=1, max_size=25))
+def test_property_queue_server_matches_the_closure_server(script):
+    """Same job script, same callbacks in the same order at the same
+    instants, same statistics and the same kernel event trace."""
+    log, finishes, stats, trace = _drive(Server, script)
+    ref_log, ref_finishes, ref_stats, ref_trace = _drive(_ClosureServer, script)
+    assert log == ref_log
+    assert finishes == ref_finishes
+    assert stats == ref_stats
+    assert trace == ref_trace
+    assert len(log) == len(script) + sum(1 for job in script if job[2])

@@ -10,6 +10,7 @@ batch extraction + post-processing derives from the identical workload.
 """
 
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,3 +334,27 @@ def test_streamed_run_never_holds_more_than_one_block_of_records():
         f"{census.max_live} live records at a sample point; "
         f"expected at most one block ({ceiling})"
     )
+
+
+def test_finished_streamed_network_is_freed_by_reference_counting():
+    """A finished network, world state included, leaves no reference cycle.
+
+    With the cyclic collector off, dropping the last reference to a
+    streamed channel's network must free it at once: the arrival pump,
+    the flights and the stages' callbacks back into the network are all
+    released by the time ``run_streamed`` returns.
+    """
+    spec = synthetic_spec("default", seed=7)
+    spec.total_transactions = 2_000
+    gc.collect()
+    gc.disable()
+    try:
+        _, network, stats = _streamed_run(spec)
+        assert stats.committed + stats.aborted == stats.issued
+        network_ref = weakref.ref(network)
+        state_ref = weakref.ref(network.state_db)
+        del network
+        assert network_ref() is None
+        assert state_ref() is None
+    finally:
+        gc.enable()
