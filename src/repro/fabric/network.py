@@ -535,8 +535,8 @@ class _Flight:
     """One transaction's trip through the execute-order-validate pipeline.
 
     Each stage is a method handed to the kernel or to a ``Server`` as it
-    stands, in place of a chain of per-transaction closures; the
-    transaction and its client ride along in two slots.  In order:
+    stands, so a transaction allocates no closure; the transaction and
+    its client ride along in two slots.  In order:
     :meth:`start` (admission: the proposal at a client), :meth:`proposed`,
     :meth:`endorse`, then :meth:`endorsed` or :meth:`aborted`,
     :meth:`packaged` and :meth:`submit` (to ordering).  Only the kernel's

@@ -159,8 +159,9 @@ class _ClosureServer:
     closures, which capture ``start`` and ``finish``.
     """
 
-    def __init__(self, kernel: Kernel) -> None:
+    def __init__(self, kernel: Kernel, name: str) -> None:
         self.kernel = kernel
+        self.name = name
         self.stats = ServerStats()
         self._busy_until = 0.0
         self._queue_len = 0
@@ -208,7 +209,7 @@ _JOB = st.tuples(
 def _drive(server_cls, script):
     kernel = Kernel()
     trace = kernel.enable_trace()
-    server = server_cls(kernel, "s") if server_cls is Server else server_cls(kernel)
+    server = server_cls(kernel, "s")
     log = []
     finishes = []
     at = 0.0
