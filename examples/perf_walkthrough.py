@@ -25,10 +25,10 @@ from pathlib import Path
 
 from repro.bench.cache import ResultCache
 from repro.bench.executor import run_suite
-from repro.bench.experiments import make_synthetic
+from repro.bench.experiments import make_scenario, make_synthetic
 from repro.bench.registry import select
 from repro.fabric.network import run_workload
-from repro.scenario import ScenarioSpec, run_scenario
+from repro.scenario import ScenarioSpec
 from repro.scenario.spec import Intervention
 
 TXS = 800
@@ -58,14 +58,15 @@ def step_2_run_scenario(scenario: ScenarioSpec) -> None:
     config, family, requests = make_synthetic(
         "default", seed=7, total_transactions=TXS
     )()
-    deployment = family.deploy()
-    _, steady = run_workload(config, deployment.contracts, requests)
+    _, steady = run_workload(config, family.deploy().contracts, requests)
 
-    config, family, requests = make_synthetic(
-        "default", seed=7, total_transactions=TXS
+    # A fresh bundle from the same seed: the same workload, now under faults.
+    config, family, requests, scenario = make_scenario(
+        "default", scenario, seed=7, total_transactions=TXS
     )()
-    deployment = family.deploy()
-    network, faulted = run_scenario(scenario, config, deployment.contracts, requests)
+    network, faulted = run_workload(
+        config, family.deploy().contracts, requests, scenario
+    )
 
     print(f"{'run':<16}{'tput(tps)':>10}{'lat(s)':>8}{'success%':>10}")
     for label, result in (("steady-state", steady), ("under scenario", faulted)):

@@ -96,7 +96,8 @@ SECTIONS = [
         "run time buys on each fault. The headline per-scenario comparison "
         "is pinned in `tests/golden/slo_guardian__comparison.json`; "
         "decision timelines ride the cached outcomes "
-        "(`python -m repro control --scenario <name>` prints one live).",
+        "(`python -m repro scenario --name <name> --retry 2 --policy guardian` "
+        "prints one live).",
     ),
     (
         "failure_forensics",

@@ -13,6 +13,7 @@ recorded next to the paper's in EXPERIMENTS.md.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from repro.bench.harness import MakeBundle
 from repro.contracts.registry import (
@@ -34,6 +35,10 @@ from repro.workloads.usecases import (
     scm_workload,
     voting_workload,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.control.spec import ControlSpec
+    from repro.scenario.spec import ScenarioSpec
 
 #: Bench transaction budget (the paper uses 10,000).
 SCALE_TXS = int(os.environ.get("REPRO_BENCH_TXS", "4000"))
@@ -504,26 +509,28 @@ def make_usecase(
 
 def make_scenario(
     base: str,
-    scenario: str,
+    scenario: str | ScenarioSpec,
     mitigation: str = "none",
     retry_attempts: int = 1,
-    policy: str = "off",
+    policy: str | ControlSpec = "off",
     seed: int = 7,
     total_transactions: int | None = None,
 ) -> MakeBundle:
-    """Bundle factory for a synthetic experiment run under a named scenario.
+    """Bundle factory for a synthetic experiment run under a scenario.
 
     ``base`` is any :func:`synthetic_spec` experiment name; ``scenario``
-    is a :mod:`repro.scenario.library` name.  The bundle carries the
-    resolved :class:`~repro.scenario.spec.ScenarioSpec` as its fourth
-    element, which both executor waves thread into ``run_workload``.
-    On top ride a ``mitigation`` (:data:`repro.fabric.config.MITIGATIONS`),
-    a client :class:`~repro.fabric.retry.RetryPolicy` when
-    ``retry_attempts`` > 1, and the live SLO-guardian controller unless
-    ``policy`` is ``"off"`` (:data:`repro.control.spec.POLICIES`).  The
+    is a :mod:`repro.scenario.library` name or a
+    :class:`~repro.scenario.spec.ScenarioSpec`.  The bundle carries the
+    spec as its fourth element, which both executor waves thread into
+    ``run_workload``.  On top ride a ``mitigation``
+    (:data:`repro.fabric.config.MITIGATIONS`), a client
+    :class:`~repro.fabric.retry.RetryPolicy` when ``retry_attempts`` > 1,
+    and the live SLO-guardian controller: ``policy`` is ``"off"``, a
+    policy name (:data:`repro.control.spec.POLICIES`, default interval and
+    SLO targets) or a full :class:`~repro.control.spec.ControlSpec`.  The
     defaults reproduce the plain scenario run bit for bit — the ``none``
-    and ``off`` sweep cells.  Every name and choice is checked when this
-    factory is called.
+    and ``off`` sweep cells.  Every name and choice is resolved and
+    checked once, when this factory is called.
     """
     from repro.control.bounds import validate_actuation
     from repro.control.spec import ControlSpec
@@ -531,17 +538,20 @@ def make_scenario(
     from repro.scenario.library import get_scenario
 
     inner = make_synthetic(base, seed=seed, total_transactions=total_transactions)
-    get_scenario(scenario)  # unknown scenario names fail here
+    if isinstance(scenario, str):
+        scenario = get_scenario(scenario)
     validate_actuation("mitigation", mitigation)
     retry = RetryPolicy(max_attempts=retry_attempts) if retry_attempts > 1 else None
-    control = None if policy == "off" else ControlSpec(policy=policy)
+    control = policy
+    if isinstance(policy, str):
+        control = None if policy == "off" else ControlSpec(policy=policy)
 
     def make():
         config, family, requests = inner()
         config.mitigation = mitigation
         config.retry = retry
         config.control = control
-        return config, family, requests, get_scenario(scenario)
+        return config, family, requests, scenario
 
     return make
 

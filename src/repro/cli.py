@@ -17,10 +17,9 @@ Subcommands:
   with median + bootstrap-CI columns.
 * ``scenario [--name crash_burst | --spec file.json]`` — run a workload
   under declarative fault injection and dynamic network conditions, and
-  compare against the steady-state run.
-* ``control [--scenario NAME] [--policy guardian|noop]`` — run a fault
-  scenario with the live SLO-guardian controller off and on, and print the
-  comparison plus the controller's decision timeline.
+  compare against the steady-state run; ``--mitigation``/``--retry`` add a
+  mitigated row and ``--policy guardian|noop`` a row with the live
+  SLO-guardian controller on, plus its decision timeline.
 * ``fuzz [--seed N] [--budget N] [--replay --corpus DIR]`` — fuzz random
   scenario compositions against differential oracles, or replay a saved
   corpus and fail on any violation or digest drift.
@@ -279,18 +278,32 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _slo_targets(items: list[str]):
+    """Parse repeated ``--slo KEY=VALUE`` flags; a bad item raises ``ValueError``."""
+    from repro.control import SLOTargets
+
+    valid = sorted(SLOTargets.__dataclass_fields__)
+    targets: dict[str, float] = {}
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep or key not in valid:
+            raise ValueError(
+                f"--slo takes KEY=VALUE with KEY one of {', '.join(valid)}; got {item!r}"
+            )
+        try:
+            targets[key] = float(raw)
+        except ValueError:
+            raise ValueError(f"--slo {key} needs a number, got {raw!r}") from None
+    return SLOTargets(**targets)
+
+
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.bench.experiments import make_synthetic
-    from repro.fabric.network import run_workload
-    from repro.scenario import (
-        ScenarioSpec,
-        get_scenario,
-        run_digest,
-        run_scenario,
-        scenario_names,
-    )
+    from repro.analysis import render_cause_summary
+    from repro.bench.experiments import make_scenario, make_synthetic
+    from repro.control import ControlSpec, render_control_timeline
+    from repro.scenario import ScenarioSpec, fuzz, get_scenario, scenario_names
 
     if args.list:
         for name in scenario_names():
@@ -307,11 +320,32 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.txs < 1:
         print(f"error: --txs must be >= 1, got {args.txs}", file=sys.stderr)
         return 2
+    if args.retry < 1:
+        print(f"error: --retry must be >= 1, got {args.retry}", file=sys.stderr)
+        return 2
+    if args.policy == "off" and (args.slo or args.interval is not None):
+        print("error: --slo and --interval need --policy", file=sys.stderr)
+        return 2
+    # Every row's factory is built, so every name is checked, before anything runs.
     try:
         if args.spec:
             scenario = ScenarioSpec.from_json(Path(args.spec).read_text())
         else:
             scenario = get_scenario(args.name)
+        control = None
+        if args.policy != "off":
+            interval = ControlSpec.interval if args.interval is None else args.interval
+            control = ControlSpec(args.policy, interval, _slo_targets(args.slo or []))
+        scale = {"seed": args.seed, "total_transactions": args.txs}
+        knobs = (args.base, scenario, args.mitigation, args.retry)
+        rows = {
+            "steady-state": make_synthetic(args.base, **scale),
+            "under scenario": make_scenario(args.base, scenario, **scale),
+        }
+        if args.mitigation != "none" or args.retry > 1:
+            rows["with mitigation"] = make_scenario(*knobs, **scale)
+        if control is not None:
+            rows[f"{control.policy} on"] = make_scenario(*knobs, control, **scale)
     except OSError as exc:
         # str(exc) keeps the filename; exc.args[0] would be a bare errno.
         print(f"error: {exc}", file=sys.stderr)
@@ -319,184 +353,69 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.retry < 1:
-        print(f"error: --retry must be >= 1, got {args.retry}", file=sys.stderr)
-        return 2
-
-    make = make_synthetic(args.base, seed=args.seed, total_transactions=args.txs)
-
-    def scenario_run(mitigated: bool = False):
-        from repro.fabric.retry import RetryPolicy
-
-        config, family, requests = make()
-        if mitigated:
-            config.mitigation = args.mitigation
-            if args.retry > 1:
-                config.retry = RetryPolicy(max_attempts=args.retry)
-        deployment = family.deploy()
-        return run_scenario(scenario, config, deployment.contracts, requests)
 
     print(f"scenario: {scenario.name}")
     if scenario.description:
         print(scenario.description)
     print(f"base workload: synthetic/{args.base}, {args.txs} txs, seed {args.seed}")
+    if control is not None:
+        slo = control.slo
+        print(f"control: policy {control.policy}, interval {control.interval}s, "
+              f"slo abort<={slo.max_abort_rate} p95<={slo.max_p95_latency}s")
     print("\ninterventions:")
     for iv in scenario.interventions:
         print(f"  - {iv.describe()}")
 
-    config, family, requests = make()
-    deployment = family.deploy()
-    _, steady = run_workload(config, deployment.contracts, requests)
-    network, faulted = scenario_run()
-    with_mitigation = args.mitigation != "none" or args.retry > 1
-    mitigated_network = None
-    mitigated = None
-    if with_mitigation:
-        mitigated_network, mitigated = scenario_run(mitigated=True)
-
+    runs = {label: fuzz.execute(*make()) for label, make in rows.items()}
+    faulted = runs["under scenario"]
     print("\napplied timeline:")
     for time, kind, detail in sorted(
-        network.scenario_engine.timeline, key=lambda entry: entry[0]
+        faulted.network.scenario_engine.timeline, key=lambda entry: entry[0]
     ):
         print(f"  {time:8.3f}s  {kind:<24} {detail}")
 
-    comparison = [("steady-state", steady), ("under scenario", faulted)]
-    if mitigated is not None:
-        comparison.append(("with mitigation", mitigated))
     print(f"\n{'run':<16}{'tput(tps)':>10}{'lat(s)':>8}{'success%':>10}")
-    for label, result in comparison:
-        row = result.summary_row()
+    for label, run in runs.items():
+        row = run.result.summary_row()
         print(
             f"{label:<16}{row['success_throughput_tps']:>10}"
             f"{row['avg_latency_s']:>8}{row['success_rate_pct']:>10}"
         )
-    if faulted.failure_counts:
-        from repro.analysis import forensics_report, render_cause_summary
-
-        print(
-            "failures under scenario: "
-            f"{render_cause_summary(forensics_report(network).to_dict())}"
-        )
-        if mitigated_network is not None:
-            report = forensics_report(mitigated_network)
+    mitigated = runs.get("with mitigation")
+    if faulted.result.failure_counts:
+        summary = render_cause_summary(faulted.report.to_dict())
+        print(f"failures under scenario: {summary}")
+        if mitigated is not None:
             print(
                 f"with {args.mitigation}"
                 + (f" + retry({args.retry})" if args.retry > 1 else "")
-                + f": {render_cause_summary(report.to_dict())}"
+                + f": {render_cause_summary(mitigated.report.to_dict())}"
             )
-            if report.retry.resubmissions:
+            retry = mitigated.report.retry
+            if retry.resubmissions:
                 print(
-                    f"retries: {report.retry.resubmissions} resubmissions, "
-                    f"{report.retry.recovered} recovered, "
-                    f"{report.retry.exhausted} exhausted"
+                    f"retries: {retry.resubmissions} resubmissions, "
+                    f"{retry.recovered} recovered, {retry.exhausted} exhausted"
                 )
 
+    last = list(rows)[-1]
+    if control is not None:
+        network = runs[last].network
+        print()
+        print(render_control_timeline(network.controller.timeline))
+        writes = sum(1 for source, *_ in network.conditions.journal if source == "control")
+        if writes:
+            print(f"condition writes attributed to the controller: {writes}")
+
     if args.check_determinism:
-        network2, faulted2 = scenario_run()
-        identical = (
-            faulted2.summary_row() == faulted.summary_row()
-            and run_digest(network2) == run_digest(network)
-            and network2.scenario_engine.timeline == network.scenario_engine.timeline
-        )
-        verdict = "identical" if identical else "DIVERGED"
-        print(f"determinism check (second run, same seed): {verdict}")
-        if not identical:
-            return 1
-    return 0
-
-
-def _cmd_control(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import make_synthetic
-    from repro.control import ControlSpec, SLOTargets, render_control_timeline
-    from repro.fabric.network import run_workload
-    from repro.fabric.retry import RetryPolicy
-    from repro.scenario import get_scenario, run_digest, scenario_names
-
-    if args.list:
-        for name in scenario_names():
-            spec = get_scenario(name)
-            print(f"{name:<20} {spec.description}")
-        return 0
-    if args.txs < 1:
-        print(f"error: --txs must be >= 1, got {args.txs}", file=sys.stderr)
-        return 2
-    if args.retry < 1:
-        print(f"error: --retry must be >= 1, got {args.retry}", file=sys.stderr)
-        return 2
-
-    slo_kwargs: dict[str, float] = {}
-    for item in args.slo or ():
-        key, sep, raw = item.partition("=")
-        if not sep:
-            print(f"error: --slo needs key=value, got {item!r}", file=sys.stderr)
-            return 2
-        try:
-            slo_kwargs[key] = float(raw)
-        except ValueError:
-            print(f"error: --slo {key} needs a number, got {raw!r}", file=sys.stderr)
-            return 2
-    try:
-        slo = SLOTargets(**slo_kwargs)
-        control = ControlSpec(policy=args.policy, interval=args.interval, slo=slo)
-        scenario = get_scenario(args.scenario)
-    except TypeError:
-        valid = ", ".join(sorted(SLOTargets.__dataclass_fields__))
-        print(f"error: unknown --slo key; valid: {valid}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    make = make_synthetic(args.base, seed=args.seed, total_transactions=args.txs)
-
-    def control_run(spec):
-        config, family, requests = make()
-        if args.retry > 1:
-            config.retry = RetryPolicy(max_attempts=args.retry)
-        config.control = spec
-        return run_workload(config, family.deploy().contracts, requests, scenario)
-
-    print(f"scenario: {scenario.name}")
-    if scenario.description:
-        print(scenario.description)
-    print(
-        f"base workload: synthetic/{args.base}, {args.txs} txs, seed {args.seed}, "
-        f"retry {args.retry}"
-    )
-    print(f"control: policy {control.policy}, interval {control.interval}s, "
-          f"slo abort<={slo.max_abort_rate} p95<={slo.max_p95_latency}s")
-
-    _, off = control_run(None)
-    network, on = control_run(control)
-
-    print(f"\n{'run':<16}{'tput(tps)':>10}{'lat(s)':>8}{'success%':>10}")
-    for label, result in (("controller off", off), (f"{control.policy} on", on)):
-        row = result.summary_row()
+        diverged = fuzz.divergences(runs[last], fuzz.execute(*rows[last]()))
         print(
-            f"{label:<16}{row['success_throughput_tps']:>10}"
-            f"{row['avg_latency_s']:>8}{row['success_rate_pct']:>10}"
+            "determinism check (second run, same seed): "
+            + ("DIVERGED" if diverged else "identical")
         )
-
-    print()
-    print(render_control_timeline(network.controller.timeline))
-    writes = [
-        entry for entry in network.conditions.journal if entry[0] == "control"
-    ]
-    if writes:
-        print(f"condition writes attributed to the controller: {len(writes)}")
-
-    if args.check_determinism:
-        network2, on2 = control_run(control)
-        identical = (
-            on2.summary_row() == on.summary_row()
-            and run_digest(network2) == run_digest(network)
-            and network2.controller.timeline.digest()
-            == network.controller.timeline.digest()
-        )
-        verdict = "identical" if identical else "DIVERGED"
-        print(f"determinism check (second run, same seed): {verdict}")
-        if not identical:
-            return 1
+        for line in diverged:
+            print(f"  - {line}")
+        return 1 if diverged else 0
     return 0
 
 
@@ -900,13 +819,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario = sub.add_parser(
         "scenario",
-        help="run a workload under fault injection / dynamic network conditions",
+        help="run a workload under fault injection, mitigations and the live controller",
         description=(
             "Run a synthetic workload under a declarative scenario "
             "(peer crashes, endorser slowdowns, latency spikes, orderer "
             "degradation, arrival bursts, conflict storms) and compare "
-            "against the steady-state run. Scenarios are deterministic: "
-            "the same seed and spec reproduce the run bit for bit."
+            "against the steady-state run; --policy adds a row with the "
+            "live SLO-guardian controller on (see docs/CONTROL.md). "
+            "Scenarios are deterministic: the same seed and spec reproduce "
+            "the run bit for bit."
         ),
     )
     scenario.add_argument(
@@ -940,13 +861,35 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="ATTEMPTS",
-        help="max client attempts per transaction in the mitigated run "
-        "(1 = no retries; >1 enables deterministic resubmission)",
+        help="max client attempts per transaction in the mitigated and "
+        "controlled runs (1 = no retries; >1 enables deterministic resubmission)",
+    )
+    scenario.add_argument(
+        "--policy",
+        default="off",
+        choices=("off",) + POLICIES,
+        help="add a row with the live controller on: guardian (rule-based "
+        "SLO guardian) or noop (observe and record, never actuate)",
+    )
+    scenario.add_argument(
+        "--slo",
+        action="append",
+        metavar="KEY=VALUE",
+        help="with --policy: override an SLO target, e.g. --slo "
+        "max_abort_rate=0.05 --slo max_p95_latency=3.0 (repeatable)",
+    )
+    scenario.add_argument(
+        "--interval",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="with --policy: controller tick interval on the kernel control "
+        "lane (default 0.25)",
     )
     scenario.add_argument(
         "--check-determinism",
         action="store_true",
-        help="run the scenario twice and verify the runs are identical",
+        help="replay the last row and verify the two runs are identical",
     )
     scenario.add_argument(
         "--list", action="store_true", help="list built-in scenarios and exit"
@@ -958,69 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a built-in scenario as JSON (authoring starting point)",
     )
     scenario.set_defaults(func=_cmd_scenario)
-
-    control = sub.add_parser(
-        "control",
-        help="run the live SLO-guardian controller against a fault scenario",
-        description=(
-            "Run a synthetic workload under a fault scenario twice — "
-            "controller off, then with the kernel-scheduled SLO-guardian "
-            "controller on — and compare the headline numbers. Prints the "
-            "controller's decision timeline (windowed observables, rules "
-            "fired, bounded actuations) and its sha256 digest; runs are "
-            "deterministic per (seed, policy, scenario)."
-        ),
-    )
-    control.add_argument(
-        "--scenario",
-        default="crash_burst",
-        help="built-in scenario name to guard against (see --list)",
-    )
-    control.add_argument(
-        "--policy",
-        default="guardian",
-        choices=POLICIES,
-        help="control policy: guardian (rule-based SLO guardian) or noop "
-        "(observe and record, never actuate)",
-    )
-    control.add_argument(
-        "--slo",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override an SLO target, e.g. --slo max_abort_rate=0.05 "
-        "--slo max_p95_latency=3.0 (repeatable)",
-    )
-    control.add_argument(
-        "--interval",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="controller tick interval on the kernel control lane",
-    )
-    control.add_argument(
-        "--base",
-        default="default",
-        help="synthetic base experiment to run the scenario against",
-    )
-    control.add_argument("--txs", type=int, default=2000)
-    control.add_argument("--seed", type=int, default=7)
-    control.add_argument(
-        "--retry",
-        type=int,
-        default=2,
-        metavar="ATTEMPTS",
-        help="max client attempts per transaction in both runs "
-        "(>1 gives the controller's retry-tightening actuator headroom)",
-    )
-    control.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="replay the controller-on run and verify run + timeline digests match",
-    )
-    control.add_argument(
-        "--list", action="store_true", help="list built-in scenarios and exit"
-    )
-    control.set_defaults(func=_cmd_control)
 
     fuzz = sub.add_parser(
         "fuzz",

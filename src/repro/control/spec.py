@@ -10,10 +10,17 @@ the spec *is* the cache-keyable description of the controller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 #: Selectable control policies (see :mod:`repro.control.policy`).
 POLICIES = ("guardian", "noop")
+
+
+def _finite(value: float, label: str) -> None:
+    """Reject NaN/inf: a NaN target compares false and silently disables its rule."""
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,8 @@ class SLOTargets:
     max_p95_latency: float = 5.0
 
     def __post_init__(self) -> None:
+        _finite(self.max_abort_rate, "max_abort_rate")
+        _finite(self.max_p95_latency, "max_p95_latency")
         if not 0.0 <= self.max_abort_rate <= 1.0:
             raise ValueError(
                 f"max_abort_rate must be in [0, 1], got {self.max_abort_rate!r}"
@@ -68,6 +77,7 @@ class ControlSpec:
             raise ValueError(
                 f"unknown control policy {self.policy!r}; known: {', '.join(POLICIES)}"
             )
+        _finite(self.interval, "interval")
         if self.interval <= 0:
             raise ValueError(f"interval must be positive, got {self.interval!r}")
 

@@ -9,7 +9,6 @@ optimization settings (:mod:`~repro.core.apply`).
 """
 
 from repro.core.apply import ApplyResult, apply_recommendations
-from repro.core.autotune import GridTuner, LabelledLog, calibrate_rate_threshold
 from repro.core.feedback import FeedbackLoop, FeedbackOutcome, approve_all, technical_only
 from repro.core.insights import LogInsights, derive_insights, render_insights
 from repro.core.metrics import (
@@ -28,11 +27,8 @@ __all__ = [
     "ALL_RULES",
     "FeedbackLoop",
     "FeedbackOutcome",
-    "GridTuner",
-    "LabelledLog",
     "LogInsights",
     "approve_all",
-    "calibrate_rate_threshold",
     "derive_insights",
     "render_insights",
     "technical_only",

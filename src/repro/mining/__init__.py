@@ -15,13 +15,6 @@ from repro.mining.conformance import (
 )
 from repro.mining.dfg import DirectlyFollowsGraph
 from repro.mining.footprint import FootprintMatrix, Relation
-from repro.mining.export import (
-    dependency_to_dot,
-    dfg_to_dot,
-    fuzzy_to_dot,
-    petri_to_dot,
-)
-from repro.mining.fuzzy import FuzzyModel, fuzzy_miner
 from repro.mining.heuristics import DependencyGraph, heuristics_miner
 from repro.mining.petrinet import PetriNet, Place
 
@@ -29,18 +22,12 @@ __all__ = [
     "DependencyGraph",
     "DirectlyFollowsGraph",
     "FootprintMatrix",
-    "FuzzyModel",
     "PetriNet",
     "Place",
     "Relation",
     "alpha_miner",
-    "dependency_to_dot",
-    "dfg_to_dot",
     "footprint_conformance",
-    "fuzzy_miner",
-    "fuzzy_to_dot",
     "heuristics_miner",
     "model_diff",
-    "petri_to_dot",
     "token_replay_fitness",
 ]

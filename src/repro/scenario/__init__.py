@@ -23,7 +23,7 @@ transforms are pure functions of the request list and interventions fire
 on the kernel's dedicated priority lane.
 """
 
-from repro.scenario.engine import ScenarioEngine, run_digest, run_scenario
+from repro.scenario.engine import ScenarioEngine, run_digest
 from repro.scenario.fuzz import FuzzConfig, run_campaign
 from repro.scenario.library import get_scenario, scenario_names
 from repro.scenario.spec import Intervention, ScenarioSpec
@@ -36,6 +36,5 @@ __all__ = [
     "get_scenario",
     "run_campaign",
     "run_digest",
-    "run_scenario",
     "scenario_names",
 ]

@@ -25,9 +25,7 @@ from repro.scenario.spec import Intervention, ScenarioSpec
 from repro.workloads.schedule import compress_window, piecewise_rate_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fabric.network import FabricNetwork, RunResult
-    from repro.fabric.chaincode import Contract
-    from repro.fabric.config import NetworkConfig
+    from repro.fabric.network import FabricNetwork
 
 
 class ScenarioEngine:
@@ -360,18 +358,3 @@ def run_digest(network: "FabricNetwork") -> str:
     for tx in network.aborted:
         digest.update(f"abort:{tx.tx_id}|{tx.abort_stage}|{tx.commit_time!r}\n".encode())
     return digest.hexdigest()
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    config: "NetworkConfig",
-    contracts: "list[Contract]",
-    requests: list[TxRequest],
-) -> "tuple[FabricNetwork, RunResult]":
-    """Build a network under ``spec``, run ``requests``, return both.
-
-    Convenience wrapper mirroring :func:`repro.fabric.network.run_workload`.
-    """
-    from repro.fabric.network import run_workload
-
-    return run_workload(config, contracts, requests, scenario=spec)

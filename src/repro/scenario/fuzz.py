@@ -15,9 +15,11 @@ into :mod:`repro.scenario.library` as named, golden-pinned scenarios.
 Oracles (each returns a list of violation strings, empty = pass):
 
 ``determinism``
-    The same seed + spec must reproduce the run bit for bit: identical
-    kernel event trace, identical :func:`~repro.scenario.engine.run_digest`
-    and identical forensics digest across two fresh executions.
+    The same seed + spec must reproduce the run bit for bit: two fresh
+    :func:`execute` calls show no :func:`divergences` — identical kernel
+    event trace, :func:`~repro.scenario.engine.run_digest`, forensics
+    digest and control-timeline digest.  ``repro scenario
+    --check-determinism`` applies the same check to its last row.
 ``stream_batch``
     A streamed run (workload transforms pre-applied, network
     interventions live) must produce the same
@@ -32,8 +34,9 @@ Oracles (each returns a list of violation strings, empty = pass):
 ``control_equivalence``
     The SLO-guardian controller must keep the differential invariants: a
     noop-policy controller reproduces the primary run digest, guardian-on
-    runs replay identically, and a guardian-on streamed run matches the
-    guardian-on batch run's control-timeline and forensics digests.
+    runs replay with no :func:`divergences`, and a guardian-on streamed
+    run matches the guardian-on batch run's control-timeline and
+    forensics digests.
 
 Everything is deterministic: the generator derives one private
 ``random.Random`` per (campaign seed, composition index) via SHA-256, so
@@ -71,8 +74,11 @@ from repro.scenario.spec import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.contracts.registry import ContractFamily
     from repro.core.metrics import LogMetrics
     from repro.fabric.config import NetworkConfig
+    from repro.fabric.results import RunResult
+    from repro.fabric.transaction import TxRequest
 
 #: Corpus on-disk format version (bump on incompatible change).
 CORPUS_FORMAT = 1
@@ -272,14 +278,69 @@ class FuzzConfig:
 
 
 @dataclass(frozen=True)
-class _Execution:
-    """One finished batch run of a composition."""
+class Execution:
+    """One finished, traced batch run and the digests that identify it."""
 
     network: FabricNetwork
+    result: RunResult
     digest: str
     report: ForensicsReport
     forensics_digest: str
+    #: The controller's timeline digest (``None`` with the controller off).
+    control_digest: str | None
     trace: tuple
+
+
+def execute(
+    config: NetworkConfig,
+    family: ContractFamily,
+    requests: list[TxRequest],
+    scenario: ScenarioSpec | None = None,
+) -> Execution:
+    """One fresh batch run of ``requests`` under ``scenario``, kernel-traced.
+
+    The arguments are a run bundle (see
+    :data:`repro.bench.harness.MakeBundle`), so ``execute(*make())``
+    runs any bundle factory's output.
+    """
+    network = FabricNetwork(config, family.deploy().contracts, scenario=scenario)
+    trace = network.kernel.enable_trace()
+    result = network.run(list(requests))
+    report = forensics_report(network)
+    return Execution(
+        network=network,
+        result=result,
+        digest=run_digest(network),
+        report=report,
+        forensics_digest=report_digest(report),
+        control_digest=(
+            network.controller.timeline.digest()
+            if network.controller is not None
+            else None
+        ),
+        trace=tuple(trace),
+    )
+
+
+def divergences(first: Execution, second: Execution) -> list[str]:
+    """How two executions of one run differ; empty means identical.
+
+    This is the single definition of an identical run: the same kernel
+    event trace, run digest, forensics digest (which holds the scenario
+    timeline) and control-timeline digest.
+    """
+    found = []
+    if first.trace != second.trace:
+        found.append("kernel event traces diverged across identical runs")
+    if first.digest != second.digest:
+        found.append(
+            f"run digests diverged: {first.digest[:12]} != {second.digest[:12]}"
+        )
+    if first.forensics_digest != second.forensics_digest:
+        found.append("forensics digests diverged across identical runs")
+    if first.control_digest != second.control_digest:
+        found.append("control-timeline digests diverged across identical runs")
+    return found
 
 
 class FuzzHarness:
@@ -305,48 +366,28 @@ class FuzzHarness:
         self.network_config = network_config
         self._family = family
         self.requests = requests
-        self._primary: dict[str, _Execution] = {}
+        self._primary: dict[str, Execution] = {}
 
-    def _contracts(self):
-        return self._family.deploy().contracts
+    def run(self, spec: ScenarioSpec, config: NetworkConfig | None = None) -> Execution:
+        """One fresh batch run of ``spec`` over the base workload.
 
-    def execute(self, spec: ScenarioSpec) -> _Execution:
-        """One fresh batch run of ``spec`` over the base workload."""
-        network = FabricNetwork(self.network_config, self._contracts(), scenario=spec)
-        trace = network.kernel.enable_trace()
-        network.run(list(self.requests))
-        report = forensics_report(network)
-        return _Execution(
-            network=network,
-            digest=run_digest(network),
-            report=report,
-            forensics_digest=report_digest(report),
-            trace=tuple(trace),
-        )
+        ``config`` defaults to the campaign's network config.
+        """
+        config = config if config is not None else self.network_config
+        return execute(config, self._family, self.requests, spec)
 
-    def primary(self, spec: ScenarioSpec) -> _Execution:
+    def primary(self, spec: ScenarioSpec) -> Execution:
         """The composition's reference execution (memoized per spec name)."""
         key = spec.to_json()
         if key not in self._primary:
-            self._primary[key] = self.execute(spec)
+            self._primary[key] = self.run(spec)
         return self._primary[key]
 
     # -- oracles -----------------------------------------------------------------
 
     def check_determinism(self, spec: ScenarioSpec) -> list[str]:
         """Same seed + spec must reproduce the run bit for bit."""
-        first = self.primary(spec)
-        second = self.execute(spec)
-        violations = []
-        if first.trace != second.trace:
-            violations.append("kernel event traces diverged across identical runs")
-        if first.digest != second.digest:
-            violations.append(
-                f"run digests diverged: {first.digest[:12]} != {second.digest[:12]}"
-            )
-        if first.forensics_digest != second.forensics_digest:
-            violations.append("forensics digests diverged across identical runs")
-        return violations
+        return divergences(self.primary(spec), self.run(spec))
 
     def execute_streamed(
         self, spec: ScenarioSpec, config: NetworkConfig | None = None
@@ -378,7 +419,7 @@ class FuzzHarness:
         stream.add_record_consumer(metrics)
         config = config if config is not None else self.network_config
         network = FabricNetwork(
-            config, self._contracts(), scenario=live_spec, stream=stream
+            config, self._family.deploy().contracts, scenario=live_spec, stream=stream
         )
         network.run_streamed(ordered)
 
@@ -472,8 +513,8 @@ class FuzzHarness:
         Three sub-checks against the composition: a noop-policy controller
         reproduces the primary (controller-off) run digest bit for bit —
         controller *presence* never changes outcomes; a guardian-on run
-        is deterministic across replays (run, control-timeline and
-        forensics digests all stable); and a guardian-on streamed run
+        replays with no :func:`divergences` (kernel trace, run,
+        forensics and control-timeline digests); and a guardian-on streamed run
         reproduces the guardian-on batch run's control-timeline and
         forensics digests — the monitor sees the same completions in the
         same order whichever sink the network streams to.
@@ -485,31 +526,24 @@ class FuzzHarness:
             config.control = ControlSpec(policy=policy)
             return config
 
-        def controlled(policy: str) -> tuple[str, str, str]:
-            network = FabricNetwork(config_for(policy), self._contracts(), scenario=spec)
-            network.run(list(self.requests))
-            return (
-                run_digest(network),
-                network.controller.timeline.digest(),
-                report_digest(forensics_report(network)),
-            )
-
         violations = []
         primary = self.primary(spec)
-        noop_digest = controlled("noop")[0]
+        noop_digest = self.run(spec, config_for("noop")).digest
         if noop_digest != primary.digest:
             violations.append(
                 "noop-policy controller perturbed the run digest: "
                 f"{noop_digest[:12]} != {primary.digest[:12]}"
             )
-        first = controlled("guardian")
-        second = controlled("guardian")
-        if first != second:
-            violations.append("guardian-on runs diverged across identical replays")
+        first = self.run(spec, config_for("guardian"))
+        second = self.run(spec, config_for("guardian"))
+        violations.extend(
+            f"guardian-on replay: {found}" for found in divergences(first, second)
+        )
         network, forensics_digest, _ = self.execute_streamed(
             spec, config_for("guardian")
         )
-        if (network.controller.timeline.digest(), forensics_digest) != first[1:]:
+        streamed = (network.controller.timeline.digest(), forensics_digest)
+        if streamed != (first.control_digest, first.forensics_digest):
             violations.append(
                 "guardian-on streamed run diverged from the guardian-on batch run"
             )

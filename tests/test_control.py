@@ -151,6 +151,18 @@ def test_control_spec_validation_and_roundtrip():
         NetworkConfig(control="guardian")  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_control_spec_rejects_non_finite_settings(value):
+    # A NaN latency target compares false against every p95 and would
+    # silently switch the latency rule off; a NaN interval ticks at "nan s".
+    with pytest.raises(ValueError, match="must be finite"):
+        ControlSpec(interval=value)
+    with pytest.raises(ValueError, match="must be finite"):
+        SLOTargets(max_p95_latency=value)
+    with pytest.raises(ValueError, match="must be finite"):
+        SLOTargets(max_abort_rate=value)
+
+
 # -- policies -----------------------------------------------------------------------
 
 

@@ -1,5 +1,5 @@
 """Tests for the extension modules: serializability verification, the
-feedback loop, threshold auto-tuning, insights, fuzzy mining, DOT export."""
+feedback loop and insights."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,31 +9,15 @@ from repro.contracts.registry import scm_family, voting_family
 from repro.core import (
     BlockOptR,
     FeedbackLoop,
-    GridTuner,
-    LabelledLog,
     OptimizationKind as K,
-    calibrate_rate_threshold,
     derive_insights,
     render_insights,
     technical_only,
 )
-from repro.core.autotune import TuningResult
 from repro.core.feedback import approve_all
 from repro.core.recommendations import Recommendation
-from repro.core.thresholds import Thresholds
 from repro.fabric import run_workload, verify_serializability
 from repro.fabric.transaction import TxRequest
-from repro.logs import extract_blockchain_log
-from repro.mining import (
-    DirectlyFollowsGraph,
-    alpha_miner,
-    dependency_to_dot,
-    dfg_to_dot,
-    fuzzy_miner,
-    fuzzy_to_dot,
-    heuristics_miner,
-    petri_to_dot,
-)
 
 from tests.conftest import CounterContract, counter_requests, small_config
 
@@ -129,46 +113,6 @@ class TestFeedbackLoop:
             FeedbackLoop(voting_family(), max_iterations=0)
 
 
-# -- autotune ------------------------------------------------------------------------
-
-
-class TestAutotune:
-    def test_calibrate_rate_threshold_finds_instability(self, finished_network):
-        network, _ = finished_network
-        log = extract_blockchain_log(network)
-        tuned = calibrate_rate_threshold(log, Thresholds(failure_fraction=0.01))
-        assert tuned.rate_high <= Thresholds().rate_high
-
-    def test_calibrate_keeps_default_when_stable(self, finished_network):
-        network, _ = finished_network
-        log = extract_blockchain_log(network)
-        tuned = calibrate_rate_threshold(log, Thresholds(failure_fraction=1.0))
-        assert tuned.rate_high == Thresholds().rate_high
-
-    def test_grid_tuner_improves_agreement(self):
-        config, family, requests = make_usecase("voting", total_transactions=800)()
-        deployment = family.deploy()
-        network, _ = run_workload(config, deployment.contracts, requests)
-        log = extract_blockchain_log(network)
-        example = LabelledLog(
-            log=log,
-            expected=frozenset({K.DATA_MODEL_ALTERATION, K.TRANSACTION_RATE_CONTROL}),
-        )
-        result = GridTuner().tune([example])
-        assert isinstance(result, TuningResult)
-        assert 0.0 <= result.f1 <= 1.0
-        assert result.evaluated == 27  # 3x3x3 default grid
-        assert result.f1 >= max(score for _, score in result.trace) - 1e-9
-
-    def test_grid_tuner_validates_grid(self):
-        with pytest.raises(ValueError):
-            GridTuner({"bogus_threshold": (1.0,)})
-
-    def test_grid_tuner_needs_examples(self):
-        with pytest.raises(ValueError):
-            GridTuner().tune([])
-
-
 # -- insights ------------------------------------------------------------------------
 
 
@@ -207,64 +151,3 @@ class TestInsights:
         insights = derive_insights(compute_metrics(make_log([make_record(0)])))
         assert insights.suggested_scheduler == "none"
         assert insights.intra_block_share == 0.0
-
-
-# -- fuzzy miner ---------------------------------------------------------------------
-
-
-TRACES = [("a", "b", "c")] * 50 + [("a", "x", "c")] * 2  # x is rare noise
-
-
-class TestFuzzyMiner:
-    def test_rare_activity_clustered(self):
-        model = fuzzy_miner(TRACES, node_significance=0.05)
-        assert "x" in model.clustered
-        assert "a" in model.nodes and "b" in model.nodes
-
-    def test_main_edges_kept(self):
-        model = fuzzy_miner(TRACES, node_significance=0.05, edge_significance=0.05)
-        assert ("a", "b") in model.edges
-
-    def test_simplification_ratio(self):
-        dfg = DirectlyFollowsGraph.from_traces(TRACES)
-        model = fuzzy_miner(TRACES, node_significance=0.05, edge_significance=0.05)
-        assert 0.0 < model.simplification_ratio(dfg) <= 1.0
-
-    def test_zero_thresholds_keep_everything(self):
-        model = fuzzy_miner(TRACES, node_significance=0.0, edge_significance=0.0)
-        assert not model.clustered
-        dfg = DirectlyFollowsGraph.from_traces(TRACES)
-        assert len(model.edges) == len(dfg.counts)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fuzzy_miner(TRACES, node_significance=2.0)
-        with pytest.raises(ValueError):
-            fuzzy_miner([])
-
-
-# -- DOT export ----------------------------------------------------------------------
-
-
-class TestDotExport:
-    def test_dfg_dot(self):
-        dot = dfg_to_dot(DirectlyFollowsGraph.from_traces(TRACES))
-        assert dot.startswith("digraph dfg {") and dot.endswith("}")
-        assert '"a" -> "b"' in dot
-
-    def test_petri_dot(self):
-        dot = petri_to_dot(alpha_miner([("a", "b", "c")] * 5))
-        assert "shape=box" in dot and "doublecircle" in dot
-
-    def test_dependency_dot(self):
-        dot = dependency_to_dot(heuristics_miner(TRACES, dependency_threshold=0.5))
-        assert '"a" -> "b"' in dot
-
-    def test_fuzzy_dot(self):
-        dot = fuzzy_to_dot(fuzzy_miner(TRACES, node_significance=0.05))
-        assert "style=dashed" in dot  # the cluster node
-
-    def test_quoting_special_names(self):
-        traces = [('say "hi"', "b")] * 3
-        dot = dfg_to_dot(DirectlyFollowsGraph.from_traces(traces))
-        assert '\\"hi\\"' in dot

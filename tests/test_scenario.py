@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.bench.experiments import make_synthetic
 from repro.fabric.network import FabricNetwork, run_workload
-from repro.scenario import (
-    Intervention,
-    ScenarioSpec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
+from repro.scenario import Intervention, ScenarioSpec, get_scenario, scenario_names
 from repro.workloads.schedule import compress_window, piecewise_rate_times
 
 from tests.conftest import CounterContract, counter_requests, small_config
@@ -28,10 +23,7 @@ def _bundle(total=400, experiment="default"):
 
 
 def _run(scenario=None, total=400, experiment="default"):
-    config, contracts, requests = _bundle(total, experiment)
-    if scenario is None:
-        return run_workload(config, contracts, requests)
-    return run_scenario(scenario, config, contracts, requests)
+    return run_workload(*_bundle(total, experiment), scenario=scenario)
 
 
 # -- spec validation and serialization -------------------------------------------------
@@ -462,6 +454,21 @@ class TestWorkloadTransforms:
 
 
 class TestScenarioBench:
+    def test_make_scenario_takes_specs_as_well_as_names(self):
+        from repro.bench.experiments import make_scenario
+        from repro.control import ControlSpec, SLOTargets
+
+        control = ControlSpec("guardian", 0.5, SLOTargets(max_abort_rate=0.2))
+        by_spec = make_scenario(
+            "default", get_scenario("crash_burst"), policy=control, total_transactions=100
+        )()
+        by_name = make_scenario(
+            "default", "crash_burst", policy="noop", total_transactions=100
+        )()
+        assert by_spec[3] == by_name[3] == get_scenario("crash_burst")
+        assert by_spec[0].control is control
+        assert by_name[0].control == ControlSpec("noop")
+
     def test_registry_exposes_scenario_group(self):
         from repro.bench.registry import experiments
 
@@ -560,3 +567,100 @@ class TestScenarioCli:
         assert main(["scenario", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert "nope.json" in err  # not a bare errno like "error: 2"
+
+    def test_unknown_base_is_a_clean_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["scenario", "--base", "nope", "--txs", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown synthetic experiment" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_guardian_row_replays_identically(self, capsys):
+        from repro.cli import main
+
+        argv = ["scenario", "--policy", "guardian", "--retry", "2", "--txs", "300"]
+        rc = main(argv + ["--check-determinism"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "determinism check (second run, same seed): identical" in out
+        assert "control timeline — policy guardian" in out
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("run "))
+        assert [line[:16].strip() for line in lines[header + 1 : header + 5]] == [
+            "steady-state",
+            "under scenario",
+            "with mitigation",
+            "guardian on",
+        ]
+
+    def test_noop_row_equals_the_scenario_row(self, capsys):
+        from repro.cli import main
+
+        assert main(["scenario", "--policy", "noop", "--txs", "300"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def row(label):
+            return next(line[16:] for line in lines if line.startswith(label))
+
+        assert row("noop on") == row("under scenario")
+        assert row("noop on") != row("steady-state")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--policy", "guardian", "--slo", "max_abort_rate"], "KEY=VALUE"),
+            (["--policy", "guardian", "--slo", "bogus=1"], "max_abort_rate, max_p95"),
+            (["--policy", "guardian", "--slo", "max_abort_rate=lots"], "needs a number"),
+            (["--policy", "guardian", "--slo", "max_p95_latency=nan"], "must be finite"),
+            (["--policy", "guardian", "--interval", "nan"], "must be finite"),
+            (["--slo", "max_abort_rate=0.2"], "need --policy"),
+            (["--interval", "0.5"], "need --policy"),
+        ],
+    )
+    def test_bad_controller_flags_exit_2(self, flags, message, capsys):
+        from repro.cli import main
+
+        assert main(["scenario", "--txs", "100", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""  # rejected before anything runs
+
+    def test_check_determinism_names_what_diverged(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.scenario import fuzz
+
+        real_execute = fuzz.execute
+        calls = []
+
+        def execute(*bundle):
+            run = real_execute(*bundle)
+            calls.append(run)
+            # Rows are steady-state and under scenario; the third call replays.
+            return dataclasses.replace(run, digest="0" * 64) if len(calls) > 2 else run
+
+        monkeypatch.setattr(fuzz, "execute", execute)
+        assert main(["scenario", "--txs", "300", "--check-determinism"]) == 1
+        out = capsys.readouterr().out
+        assert len(calls) == 3
+        assert "determinism check (second run, same seed): DIVERGED" in out
+        assert "  - run digests diverged: " in out
+        assert "kernel event traces" not in out
+
+    def test_divergences_compares_the_control_timeline_digest(self):
+        from repro.scenario.fuzz import Execution, divergences
+
+        first = Execution(
+            network=None,
+            result=None,
+            digest="run",
+            report=None,
+            forensics_digest="forensics",
+            control_digest="a" * 64,
+            trace=((0.5, 0, 1),),
+        )
+        assert divergences(first, first) == []
+        second = dataclasses.replace(first, control_digest="b" * 64)
+        assert divergences(first, second) == [
+            "control-timeline digests diverged across identical runs"
+        ]
