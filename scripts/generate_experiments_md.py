@@ -2,8 +2,8 @@
 
 Pulls every experiment from the registry (``repro.bench.registry``) and
 runs it through the parallel executor with result caching, then writes the
-comparison tables (throughput / latency / success, paper vs measured) to
-EXPERIMENTS.md:
+comparison tables (throughput / latency / success, paper vs measured) and
+the verdict on every claim of ``repro.bench.claims`` to EXPERIMENTS.md:
 
     REPRO_BENCH_TXS=4000 python scripts/generate_experiments_md.py --jobs 4
 
@@ -19,11 +19,11 @@ import sys
 from pathlib import Path
 
 from repro.bench.cache import ResultCache
+from repro.bench.claims import Verdict, check_claims, jaccard
 from repro.bench.executor import run_suite
 from repro.bench.experiments import SCALE_TXS, TABLE3_EXPECTED
 from repro.bench.harness import ExperimentOutcome
 from repro.bench.registry import all_specs
-from repro.core import OptimizationKind as K
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -196,14 +196,32 @@ def _table3_section(outcomes: dict[str, ExperimentOutcome]) -> list[str]:
     jaccards = []
     for experiment, expected in TABLE3_EXPECTED.items():
         outcome = outcomes[f"table3/{experiment}"]
-        got = {K(value) for value in outcome.recommendations}
-        jaccard = len(got & expected) / len(got | expected) if (got | expected) else 1.0
-        jaccards.append(jaccard)
+        agreement = jaccard(experiment, outcome.recommendations)
+        jaccards.append(agreement)
         out.append(
             f"| {experiment} | {', '.join(sorted(k.value for k in expected))} | "
-            f"{', '.join(sorted(k.value for k in got))} | {jaccard:.2f} |"
+            f"{', '.join(sorted(outcome.recommendations))} | {agreement:.2f} |"
         )
     out.append(f"\nmean Jaccard agreement: **{sum(jaccards) / len(jaccards):.2f}**\n")
+    return out
+
+
+def _claims_section(verdicts: list[Verdict]) -> list[str]:
+    out = [
+        "## Paper claims\n",
+        "Each shape the paper reports is one claim of `repro.bench.claims`. "
+        "`python -m repro suite` checks the claims its selection covers, at "
+        "the registry's seeds and budgets of at least `min txs` (the smallest "
+        "budget from which the claim holds), and exits 1 when one fails.\n",
+        "| claim | experiments | min txs | result |",
+        "|---|---|---|---|",
+    ]
+    for verdict in verdicts:
+        claim = verdict.claim
+        experiments = claim.experiments.replace(",", ", ")
+        result = f"{verdict.status} {verdict.detail}".strip()
+        out.append(f"| {claim.name} | {experiments} | {claim.min_txs} | {result} |")
+    out.append("")
     return out
 
 
@@ -221,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     outcomes = {spec.exp_id: outcome for spec, outcome in zip(specs, report.outcomes)}
 
     out: list[str] = [HEADER.format(scale=SCALE_TXS)]
+    out.extend(_claims_section(check_claims(specs, report.outcomes)))
     out.extend(_table3_section(outcomes))
     for group, heading in SECTIONS:
         out.append(f"{heading}\n")

@@ -115,7 +115,7 @@ class SuiteReport:
 
 
 def run_spec(spec: ExperimentSpec) -> ExperimentOutcome:
-    """Run one experiment serially, exactly as the bench scripts always have."""
+    """Run one experiment serially, in this process."""
     if spec.maker == "sharded":
         from repro.shard import run_registry_spec
 

@@ -1,13 +1,13 @@
 """Experiment definitions: Table 3 and Figures 7-19, with paper values.
 
-Every bench module in ``benchmarks/`` pulls its experiment definition and
-the paper's reported numbers from here, so the per-experiment index in
-DESIGN.md maps one-to-one onto this file.
+The registry (:mod:`repro.bench.registry`) builds every experiment spec
+from the definitions and the paper's reported numbers here.
 
-Scale: the paper runs 10,000 transactions per workload; benches default to
-``REPRO_BENCH_TXS`` (4,000) and scale phase counts proportionally.  Shapes
-(who wins, direction, crossover) are scale-stable; absolute numbers are
-recorded next to the paper's in EXPERIMENTS.md.
+Scale: the paper runs 10,000 transactions per workload; experiments default
+to ``REPRO_BENCH_TXS`` (4,000) and scale phase counts proportionally.  The
+shapes (who wins, in which direction) are the claims of
+:mod:`repro.bench.claims`, each checked from the smallest budget at which
+it holds; absolute numbers sit next to the paper's in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Declarative run table: every figure/use-case experiment as an ExperimentSpec.
 
-The bench scripts under ``benchmarks/``, the suite runner (``python -m
-repro suite``) and ``scripts/generate_experiments_md.py`` all pull their
-experiment definitions from this registry, so the set of runs behind the
-paper's tables and figures exists in exactly one place.
+The suite runner (``python -m repro suite``), the paper's claims
+(:mod:`repro.bench.claims`) and ``scripts/generate_experiments_md.py`` all
+pull their experiment definitions from this registry, so the set of runs
+behind the paper's tables and figures exists in exactly one place.
 
 An :class:`ExperimentSpec` is fully declarative — plain strings, numbers
 and tuples — which makes it hashable, picklable (process-pool workers
@@ -512,21 +512,6 @@ REGISTRY: dict[str, tuple[ExperimentSpec, ...]] = _build_registry()
 #: Groups that run only when named explicitly (``--only``): a default
 #: ``repro suite`` must never launch a million-transaction run.
 ON_DEMAND_GROUPS = frozenset({"large_scale"})
-
-
-def groups() -> list[str]:
-    """All experiment group names, in figure order."""
-    return list(REGISTRY)
-
-
-def experiments(group: str) -> tuple[ExperimentSpec, ...]:
-    """The specs of one group (e.g. ``fig09_block_size``)."""
-    try:
-        return REGISTRY[group]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment group {group!r}; known: {', '.join(REGISTRY)}"
-        ) from None
 
 
 def all_specs(include_on_demand: bool = False) -> list[ExperimentSpec]:

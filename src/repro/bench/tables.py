@@ -27,7 +27,7 @@ def format_outcome(outcome: ExperimentOutcome) -> str:
 
 
 def format_paper_comparison(outcome: ExperimentOutcome) -> str:
-    """Measured vs paper, side by side, for EXPERIMENTS.md and bench output."""
+    """Measured vs paper, side by side, as ``repro suite`` prints them."""
     lines = [
         f"== {outcome.name} ==",
         f"{'run':<28} {'tput':>8} {'lat':>7} {'succ%':>7}   "
@@ -48,19 +48,3 @@ def format_paper_comparison(outcome: ExperimentOutcome) -> str:
         lines.append(f"recommended: {', '.join(outcome.recommendations)}")
     return "\n".join(lines)
 
-
-def improvement(outcome: ExperimentOutcome, label: str) -> dict[str, float]:
-    """Relative change of a run vs the baseline (positive = better)."""
-    base = outcome.row("without")
-    row = outcome.row(label)
-    return {
-        "throughput": _relative(base.throughput, row.throughput),
-        "latency": _relative(row.latency, base.latency),  # lower is better
-        "success": _relative(base.success_pct, row.success_pct),
-    }
-
-
-def _relative(before: float, after: float) -> float:
-    if before <= 0:
-        return 0.0
-    return (after - before) / before

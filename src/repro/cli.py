@@ -10,7 +10,8 @@ Subcommands:
   apply the recommendations, re-run, and print before/after numbers.
 * ``export <log.json> --out <log.csv>`` — convert between log formats.
 * ``suite [--jobs N] [--only fig09,fig10]`` — run the paper's experiment
-  suite through the parallel executor with result caching.
+  suite through the parallel executor with result caching, and check the
+  paper's claims the selection covers (exit 1 when one fails).
 * ``matrix --spec sweep.yaml [--jobs N] [--only ...] [--dry-run]`` —
   expand a declarative factor × seed matrix, run every cell through the
   executor + cache, and export ``run_table.csv`` plus a Markdown table
@@ -155,6 +156,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.bench.cache import ResultCache
+    from repro.bench.claims import check_claims, report_lines
     from repro.bench.executor import derive_seed, run_suite
     from repro.bench.registry import UnknownSelectionError, all_specs, select
     from repro.bench.tables import format_paper_comparison
@@ -202,10 +204,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             print()
             print(format_paper_comparison(outcome))
         print()
+    verdicts = check_claims(specs, report.outcomes)
+    for line in report_lines(verdicts):
+        print(line)
     print(report.summary())
     if cache is not None:
         print(f"cache: {cache.root}")
-    return 0
+    return 1 if any(verdict.status == "fails" for verdict in verdicts) else 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -712,7 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Run every registered figure/table experiment through the "
             "process-pool executor. Results are cached on disk keyed by "
             "the experiment definition and the repro source hash, so a "
-            "warm re-run performs zero simulation runs."
+            "warm re-run performs zero simulation runs. Then checks the "
+            "paper's claims (repro.bench.claims) that the selection covers "
+            "and exits 1 when one fails."
         ),
     )
     suite.add_argument(
@@ -753,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list the selected experiments and exit"
     )
     suite.add_argument(
-        "--quiet", action="store_true", help="only print the summary line"
+        "--quiet", action="store_true", help="only print the claims and summary lines"
     )
     suite.set_defaults(func=_cmd_suite)
 

@@ -2,8 +2,8 @@
 
 Each rule is a pure function ``(LogMetrics, Thresholds) -> Recommendation
 | None``; :func:`evaluate_rules` runs them all.  Rules follow Table 1's
-necessary conditions, with the two documented disambiguations from
-DESIGN.md (block-size tolerance band, fair-share endorser detection) and
+necessary conditions, with two disambiguations that each rule's docstring
+explains (block-size tolerance band, fair-share endorser detection) and
 the paper's prose thresholds (40% reorderable-MVCC share from Section
 6.1.5).
 """
@@ -239,9 +239,14 @@ def rule_block_size_adaptation(
 ) -> Recommendation | None:
     """Section 6.1.3: recommend when Bsize_avg deviates from Tr by Bt (60%).
 
-    (Table 1's formal condition is vacuous as printed; see DESIGN.md.)
-    The suggested setting follows Table 4: make ``min(Bcount, Tr *
-    Btimeout)`` equal the derived transaction rate.
+    Table 1's formal condition is vacuous as printed: it does not tell a
+    run whose blocks fit the rate from one whose blocks do not, so the rule
+    follows the section's prose and flags only an average block size
+    outside ``Tr * (1 ± Bt)``.  Known divergence 2 in EXPERIMENTS.md
+    records the Table 3 rows where this band stays silent because the
+    block size already matches the rate.  The suggested setting follows
+    Table 4: make ``min(Bcount, Tr * Btimeout)`` equal the derived
+    transaction rate.
     """
     if metrics.tr <= 0:
         return None
@@ -275,7 +280,9 @@ def rule_endorser_restructuring(
     ``fair_share`` mode (default, matching the paper's "we expect an even
     distribution of transactions to all endorsers"): flag orgs above
     ``(1 + Et)`` times the fair share.  ``absolute`` mode is Table 1
-    verbatim: ``EDsig(e) > |TX| * Et``.
+    verbatim: ``EDsig(e) > |TX| * Et``.  With the default ``Et = 0.5`` that
+    flags every org under a Majority policy, where even a balanced org
+    endorses more than half of all transactions; hence the default mode.
     """
     if not metrics.edsig_org:
         return None

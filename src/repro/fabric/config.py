@@ -1,11 +1,12 @@
 """Network, organization, and timing configuration.
 
 ``TimingConfig`` holds the calibrated service times of each pipeline stage.
-The constants were tuned (see ``benchmarks/``, EXPERIMENTS.md) so that the
-simulated network saturates in the 150-250 TPS band of the paper's testbed
-and reproduces its qualitative behaviours: endorser bottlenecks under
-mandatory-org policies, orderer collapse with tiny blocks, timeout-bound
-latency with oversized blocks, and MVCC conflict growth with backlog.
+The constants were tuned (see EXPERIMENTS.md and ``repro.bench.claims``)
+so that the simulated network saturates in the 150-250 TPS band of the
+paper's testbed and reproduces its qualitative behaviours: endorser
+bottlenecks under mandatory-org policies, orderer collapse with tiny
+blocks, timeout-bound latency with oversized blocks, and MVCC conflict
+growth with backlog.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 The paper replays the first 2,000 applications of the public BPI-2017
 loan event log of a Dutch financial institute.  That dataset is not
 available offline, so :func:`generate_loan_event_log` synthesizes an event
-log with the same structure (DESIGN.md records the substitution): each
-application flows through the published process model
-(create → submit → accept → offer → send → validate → outcome), events of
-concurrent applications interleave, and employees are assigned with a
-Zipf skew so that employee ``EMP001`` handles by far the most applications
-— the hot key behind Figure 17's data-model-alteration recommendation.
+log with the same structure: each application flows through the published
+process model (create → submit → accept → offer → send → validate →
+outcome), events of concurrent applications interleave, and employees are
+assigned with a Zipf skew so that employee ``EMP001`` handles by far the
+most applications — the hot key behind Figure 17's data-model-alteration
+recommendation.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Table 2 control variables.
 
 One :class:`ControlVariables` instance describes one synthetic experiment.
-Defaults follow Table 2 (bold markers were lost in the text extraction;
-DESIGN.md documents the choices): Uniform workload, policy ``P3`` =
+Defaults follow Table 2, whose bold default markers were lost in the
+text extraction, so each default is inferred from the figures (the reason
+is given here or at the field): Uniform workload, policy ``P3`` =
 ``Majority(all orgs)``, no endorser skew, key skew 1, 2 organizations,
 block count 300 (Figure 9 shows a separate "block count 100" experiment
 with catastrophic results, so 100 cannot be the default), send rate 300
@@ -65,7 +66,7 @@ class ControlVariables:
     #: Named policy P0-P4 or a raw expression like ``And(Org1,Or(Org2,Org3))``.
     #: Default P3 = Majority(all orgs): the paper's 4-org experiments (P3 and
     #: "No. of orgs: 4") produce nearly identical numbers, which pins the
-    #: default policy to Majority semantics (DESIGN.md).
+    #: default policy to Majority semantics.
     endorsement_policy: str = "P3"
     endorser_dist_skew: float = 0.0
     key_dist_skew: float = 1.0

@@ -19,7 +19,6 @@ from repro.bench.experiments import (
     synthetic_spec,
     usecase_plans,
 )
-from repro.bench.tables import improvement
 from repro.cli import main
 from repro.core import BlockOptR, OptimizationKind as K
 from repro.fabric import run_workload
@@ -91,10 +90,6 @@ class TestHarness:
         comparison = format_paper_comparison(small_outcome)
         assert "paper tput" in comparison
         assert "4.6" in comparison
-
-    def test_improvement_computation(self, small_outcome):
-        gains = improvement(small_outcome, "data model alteration")
-        assert gains["success"] > 0
 
     def test_default_recommendations_constructible(self):
         make = make_synthetic("default", seed=3)

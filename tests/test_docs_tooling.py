@@ -115,6 +115,18 @@ class TestDocCrossLinks:
         assert (REPO_ROOT / "docs" / "SCENARIOS.md").is_file()
         assert "SCENARIOS.md" in (REPO_ROOT / "README.md").read_text()
 
+    def test_every_document_a_module_names_exists(self):
+        """Each repo document (an upper-case ``NAME.md``, at the root or
+        under ``docs/``) that a ``src/repro`` module names exists."""
+        import re
+
+        missing = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for name in re.findall(r"\b(?:docs/)?[A-Z][A-Z_]*\.md\b", path.read_text()):
+                if not any((REPO_ROOT / root / name).is_file() for root in (".", "docs")):
+                    missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+        assert missing == []
+
     def test_docstring_scope_covers_analysis_and_fabric(self):
         check_docstrings = _load("check_docstrings")
         fabric = check_docstrings.package_modules(

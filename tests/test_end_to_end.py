@@ -3,14 +3,18 @@
 These are the repository's "does the paper's story hold" tests: each use
 case gets the right recommendations, and applying them moves success rate
 and latency in the direction the paper reports.  Scaled down for test
-speed; benchmarks/ run the full-size versions.
+speed; the full-size shapes are the claims ``repro.bench.claims`` checks
+in ``python -m repro suite``.
 """
 
 import pytest
 
-from repro.bench.experiments import make_loan, make_usecase, synthetic_spec
+from repro.bench.experiments import make_loan, make_synthetic, make_usecase, synthetic_spec
 from repro.core import BlockOptR, OptimizationKind as K, apply_recommendations
+from repro.core.thresholds import Thresholds
 from repro.fabric import run_workload
+from repro.fabric.transaction import TxStatus
+from repro.mining import Relation, alpha_miner, model_diff, token_replay_fitness
 from repro.workloads import synthetic_workload
 
 SMALL = 1500
@@ -182,30 +186,125 @@ class TestOptimizationEffects:
         assert optimized.avg_latency < baseline.avg_latency
 
 
+SCM_MAIN_FLOW = ("pushASN", "ship", "queryASN", "unload")
+
+
+@pytest.fixture(scope="module")
+def scm_reordered(scm_setup):
+    """The SCM workload re-run with activity reordering applied, analyzed."""
+    config, family, requests, _, report = scm_setup
+    applied = apply_recommendations(
+        [report.get(K.ACTIVITY_REORDERING)], config, family, requests
+    )
+    network, _ = run_workload(
+        applied.config, applied.deployment.contracts, applied.requests
+    )
+    return BlockOptR().analyze_network(network)
+
+
 class TestProcessModelReproduction:
     def test_scm_model_recovers_main_flow(self, scm_setup):
         *_, report = scm_setup
         path = report.dfg.most_frequent_path()
-        main = [a for a in path if a in ("pushASN", "ship", "queryASN", "unload")]
-        assert main == ["pushASN", "ship", "queryASN", "unload"]
+        main = [a for a in path if a in SCM_MAIN_FLOW]
+        assert main == list(SCM_MAIN_FLOW)
 
-    def test_reordered_model_confirms_compliance(self, scm_setup):
+    def test_side_activity_interleaves_with_the_main_flow(self, scm_setup):
+        """Figure 2: before reordering, ``updateAuditInfo`` is parallel
+        to some activity of the main flow."""
+        footprint = scm_setup[-1].footprint
+        assert any(
+            footprint.relation("updateAuditInfo", activity) is Relation.PARALLEL
+            for activity in SCM_MAIN_FLOW
+            if activity in footprint.activities
+        )
+
+    def test_reordered_model_confirms_compliance(self, scm_setup, scm_reordered):
         """Figure 4: the post-reordering log yields a model where the
         reordered activities no longer interleave with the main flow."""
-        config, family, requests, _, report = scm_setup
-        applied = apply_recommendations(
-            [report.get(K.ACTIVITY_REORDERING)], config, family, requests
-        )
-        network, _ = run_workload(
-            applied.config, applied.deployment.contracts, applied.requests
-        )
-        after = BlockOptR().analyze_network(network)
-        from repro.mining import model_diff
-
-        diff = model_diff(report.footprint, after.footprint)
+        report = scm_setup[-1]
+        diff = model_diff(report.footprint, scm_reordered.footprint)
         assert not diff.is_identical()
         moved = set(report.get(K.ACTIVITY_REORDERING).actions["front"])
         changed_activities = {a for a, b, *_ in diff.changed_relations} | {
             b for a, b, *_ in diff.changed_relations
         }
         assert moved & changed_activities
+
+    def test_mined_nets_replay_their_logs(self, scm_setup, scm_reordered):
+        """The nets mined (from the frequent variants) before and after
+        reordering replay their own logs with fitness above 0.6."""
+        for report in (scm_setup[-1], scm_reordered):
+            variants = report.event_log.trace_variants()
+            frequent = [trace for trace, count in variants.items() if count >= 3]
+            net = alpha_miner(frequent or list(variants))
+            assert token_replay_fitness(net, report.event_log.traces()) > 0.6
+
+
+def _synthetic_800(experiment="default", **overrides):
+    """A synthetic experiment at an explicit 800-tx budget, not REPRO_BENCH_TXS."""
+    return make_synthetic(
+        experiment, total_transactions=800, overrides=tuple(overrides.items())
+    )
+
+
+class TestAblations:
+    """Design choices the paper leaves open, swept on synthetic workloads."""
+
+    def test_detection_is_monotone_in_its_thresholds(self):
+        """Once the reorderable-MVCC share (Section 6.1.5's 40%) or the
+        rate-control failure fraction Rt2 is too strict to fire, every
+        stricter value stays silent.  The loosest values fire; a 100%
+        share does not."""
+        log = run_and_analyze(_synthetic_800())[-1].log
+
+        def fires(kind, **thresholds):
+            return BlockOptR(Thresholds(**thresholds)).analyze_log(log).recommends(kind)
+
+        reorder = [
+            fires(K.ACTIVITY_REORDERING, reorderable_mvcc_share=share)
+            for share in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+        ]
+        rate = [
+            fires(K.TRANSACTION_RATE_CONTROL, failure_fraction=fraction)
+            for fraction in (0.02, 0.1, 0.3, 0.6, 0.9)
+        ]
+        assert reorder == sorted(reorder, reverse=True)
+        assert rate == sorted(rate, reverse=True)
+        assert reorder[0] and not reorder[-1] and rate[0]
+
+    def test_scheduler_window_trades_mvcc_failures_for_early_aborts(self):
+        """A wider FabricSharp window aborts no fewer doomed transactions
+        early and fails no more at MVCC validation.  (On this workload
+        every window from 1 to 20 gives the same counts.)"""
+        by_window = {}
+        for window in (1, 20):
+            make = _synthetic_800("workload_update_heavy", scheduler="fabricsharp")
+            config, family, requests = make()
+            config.scheduler_window = window
+            _, result = run_workload(config, family.deploy().contracts, requests)
+            mvcc = result.failure_counts.get(TxStatus.MVCC_CONFLICT.value, 0)
+            by_window[window] = (result.early_aborts, mvcc)
+        assert by_window[20][0] >= by_window[1][0]
+        assert by_window[20][1] <= by_window[1][1]
+
+    def test_fresh_recommendations_never_lose_to_stale_ones(self):
+        """Recommendations derived at 300 TPS (stale) or on the shifted
+        workload itself (fresh), applied at 150, 300 and 600 TPS: fresh
+        never loses by more than 3 pp, and on the unchanged workload the
+        recommendations beat the baseline (paper Section 9)."""
+        stale = run_and_analyze(_synthetic_800())[-1].recommendations
+        for rate in (150.0, 300.0, 600.0):
+            config, family, requests, baseline, report = run_and_analyze(
+                _synthetic_800(send_rate=rate)
+            )
+            success = {}
+            for name, recommendations in (("stale", stale), ("fresh", report.recommendations)):
+                applied = apply_recommendations(recommendations, config, family, requests)
+                _, result = run_workload(
+                    applied.config, applied.deployment.contracts, applied.requests
+                )
+                success[name] = result.success_rate
+            assert success["fresh"] >= success["stale"] - 0.03, rate
+            if rate == 300.0:
+                assert success["stale"] > baseline.success_rate

@@ -470,9 +470,9 @@ class TestScenarioBench:
         assert by_name[0].control == ControlSpec("noop")
 
     def test_registry_exposes_scenario_group(self):
-        from repro.bench.registry import experiments
+        from repro.bench.registry import select
 
-        specs = experiments("scenario_faults") + experiments("fuzzed")
+        specs = select(["scenario_faults", "fuzzed"])
         # Every library scenario runs from the registry: the hand-written
         # ones under scenario_faults, the fuzzer-promoted ones under fuzzed.
         assert {spec.variant for spec in specs} >= set(scenario_names()) - {"chaos"}
