@@ -5,8 +5,8 @@ One JSON file per experiment under ``.repro_cache/`` (override with the
 name is a SHA-256 over
 
 * the experiment's declarative identity (:meth:`ExperimentSpec.payload`:
-  bundle factory + args, scheduler, seed, resolved transaction budget,
-  optimization plans), and
+  bundle factory + its keyword arguments, seed, resolved transaction
+  budget, optimization plans), and
 * a *code version* — a hash over every ``repro`` source file — so any
   change to the simulator, workloads or recommender invalidates every
   cached result automatically.

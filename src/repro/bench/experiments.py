@@ -119,38 +119,36 @@ def make_synthetic(
     seed: int = 7,
     scheduler: str = "fifo",
     total_transactions: int | None = None,
-    overrides: tuple = (),
+    **overrides,
 ) -> MakeBundle:
     """Bundle factory for a named synthetic experiment, optionally tuned.
 
     ``total_transactions`` overrides the bench budget (tests use small
     runs); phased schedules rescale their per-phase counts proportionally.
-    ``overrides`` is a declarative ``((field, value), ...)`` tuple applied
-    on top of :func:`synthetic_spec`'s ``experiment`` — the factorial
-    front-end of :mod:`repro.bench.matrix` (maker ``tuned``) uses it to
-    cross *numeric* factors (block size × send rate × workload mix) that
-    no single named experiment exposes.  Names are checked when this
-    factory is called: the experiment, the fields (restricted to
-    :data:`TUNABLE_FIELDS`) and ``workload_type`` values.  The combined
-    spec is re-validated when the bundle is built, so an impossible
-    combination (e.g. a P1 policy with 2 orgs) fails then, before the run.
+    Each further keyword names one of :data:`TUNABLE_FIELDS` and sets
+    that field on top of :func:`synthetic_spec`'s ``experiment`` — what
+    lets a matrix (:mod:`repro.bench.matrix`) cross *numeric* factors
+    (block size × send rate × workload mix) that no single named
+    experiment exposes.  Names
+    are checked when this factory is called: the experiment, the fields
+    and ``workload_type`` values.  The combined spec is re-validated when
+    the bundle is built, so an impossible combination (e.g. a P1 policy
+    with 2 orgs) fails then, before the run.
     """
     synthetic_spec(experiment)  # unknown experiment names fail here
-    for field_name, _ in overrides:
+    for field_name in overrides:
         if field_name not in TUNABLE_FIELDS:
             raise KeyError(
                 f"unknown tunable field {field_name!r}; "
                 f"valid: {', '.join(sorted(TUNABLE_FIELDS))}"
             )
-    overrides = tuple(
-        (name, WorkloadType(value) if name == "workload_type" else value)
-        for name, value in overrides
-    )
+    if "workload_type" in overrides:
+        overrides["workload_type"] = WorkloadType(overrides["workload_type"])
 
     def make():
         spec = synthetic_spec(experiment, seed=seed)
         spec.scheduler = scheduler
-        for field_name, value in overrides:
+        for field_name, value in overrides.items():
             setattr(spec, field_name, value)
         if overrides:
             spec.__post_init__()  # re-validate the combined knob settings
@@ -162,9 +160,10 @@ def make_synthetic(
     return make
 
 
-#: ControlVariables knobs a ``tuned`` bundle (experiment matrices) may
-#: override.  Deliberately scalar-only: phased/profiled schedules stay
-#: the domain of named experiments and scenarios.
+#: ControlVariables knobs :func:`make_synthetic` takes as keyword
+#: overrides (next to its own ``scheduler``).  Deliberately scalar-only:
+#: phased/profiled schedules stay the domain of named experiments and
+#: scenarios.
 TUNABLE_FIELDS = frozenset(
     {
         "workload_type",
@@ -179,7 +178,6 @@ TUNABLE_FIELDS = frozenset(
         "num_keys",
         "clients_per_org",
         "endorsers_per_org",
-        "scheduler",
     }
 )
 
@@ -480,7 +478,7 @@ def make_usecase(
     """Bundle factory for one of the paper's use cases."""
     total = total_transactions if total_transactions is not None else SCALE_TXS
     if usecase == "loan":
-        return make_loan(10.0, seed=seed, num_applications=scaled(2000, total))
+        return make_loan(10.0, seed=seed, total_transactions=total)
     if usecase == "synthetic":
         return make_synthetic("default", seed=seed, total_transactions=total)
     if usecase not in ("scm", "drm", "ehr", "voting"):
@@ -521,8 +519,8 @@ def make_scenario(
     ``base`` is any :func:`synthetic_spec` experiment name; ``scenario``
     is a :mod:`repro.scenario.library` name or a
     :class:`~repro.scenario.spec.ScenarioSpec`.  The bundle carries the
-    spec as its fourth element, which both executor waves thread into
-    ``run_workload``.  On top ride a ``mitigation``
+    spec as its fourth element, which the baseline and every plan run
+    thread into ``run_workload``.  On top ride a ``mitigation``
     (:data:`repro.fabric.config.MITIGATIONS`), a client
     :class:`~repro.fabric.retry.RetryPolicy` when ``retry_attempts`` > 1,
     and the live SLO-guardian controller: ``policy`` is ``"off"``, a
@@ -543,7 +541,7 @@ def make_scenario(
     validate_actuation("mitigation", mitigation)
     retry = RetryPolicy(max_attempts=retry_attempts) if retry_attempts > 1 else None
     control = policy
-    if isinstance(policy, str):
+    if not isinstance(policy, ControlSpec):
         control = None if policy == "off" else ControlSpec(policy=policy)
 
     def make():
@@ -557,14 +555,17 @@ def make_scenario(
 
 
 def make_loan(
-    send_rate: float, seed: int = 7, num_applications: int | None = None
+    send_rate: float, seed: int = 7, total_transactions: int | None = None
 ) -> MakeBundle:
-    """LAP bundle at a specific send rate (the paper runs 10 and 300 TPS)."""
+    """LAP bundle at a specific send rate (the paper runs 10 and 300 TPS).
+
+    The paper's 2,000 loan applications per 10,000 transactions scale
+    with ``total_transactions`` (default: the bench budget).
+    """
+    send_rate = float(send_rate)
+    applications = scaled(2000, total_transactions)
 
     def make():
-        applications = (
-            num_applications if num_applications is not None else scaled(2000)
-        )
         events = generate_loan_event_log(num_applications=applications, seed=seed)
         config, _, requests = loan_workload(
             UseCaseSpec(seed=seed), events=events, send_rate=send_rate
@@ -628,3 +629,14 @@ def usecase_plans(usecase: str) -> list[tuple[str, tuple[K, ...]]]:
     if usecase not in plans:
         raise KeyError(f"unknown use case {usecase!r}")
     return plans[usecase]
+
+
+#: The bundle factories an :class:`~repro.bench.registry.ExperimentSpec`
+#: names as its ``maker``; its ``maker_args`` are the factory's keyword
+#: arguments, and a matrix's factors are read off the same signatures.
+MAKERS = {
+    "synthetic": make_synthetic,
+    "scenario": make_scenario,
+    "usecase": make_usecase,
+    "loan": make_loan,
+}

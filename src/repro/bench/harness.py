@@ -6,8 +6,8 @@ optimizations (Table 4 settings), re-execute the same workload, and
 compare success throughput, average latency and success rate.
 
 The protocol is written once, as :func:`run_baseline`, :func:`run_plan`
-and :func:`assemble_outcome`.  Serial :func:`execute_experiment` calls
-them in turn; the parallel executor runs the first two as pool tasks.
+and :func:`assemble_outcome`, which :func:`execute_experiment` calls in
+turn; the parallel executor runs one whole experiment per pool task.
 """
 
 from __future__ import annotations
@@ -257,6 +257,9 @@ def execute_experiment(
     The baseline and every plan share one bundle from ``make``.
     """
     bundle = make()
+    # One function per run, not one body: each run's network (and the
+    # RunResult holding its ledger) is freed when its step returns, so the
+    # baseline's does not stay alive across the plan runs.
     baseline, report, tasks = run_baseline(bundle, plans, thresholds)
     records = [baseline] + [run_plan(bundle, task) for task in tasks]
     return assemble_outcome(

@@ -9,19 +9,25 @@ seed list:
 .. code-block:: yaml
 
     name: block_rate_sweep
-    maker: tuned
+    maker: synthetic
     txs: 400
     seeds: [7, 11, 13]
     factors:
+      experiment: default
       block_count: [50, 300, 1000]
       send_rate: [150, 300, 1000]
 
+A cell's factors are the keyword arguments of its maker, one of the
+bundle factories of :data:`repro.bench.experiments.MAKERS`; which
+factors a maker accepts and requires is read off that factory's
+signature.
+
 Expansion (:func:`expand`) produces one concrete
-:class:`~repro.bench.registry.ExperimentSpec` per cell × seed via the
-registry's ``with_overrides`` copy, so every cell flows through the
-existing parallel executor and content-addressed cache unchanged: cache
-keys are per cell (spec payload + seed + budget), which is what makes a
-partially completed sweep resume for free after an interrupt.
+:class:`~repro.bench.registry.ExperimentSpec` per cell × seed, so every
+cell flows through the existing parallel executor and content-addressed
+cache unchanged: cache keys are per cell (spec payload + seed + budget),
+which is what makes a partially completed sweep resume for free after an
+interrupt.
 
 Replications are aggregated per cell (:func:`aggregate`) into **median +
 bootstrap confidence intervals** instead of single-seed point estimates
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -44,6 +51,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.bench.experiments import MAKERS, TUNABLE_FIELDS
 from repro.bench.harness import ExperimentOutcome
 from repro.bench.registry import ExperimentSpec, UnknownSelectionError
 
@@ -61,41 +69,6 @@ METRICS = ("throughput", "latency", "success_pct")
 
 class MatrixError(ValueError):
     """A malformed matrix spec (schema, factor, or expansion problem)."""
-
-
-# -- maker shapes -------------------------------------------------------------------
-#
-# Each maker accepts a fixed set of factor names; ``args`` lists the ones
-# that map positionally onto ``ExperimentSpec.maker_args`` (in order),
-# ``defaults`` fills the optional ones, and ``free`` marks makers whose
-# remaining factors become declarative knob overrides (the ``overrides``
-# of repro.bench.experiments.make_synthetic).
-
-
-@dataclass(frozen=True)
-class _MakerShape:
-    """Factor-name contract of one bundle maker."""
-
-    args: tuple[str, ...]
-    defaults: tuple[tuple[str, object], ...] = ()
-    free: bool = False
-
-
-_MAKER_SHAPES: dict[str, _MakerShape] = {
-    "synthetic": _MakerShape(args=("experiment",), defaults=(("scheduler", "fifo"),)),
-    "tuned": _MakerShape(args=("base",), defaults=(("base", "default"),), free=True),
-    "scenario": _MakerShape(args=("base", "scenario")),
-    "forensics": _MakerShape(
-        args=("base", "scenario", "mitigation", "retry"),
-        defaults=(("mitigation", "none"), ("retry", 1)),
-    ),
-    "usecase": _MakerShape(args=("usecase",)),
-    "loan": _MakerShape(args=("send_rate",)),
-    "control": _MakerShape(
-        args=("base", "scenario", "policy", "retry"),
-        defaults=(("policy", "off"), ("retry", 2)),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -188,13 +161,12 @@ def matrix_from_dict(data: Mapping) -> MatrixSpec:
         raise MatrixError(f"matrix name {name!r} must not contain '/' or '@'")
 
     maker = data.get("maker", "synthetic")
-    shape = _MAKER_SHAPES.get(maker)
-    if shape is None:
+    if maker not in MAKERS:
         raise MatrixError(
-            f"unknown maker {maker!r}; valid: {', '.join(sorted(_MAKER_SHAPES))}"
+            f"unknown maker {maker!r}; valid: {', '.join(sorted(MAKERS))}"
         )
 
-    factors = _parse_factors(name, maker, shape, data.get("factors"))
+    factors = _parse_factors(name, maker, data.get("factors"))
     seeds = _parse_seeds(data.get("seeds"))
 
     txs = data.get("txs")
@@ -217,7 +189,7 @@ def matrix_from_dict(data: Mapping) -> MatrixSpec:
 
 
 def _parse_factors(
-    name: str, maker: str, shape: _MakerShape, raw: object
+    name: str, maker: str, raw: object
 ) -> tuple[tuple[str, tuple], ...]:
     """Normalize and validate the ``factors`` mapping for one maker."""
     if not isinstance(raw, Mapping) or not raw:
@@ -241,25 +213,40 @@ def _parse_factors(
             raise MatrixError(f"factor {factor_name!r} repeats a value")
         factors.append((factor_name, tuple(values)))
 
-    allowed = set(shape.args) | {key for key, _ in shape.defaults}
-    if shape.free:
-        from repro.bench.experiments import TUNABLE_FIELDS
-
-        allowed |= TUNABLE_FIELDS
+    allowed, required = _maker_factors(maker)
     bad = [factor for factor, _ in factors if factor not in allowed]
     if bad:
         raise MatrixError(
             f"maker {maker!r} does not accept factor(s) "
             f"{', '.join(repr(b) for b in bad)}; valid: {', '.join(sorted(allowed))}"
         )
-    defaults = dict(shape.defaults)
     present = {factor for factor, _ in factors}
-    missing = [arg for arg in shape.args if arg not in present and arg not in defaults]
+    missing = [factor for factor in required if factor not in present]
     if missing:
         raise MatrixError(
             f"maker {maker!r} requires factor(s) {', '.join(repr(m) for m in missing)}"
         )
     return tuple(factors)
+
+
+def _maker_factors(maker: str) -> tuple[set[str], list[str]]:
+    """The factors ``maker`` accepts, and those it requires in signature order.
+
+    Every keyword of the maker's factory is a factor except ``seed`` and
+    ``total_transactions``, which the matrix sets itself; a ``**overrides``
+    catch-all admits :data:`~repro.bench.experiments.TUNABLE_FIELDS`.  A
+    keyword without a default is required.
+    """
+    allowed: set[str] = set()
+    required: list[str] = []
+    for param in inspect.signature(MAKERS[maker]).parameters.values():
+        if param.kind is param.VAR_KEYWORD:
+            allowed |= TUNABLE_FIELDS
+        elif param.name not in ("seed", "total_transactions"):
+            allowed.add(param.name)
+            if param.default is param.empty:
+                required.append(param.name)
+    return allowed, required
 
 
 def _parse_seeds(raw: object) -> tuple[int, ...]:
@@ -290,16 +277,15 @@ def expand(matrix: MatrixSpec) -> list[MatrixRun]:
     fastest), seeds innermost — the row order of ``run_table.csv``.
     Duplicate cell ids (two value combinations that render to the same
     variant string) are an error, not a silent overwrite, and so is a
-    cell whose bundle factory rejects a name or choice (a mistyped base,
-    scenario, mitigation or policy): the sweep stops before any run.
+    cell whose bundle factory rejects a name, choice or type (a mistyped
+    base, scenario, mitigation or policy): the sweep stops before any run.
     """
-    shape = _MAKER_SHAPES[matrix.maker]
     names = matrix.factor_names()
     value_lists = [values for _, values in matrix.factors]
     runs: list[MatrixRun] = []
     seen_cells: set[str] = set()
     for combo in itertools.product(*value_lists):
-        bound = dict(zip(names, combo))
+        factors = tuple(zip(names, combo))
         variant = "_".join(_slug(value) for value in combo)
         cell_id = f"{matrix.name}/{variant}"
         if cell_id in seen_cells:
@@ -308,79 +294,39 @@ def expand(matrix: MatrixSpec) -> list[MatrixRun]:
                 "render identically; make the values distinguishable"
             )
         seen_cells.add(cell_id)
-        template = _cell_spec(matrix, shape, cell_id, variant, bound)
+        template = ExperimentSpec(
+            exp_id=cell_id,
+            group=matrix.name,
+            variant=variant,
+            title=f"{matrix.name} / {variant}",
+            maker=matrix.maker,
+            maker_args=factors,
+            total_transactions=matrix.total_transactions,
+        )
         try:
             template.make_bundle()  # checks names and choices; runs nothing
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise MatrixError(f"cell {cell_id!r}: {exc.args[0]}") from exc
         for seed in matrix.seeds:
-            spec = template.with_overrides(seed=seed)
-            # with_overrides keeps the exp_id; re-key it per seed so the
-            # executor's outcome map and ``--only`` see each run.
+            # Each seed is its own run id, so the executor's outcome map
+            # and ``--only`` see every run.
             exp_id = f"{cell_id}@s{seed}"
             spec = replace(
-                spec, exp_id=exp_id, title=f"{matrix.name} / {variant} (seed {seed})"
+                template,
+                exp_id=exp_id,
+                title=f"{matrix.name} / {variant} (seed {seed})",
+                seed=seed,
             )
             runs.append(
                 MatrixRun(
                     exp_id=exp_id,
                     cell_id=cell_id,
-                    factors=tuple(zip(names, combo)),
+                    factors=factors,
                     seed=seed,
                     spec=spec,
                 )
             )
     return runs
-
-
-def _cell_spec(
-    matrix: MatrixSpec,
-    shape: _MakerShape,
-    cell_id: str,
-    variant: str,
-    bound: dict,
-) -> ExperimentSpec:
-    """The template :class:`ExperimentSpec` of one factor combination."""
-    values = dict(shape.defaults) | bound
-    scheduler = "fifo"
-    if matrix.maker == "synthetic":
-        maker_args: tuple = (values["experiment"],)
-        scheduler = values.get("scheduler", "fifo")
-    elif matrix.maker == "tuned":
-        overrides = tuple(
-            sorted((name, value) for name, value in bound.items() if name != "base")
-        )
-        maker_args = (values["base"], overrides)
-    elif matrix.maker == "scenario":
-        maker_args = (values["base"], values["scenario"])
-    elif matrix.maker == "forensics":
-        maker_args = (
-            values["base"],
-            values["scenario"],
-            values["mitigation"],
-            int(values["retry"]),
-        )
-    elif matrix.maker == "control":
-        maker_args = (
-            values["base"],
-            values["scenario"],
-            str(values["policy"]),
-            int(values["retry"]),
-        )
-    elif matrix.maker == "usecase":
-        maker_args = (values["usecase"],)
-    else:  # loan
-        maker_args = (float(values["send_rate"]),)
-    return ExperimentSpec(
-        exp_id=cell_id,
-        group=matrix.name,
-        variant=variant,
-        title=f"{matrix.name} / {variant}",
-        maker=matrix.maker,
-        maker_args=maker_args,
-        scheduler=scheduler,
-        total_transactions=matrix.total_transactions,
-    )
 
 
 def _slug(value: object) -> str:

@@ -8,7 +8,10 @@ behind the paper's tables and figures exists in exactly one place.
 An :class:`ExperimentSpec` is fully declarative — plain strings, numbers
 and tuples — which makes it hashable, picklable (process-pool workers
 receive specs, not closures) and JSON-serializable (the result cache keys
-on the spec payload).
+on the spec payload).  Its ``maker`` names one of the four bundle
+factories of :data:`repro.bench.experiments.MAKERS` and its
+``maker_args`` are that factory's keyword arguments, the same encoding a
+matrix cell (:mod:`repro.bench.matrix`) uses.
 """
 
 from __future__ import annotations
@@ -25,15 +28,6 @@ from repro.core.recommendations import OptimizationKind as K
 PlanTable = tuple[tuple[str, tuple[str, ...]], ...]
 
 
-#: The scenario makers: the :func:`~repro.bench.experiments.make_scenario`
-#: settings each one's ``maker_args`` carry after ``(base, scenario)``.
-_SCENARIO_SETTINGS: dict[str, tuple[str, ...]] = {
-    "scenario": (),
-    "forensics": ("mitigation", "retry_attempts"),
-    "control": ("policy", "retry_attempts"),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment of the paper as a declarative, picklable record."""
@@ -44,12 +38,12 @@ class ExperimentSpec:
     variant: str
     #: Human title matching the historical bench output (``Figure 9 / ...``).
     title: str
-    #: Bundle factory kind: ``synthetic``, ``tuned``, ``usecase``, ``loan``,
-    #: ``sharded`` or one of the scenario makers (``scenario``,
-    #: ``forensics``, ``control``).
+    #: Bundle factory: a key of :data:`repro.bench.experiments.MAKERS`
+    #: (``synthetic``, ``scenario``, ``usecase`` or ``loan``).
     maker: str
-    maker_args: tuple = ()
-    scheduler: str = "fifo"
+    #: The factory's keyword arguments, ``((name, value), ...)``; the seed
+    #: and the budget come from the fields below.
+    maker_args: tuple[tuple[str, object], ...] = ()
     seed: int = 7
     #: ``None`` means the bench budget (``REPRO_BENCH_TXS``) at run time.
     total_transactions: int | None = None
@@ -61,49 +55,11 @@ class ExperimentSpec:
 
     def make_bundle(self) -> MakeBundle:
         """Materialize the bundle factory this spec describes."""
-        if self.maker == "sharded":
-            raise ValueError(
-                f"{self.exp_id} is a sharded large-scale experiment: it has "
-                "no single workload bundle; the executor routes it through "
-                "repro.shard.run_registry_spec"
-            )
-        if self.maker in ("synthetic", "tuned"):
-            experiment, overrides = (
-                self.maker_args if self.maker == "tuned" else (*self.maker_args, ())
-            )
-            return defs.make_synthetic(
-                experiment,
-                seed=self.seed,
-                scheduler=self.scheduler,
-                total_transactions=self.total_transactions,
-                overrides=tuple((name, value) for name, value in overrides),
-            )
-        if self.maker in _SCENARIO_SETTINGS:
-            base, scenario, *values = self.maker_args
-            settings = zip(_SCENARIO_SETTINGS[self.maker], values, strict=True)
-            return defs.make_scenario(
-                base,
-                scenario,
-                seed=self.seed,
-                total_transactions=self.total_transactions,
-                **dict(settings),
-            )
-        if self.maker == "usecase":
-            (usecase,) = self.maker_args
-            return defs.make_usecase(
-                usecase, total_transactions=self.total_transactions, seed=self.seed
-            )
-        if self.maker == "loan":
-            (send_rate,) = self.maker_args
-            applications = (
-                None
-                if self.total_transactions is None
-                else defs.scaled(2000, self.total_transactions)
-            )
-            return defs.make_loan(
-                float(send_rate), seed=self.seed, num_applications=applications
-            )
-        raise KeyError(f"unknown bundle maker {self.maker!r}")
+        return defs.MAKERS[self.maker](
+            **dict(self.maker_args),
+            seed=self.seed,
+            total_transactions=self.total_transactions,
+        )
 
     def resolved_plans(self) -> list[tuple[str, tuple[K, ...]]]:
         """Plans with the optimization kinds resolved to enum members."""
@@ -140,7 +96,6 @@ class ExperimentSpec:
             "exp_id": self.exp_id,
             "maker": self.maker,
             "maker_args": list(self.maker_args),
-            "scheduler": self.scheduler,
             "seed": self.seed,
             "total_transactions": (
                 self.total_transactions
@@ -167,7 +122,7 @@ def _synthetic_group(
     figure: str,
     table: dict,
     plans_for: dict | list,
-    scheduler: str = "fifo",
+    **settings: str,
 ) -> tuple[ExperimentSpec, ...]:
     specs = []
     for variant, paper in table.items():
@@ -179,8 +134,7 @@ def _synthetic_group(
                 variant=variant,
                 title=f"{figure} / {variant}",
                 maker="synthetic",
-                maker_args=(variant,),
-                scheduler=scheduler,
+                maker_args=(("experiment", variant), *settings.items()),
                 plans=tuple(plans),
                 paper=_paper_rows(paper),
             )
@@ -212,7 +166,7 @@ def _usecase_spec(
             variant=usecase,
             title=figure,
             maker="usecase",
-            maker_args=(usecase,),
+            maker_args=(("usecase", usecase),),
             plans=plans,
             paper=_paper_rows(paper),
         ),
@@ -247,7 +201,7 @@ def _scenario_group() -> tuple[ExperimentSpec, ...]:
             variant=scenario,
             title=f"Scenario / {scenario} on {base}",
             maker="scenario",
-            maker_args=(base, scenario),
+            maker_args=(("base", base), ("scenario", scenario)),
             plans=plans,
         )
         for scenario, plans, base in table
@@ -276,7 +230,7 @@ def _fuzzed_group() -> tuple[ExperimentSpec, ...]:
             variant=scenario,
             title=f"Fuzzed / {scenario} on default",
             maker="scenario",
-            maker_args=("default", scenario),
+            maker_args=(("base", "default"), ("scenario", scenario)),
             plans=plans,
         )
         for scenario, plans in table
@@ -313,8 +267,13 @@ def _forensics_group() -> tuple[ExperimentSpec, ...]:
             title=f"Forensics / {scenario} + {mitigation}"
             + (f" + retry({retry})" if retry > 1 else "")
             + f" on {base}",
-            maker="forensics",
-            maker_args=(base, scenario, mitigation, retry),
+            maker="scenario",
+            maker_args=(
+                ("base", base),
+                ("scenario", scenario),
+                ("mitigation", mitigation),
+                ("retry_attempts", retry),
+            ),
         )
         for variant, base, scenario, mitigation, retry in cells
     )
@@ -344,8 +303,13 @@ def _control_group() -> tuple[ExperimentSpec, ...]:
             group="slo_guardian",
             variant=variant,
             title=f"SLO guardian / {scenario} ({policy})",
-            maker="control",
-            maker_args=("default", scenario, policy, 2),
+            maker="scenario",
+            maker_args=(
+                ("base", "default"),
+                ("scenario", scenario),
+                ("policy", policy),
+                ("retry_attempts", 2),
+            ),
         )
         for variant, scenario, policy in cells
     )
@@ -362,7 +326,7 @@ def _build_registry() -> dict[str, tuple[ExperimentSpec, ...]]:
                 variant=variant,
                 title=f"Table 3 / {variant}",
                 maker="synthetic",
-                maker_args=(variant,),
+                maker_args=(("experiment", variant),),
             )
             for variant in defs.TABLE3_EXPECTED
         ),
@@ -409,7 +373,7 @@ def _build_registry() -> dict[str, tuple[ExperimentSpec, ...]]:
                 variant="send_rate_10",
                 title="Figure 17 / LAP send_rate_10",
                 maker="loan",
-                maker_args=(10.0,),
+                maker_args=(("send_rate", 10.0),),
                 plans=(_plan("data model alteration", (K.DATA_MODEL_ALTERATION,)),),
                 paper=_paper_rows(defs.FIG17_LAP["send_rate_10"]),
             ),
@@ -419,7 +383,7 @@ def _build_registry() -> dict[str, tuple[ExperimentSpec, ...]]:
                 variant="send_rate_300",
                 title="Figure 17 / LAP send_rate_300",
                 maker="loan",
-                maker_args=(300.0,),
+                maker_args=(("send_rate", 300.0),),
                 plans=(
                     _plan("data model alteration", (K.DATA_MODEL_ALTERATION,)),
                     _plan("transaction rate control", (K.TRANSACTION_RATE_CONTROL,)),
@@ -469,69 +433,20 @@ def _build_registry() -> dict[str, tuple[ExperimentSpec, ...]]:
         # Beyond the paper: the SLO-guardian controller sweep
         # (repro.control) — "what does closing the loop at run time buy?".
         "slo_guardian": _control_group(),
-        # Beyond the paper: streamed multi-channel runs at scale
-        # (repro.shard) — on-demand, so a plain `repro suite` never
-        # launches the 1M-transaction run by accident.
-        "large_scale": _large_scale_group(),
     }
     return registry
 
 
-def _large_scale_group() -> tuple[ExperimentSpec, ...]:
-    """Sharded streaming runs (``maker="sharded"``, args ``(base, channels)``).
-
-    These run through :func:`repro.shard.run_registry_spec`: N channels,
-    each a streaming-mode network with bounded accumulators, stitched
-    into one digestable summary.  ``multichannel_5k`` backs the tier-1
-    digest golden; ``multichannel_50k`` is the CI smoke scale;
-    ``multichannel_1m`` is the million-transaction demonstration
-    (reach it explicitly with ``repro suite --only large_scale/multichannel_1m``
-    or ``repro shard --txs 1000000``).
-    """
-    table: tuple[tuple[str, str, int, int], ...] = (
-        ("multichannel_5k", "default", 3, 5_000),
-        ("multichannel_50k", "default", 4, 50_000),
-        ("multichannel_1m", "default", 8, 1_000_000),
-    )
-    return tuple(
-        ExperimentSpec(
-            exp_id=f"large_scale/{variant}",
-            group="large_scale",
-            variant=variant,
-            title=f"Large scale / {channels}-channel {total:,}-tx streamed run",
-            maker="sharded",
-            maker_args=(base, channels),
-            total_transactions=total,
-        )
-        for variant, base, channels, total in table
-    )
-
-
 REGISTRY: dict[str, tuple[ExperimentSpec, ...]] = _build_registry()
 
-#: Groups that run only when named explicitly (``--only``): a default
-#: ``repro suite`` must never launch a million-transaction run.
-ON_DEMAND_GROUPS = frozenset({"large_scale"})
-
-
-def all_specs(include_on_demand: bool = False) -> list[ExperimentSpec]:
-    """Every registered experiment, in figure order.
-
-    On-demand groups (:data:`ON_DEMAND_GROUPS`) are excluded unless
-    ``include_on_demand`` — the full suite stays affordable by default
-    while ``select``/``get`` still reach them by name.
-    """
-    return [
-        spec
-        for group, specs in REGISTRY.items()
-        if include_on_demand or group not in ON_DEMAND_GROUPS
-        for spec in specs
-    ]
+def all_specs() -> list[ExperimentSpec]:
+    """Every registered experiment, in figure order."""
+    return [spec for specs in REGISTRY.values() for spec in specs]
 
 
 def get(exp_id: str) -> ExperimentSpec:
     """Look one experiment up by its ``<group>/<variant>`` id."""
-    for spec in all_specs(include_on_demand=True):
+    for spec in all_specs():
         if spec.exp_id == exp_id:
             return spec
     raise KeyError(f"unknown experiment {exp_id!r}")
@@ -565,7 +480,7 @@ def select(tokens: Iterable[str]) -> list[ExperimentSpec]:
     """
     matched: set[str] = set()
     unmatched: list[str] = []
-    candidates = all_specs(include_on_demand=True)
+    candidates = all_specs()
     cleaned = [token.strip() for token in tokens if token.strip()]
     if not cleaned:
         raise UnknownSelectionError(

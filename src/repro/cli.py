@@ -173,10 +173,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         return 1
     if args.list:
         for spec in specs:
-            print(
-                f"{spec.exp_id:<45} runs={spec.run_count()} "
-                f"scheduler={spec.scheduler}"
-            )
+            args = " ".join(f"{name}={value}" for name, value in spec.maker_args)
+            print(f"{spec.exp_id:<45} runs={spec.run_count()} {spec.maker} {args}")
         print(f"{len(specs)} experiments")
         return 0
 

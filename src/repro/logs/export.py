@@ -16,7 +16,9 @@ from typing import Any
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs.blockchain_log import BlockchainLog, ChannelConfig, LogRecord
 
-#: CSV column order; stable so downstream tooling can rely on it.
+#: CSV column order; stable so downstream tooling can rely on it.  Files
+#: written before ``attempt`` was added end at ``contract``; they still
+#: read, every record as a first attempt (as JSON logs without the key).
 CSV_COLUMNS = (
     "commit_order",
     "tx_id",
@@ -37,6 +39,7 @@ CSV_COLUMNS = (
     "block_position",
     "commit_time",
     "contract",
+    "attempt",
 )
 
 
@@ -160,12 +163,12 @@ def log_from_csv(path: str | Path) -> BlockchainLog:
         )
         interval = float(header[5]) if len(header) > 5 else 1.0
         columns = next(reader)
-        if tuple(columns) != CSV_COLUMNS:
+        if tuple(columns) not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
             raise ValueError(f"{path}: unexpected columns {columns}")
         records = []
         for row in reader:
             data: dict[str, Any] = {}
-            for column, cell in zip(CSV_COLUMNS, row):
+            for column, cell in zip(columns, row):
                 if column in ("args", "endorsers", "read_keys", "write_keys", "writes", "read_versions", "range_reads"):
                     data[column] = json.loads(cell)
                 else:

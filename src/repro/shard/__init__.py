@@ -14,7 +14,7 @@ from repro.shard.plan import (
     derive_channel_seed,
     plan_shards,
 )
-from repro.shard.runner import run_channel, run_registry_spec, run_sharded
+from repro.shard.runner import run_channel, run_sharded
 from repro.shard.summary import (
     ChannelSummary,
     RateSeriesAccumulator,
@@ -33,7 +33,6 @@ __all__ = [
     "derive_channel_seed",
     "plan_shards",
     "run_channel",
-    "run_registry_spec",
     "run_sharded",
     "stitch",
     "summarize_channel",

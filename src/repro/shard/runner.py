@@ -99,42 +99,3 @@ def run_sharded(plan: ShardPlan, progress: Progress | None = None) -> StitchedSu
         )
         summaries.append(summary)
     return stitch(plan, summaries)
-
-
-def run_registry_spec(spec) -> "ExperimentOutcome":  # noqa: F821 - doc name
-    """Adapter for ``maker="sharded"`` registry specs (the suite path).
-
-    A sharded experiment has no optimization plans and no batch network
-    to analyze; its outcome is a single row built from the stitched
-    totals, so ``repro suite --only large_scale`` renders it with the
-    same table machinery as every other experiment.
-    """
-    from repro.bench.harness import ExperimentOutcome, RunRow
-
-    base, channels = spec.maker_args
-    total = spec.total_transactions
-    if total is None:
-        from repro.bench.experiments import SCALE_TXS
-
-        total = SCALE_TXS
-    from repro.shard.plan import plan_shards
-
-    stitched = run_sharded(
-        plan_shards(
-            base=base,
-            channels=int(channels),
-            total_transactions=total,
-            seed=spec.seed,
-        )
-    )
-    row = RunRow(
-        label="sharded",
-        throughput=round(stitched.throughput, 1),
-        latency=round(stitched.avg_latency, 2),
-        success_pct=round(stitched.success_rate * 100.0, 1),
-    )
-    return ExperimentOutcome(
-        name=spec.title,
-        rows=[row],
-        recommendations=[],
-    )

@@ -189,15 +189,25 @@ class TestDocCrossLinks:
 class TestDocsMatchCode:
     def test_matrices_maker_table_lists_every_accepted_maker(self):
         """docs/MATRICES.md's maker table names exactly the makers
-        ``repro.bench.matrix`` accepts."""
+        ``repro.bench.matrix`` accepts, and each row's required factors
+        are the keywords without a default of that maker's factory."""
+        import inspect
         import re
 
-        from repro.bench.matrix import _MAKER_SHAPES
+        from repro.bench.experiments import MAKERS
 
         text = (REPO_ROOT / "docs" / "MATRICES.md").read_text()
         section = text.split("### Makers and their factors", 1)[1].split("\n\n")[1]
-        documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
-        assert sorted(documented) == sorted(_MAKER_SHAPES)
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, flags=re.MULTILINE)
+        assert sorted(maker for maker, _ in rows) == sorted(MAKERS)
+        for maker, required in rows:
+            params = inspect.signature(MAKERS[maker]).parameters.values()
+            expected = [
+                param.name
+                for param in params
+                if param.default is param.empty and param.kind is not param.VAR_KEYWORD
+            ]
+            assert re.findall(r"`(\w+)`", required) == expected, maker
 
     def test_package_docstring_quickstart_runs(self):
         """The quickstart in ``repro.__doc__`` runs as written (at 300

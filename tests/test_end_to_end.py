@@ -243,9 +243,7 @@ class TestProcessModelReproduction:
 
 def _synthetic_800(experiment="default", **overrides):
     """A synthetic experiment at an explicit 800-tx budget, not REPRO_BENCH_TXS."""
-    return make_synthetic(
-        experiment, total_transactions=800, overrides=tuple(overrides.items())
-    )
+    return make_synthetic(experiment, total_transactions=800, **overrides)
 
 
 class TestAblations:

@@ -143,5 +143,4 @@ class TestFailureAttribution:
             run_suite([self.poison_spec()], jobs=2, cache=None)
         error = excinfo.value
         assert error.exp_id == "poison/bad_maker"
-        assert error.stage == "baseline"
         assert "no_such_maker" in str(error)

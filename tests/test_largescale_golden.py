@@ -6,10 +6,13 @@ the stitched :class:`~repro.shard.summary.StitchedSummary` — the summary
 itself is bounded, so the digest captures the entire observable result
 of a run without storing megabytes of per-transaction data.
 
-Tier-1 re-runs only ``multichannel_5k`` (a few seconds).  The 50k and 1M
-variants are gated behind ``REPRO_LARGE_SCALE=1``; the CI smoke step
-checks the 50k golden through ``repro shard --check-digest`` instead,
-which also asserts the peak-RSS ceiling.
+Each golden file records its run's plan parameters next to the digest,
+and every check builds its plan from the file, exactly as
+``repro shard --check-digest FILE`` does.  Tier-1 re-runs only
+``multichannel_5k`` (a few seconds).  The 50k and 1M variants are gated
+behind ``REPRO_LARGE_SCALE=1``; the CI smoke step checks the 50k golden
+through ``repro shard --check-digest`` instead, which also asserts the
+peak-RSS ceiling.
 
 Regenerate after an intentional behaviour change::
 
@@ -29,12 +32,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from repro.bench.registry import get
 from repro.shard import plan_shards, run_sharded
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: Registry exp_ids with a digest golden, smallest first.
+#: The ``exp_id`` of each digest golden, smallest first.
 GOLDEN_IDS = (
     "large_scale/multichannel_5k",
     "large_scale/multichannel_50k",
@@ -46,44 +48,26 @@ def _golden_path(exp_id: str) -> Path:
     return GOLDEN_DIR / (exp_id.replace("/", "__") + ".json")
 
 
-def _plan_from_spec(exp_id: str):
-    spec = get(exp_id)
-    base, channels = spec.maker_args
+def _load(exp_id: str) -> dict:
+    return json.loads(_golden_path(exp_id).read_text())
+
+
+def _plan_from_golden(golden: dict):
     return plan_shards(
-        base=base,
-        channels=int(channels),
-        total_transactions=spec.total_transactions,
-        seed=spec.seed,
+        base=golden["base"],
+        channels=int(golden["channels"]),
+        total_transactions=int(golden["total_transactions"]),
+        seed=int(golden["seed"]),
+        interval_seconds=float(golden["interval_seconds"]),
     )
-
-
-def _golden_dict(exp_id: str, digest: str) -> dict:
-    plan = _plan_from_spec(exp_id)
-    return {
-        "exp_id": exp_id,
-        "base": plan.base,
-        "channels": len(plan.channels),
-        "total_transactions": plan.total_transactions,
-        "seed": plan.seed,
-        "interval_seconds": plan.interval_seconds,
-        "digest": digest,
-    }
 
 
 class TestLargeScaleGoldens(unittest.TestCase):
     def _check(self, exp_id: str) -> None:
         path = _golden_path(exp_id)
         self.assertTrue(path.exists(), f"missing digest golden {path}")
-        golden = json.loads(path.read_text())
-        plan = _plan_from_spec(exp_id)
-        # The golden's plan parameters must match the registry spec: a
-        # drifted golden would silently check a different run.
-        self.assertEqual(golden["base"], plan.base)
-        self.assertEqual(golden["channels"], len(plan.channels))
-        self.assertEqual(golden["total_transactions"], plan.total_transactions)
-        self.assertEqual(golden["seed"], plan.seed)
-        self.assertEqual(golden["interval_seconds"], plan.interval_seconds)
-        stitched = run_sharded(plan)
+        golden = _load(exp_id)
+        stitched = run_sharded(_plan_from_golden(golden))
         self.assertEqual(
             stitched.digest(),
             golden["digest"],
@@ -117,14 +101,11 @@ class TestLargeScaleGoldens(unittest.TestCase):
 def regenerate(include_1m: bool = False) -> None:
     ids = GOLDEN_IDS if include_1m else GOLDEN_IDS[:-1]
     for exp_id in ids:
-        plan = _plan_from_spec(exp_id)
-        print(f"running {exp_id} ({plan.total_transactions} txs)...", flush=True)
-        stitched = run_sharded(plan)
+        golden = _load(exp_id)
+        print(f"running {exp_id} ({golden['total_transactions']} txs)...", flush=True)
+        golden["digest"] = run_sharded(_plan_from_golden(golden)).digest()
         path = _golden_path(exp_id)
-        path.write_text(
-            json.dumps(_golden_dict(exp_id, stitched.digest()), indent=1, sort_keys=True)
-            + "\n"
-        )
+        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
 
 

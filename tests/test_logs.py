@@ -277,6 +277,47 @@ class TestExport:
             assert restored.read_versions == original.read_versions
             assert restored.range_reads == original.range_reads
 
+    @pytest.fixture(scope="class")
+    def retried_log(self):
+        """A 400-tx crash_burst run with up to 3 attempts: it logs retries."""
+        from repro.bench.experiments import make_scenario
+        from repro.fabric.network import run_workload
+
+        config, family, requests, scenario = make_scenario(
+            "default", "crash_burst", retry_attempts=3, total_transactions=400
+        )()
+        network, _ = run_workload(
+            config, family.deploy().contracts, requests, scenario=scenario
+        )
+        return extract_blockchain_log(network)
+
+    def test_csv_and_json_round_trips_agree_field_for_field(self, retried_log, tmp_path):
+        log_to_csv(retried_log, tmp_path / "log.csv")
+        log_to_json(retried_log, tmp_path / "log.json")
+        from_csv = log_from_csv(tmp_path / "log.csv").records
+        from_json = log_from_json(tmp_path / "log.json").records
+        assert any(record.attempt > 1 for record in from_json)
+        assert from_csv == from_json == retried_log.records
+
+    def test_csv_without_attempt_column_reads_as_first_attempts(
+        self, retried_log, tmp_path
+    ):
+        """Files written before the ``attempt`` column still read."""
+        import csv
+
+        path = tmp_path / "log.csv"
+        log_to_csv(retried_log, path)
+        with open(path, newline="") as handle:
+            config_row, *rows = list(csv.reader(handle))
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows([config_row, *(row[:-1] for row in rows)])
+        assert rows[0][-1] == "attempt"
+        loaded = log_from_csv(path)
+        assert {record.attempt for record in loaded.records} == {1}
+        assert [
+            record.tx_id for record in loaded.records
+        ] == [record.tx_id for record in retried_log.records]
+
     def test_csv_requires_config_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("not,a,log\n")

@@ -87,6 +87,10 @@ class TestParsing:
             ({"factors": {"bogus": ["x"]}}, "does not accept factor"),
             ({"factors": {"scheduler": ["fifo"]}}, "requires factor"),
             ({"extra_key": 1}, "unknown spec key"),
+            # Retired maker names: no alias, the error lists the four makers.
+            ({"maker": "tuned"}, "valid: loan, scenario, synthetic, usecase"),
+            ({"maker": "forensics"}, "unknown maker 'forensics'; valid: loan,"),
+            ({"maker": "control"}, "unknown maker 'control'; valid: loan,"),
         ],
     )
     def test_malformed_specs_rejected(self, broken, message):
@@ -129,17 +133,23 @@ class TestExpansion:
         matrix = matrix_from_dict(
             {
                 "name": "grid",
-                "maker": "tuned",
+                "maker": "synthetic",
                 "txs": 200,
                 "seeds": [7],
-                "factors": {"block_count": [50, 100], "send_rate": [150, 300]},
+                "factors": {
+                    "experiment": "default",
+                    "block_count": [50, 100],
+                    "send_rate": [150, 300],
+                },
             }
         )
         runs = expand(matrix)
         assert len(runs) == 4
-        base, overrides = runs[0].spec.maker_args
-        assert base == "default"
-        assert dict(overrides) == {"block_count": 50, "send_rate": 150}
+        assert dict(runs[0].spec.maker_args) == {
+            "experiment": "default",
+            "block_count": 50,
+            "send_rate": 150,
+        }
         # The bundle materializes with the overrides applied.
         config, _, requests = runs[0].spec.make_bundle()()
         assert config.block_count == 50
@@ -149,23 +159,63 @@ class TestExpansion:
         matrix = matrix_from_dict(
             {
                 "name": "faults",
-                "maker": "forensics",
+                "maker": "scenario",
                 "seeds": [7],
                 "factors": {"base": ["default"], "scenario": ["crash_burst"]},
             }
         )
         (run,) = expand(matrix)
-        assert run.spec.maker_args == ("default", "crash_burst", "none", 1)
+        assert run.spec.maker_args == (("base", "default"), ("scenario", "crash_burst"))
+        config = run.spec.with_overrides(total_transactions=100).make_bundle()()[0]
+        assert config.mitigation == "none"
+        assert config.retry is None
+        assert config.control is None
+
+    def test_matrix_cell_and_registry_cell_describe_the_same_run(self):
+        """The registry and a matrix spell one run the same way: same
+        maker, same keyword arguments, same run."""
+        from repro.bench.registry import get
+        from repro.fabric.network import run_workload
+        from repro.scenario.engine import run_digest
+
+        matrix = matrix_from_dict(
+            {
+                "name": "same",
+                "maker": "scenario",
+                "txs": 400,
+                "seeds": [7],
+                "factors": {
+                    "base": "default",
+                    "scenario": "partial_outage",
+                    "mitigation": "early_abort",
+                    "retry_attempts": 3,
+                },
+            }
+        )
+        (run,) = expand(matrix)
+        registered = get(
+            "failure_forensics/partial_outage__early_abort_retry"
+        ).with_overrides(total_transactions=400)
+        assert run.spec.maker == registered.maker
+        assert dict(run.spec.maker_args) == dict(registered.maker_args)
+        digests = []
+        for spec in (run.spec, registered):
+            config, family, requests, scenario = spec.make_bundle()()
+            network, _ = run_workload(
+                config, family.deploy().contracts, requests, scenario=scenario
+            )
+            digests.append(run_digest(network))
+        assert digests[0] == digests[1]
 
     def test_duplicate_cell_ids_rejected(self):
         matrix = matrix_from_dict(
             {
                 "name": "dup",
-                "maker": "tuned",
+                "maker": "synthetic",
                 "seeds": [7],
                 # 150 and 150.0 survive parse-time dedup (distinct str())
                 # but slug to the same cell id fragment.
-                "factors": {"send_rate": [150, 150.0]},
+                "factors": {"experiment": "default", "send_rate": [150, 150.0]},
             }
         )
         with pytest.raises(MatrixError, match="duplicate cell id"):
@@ -175,14 +225,18 @@ class TestExpansion:
         matrix = matrix_from_dict(
             {
                 "name": "bad",
-                "maker": "tuned",
+                "maker": "synthetic",
                 "seeds": [7],
-                "factors": {"endorsement_policy": ["P1"]},  # needs 4 orgs
+                "factors": {
+                    "experiment": "default",
+                    "endorsement_policy": ["P1"],  # needs 4 orgs
+                },
             }
         )
         (run,) = expand(matrix)
         with pytest.raises(ValueError, match="orgs"):
             run.spec.make_bundle()()
+
 
     def test_select_runs_matches_cells_runs_and_prefixes(self):
         runs = expand(small_matrix())
@@ -335,7 +389,7 @@ class TestCli:
         "maker, factors, cell, message",
         [
             (
-                "forensics",
+                "scenario",
                 "base: workload_update_heavy\n  scenario: conflict_storm\n"
                 "  mitigation: [none, early_abrot]",
                 "typo/workload_update_heavy_conflict_storm_early_abrot",
@@ -343,10 +397,10 @@ class TestCli:
             ),
             (
                 # Unquoted, YAML reads ``off`` as the boolean False.
-                "control",
+                "scenario",
                 "base: default\n  scenario: crash_burst\n  policy: [off]",
                 "typo/default_crash_burst_False",
-                "unknown control policy 'False'",
+                "unknown control policy False",
             ),
             (
                 "scenario",
@@ -354,8 +408,15 @@ class TestCli:
                 "typo/defualt_crash_burst",
                 "unknown synthetic experiment 'defualt'",
             ),
+            (
+                # A value of the wrong type: the factory's TypeError.
+                "scenario",
+                "base: default\n  scenario: crash_burst\n  retry_attempts: [three]",
+                "typo/default_crash_burst_three",
+                "'>' not supported between instances of 'str' and 'int'",
+            ),
         ],
-        ids=["mitigation", "policy", "base"],
+        ids=["mitigation", "policy", "base", "type"],
     )
     def test_value_typo_exits_2_at_dry_run_naming_the_cell(
         self, tmp_path, capsys, maker, factors, cell, message

@@ -469,6 +469,15 @@ class TestScenarioBench:
         assert by_spec[0].control is control
         assert by_name[0].control == ControlSpec("noop")
 
+    def test_make_scenario_rejects_a_policy_that_is_not_off_or_a_name(self):
+        """Unquoted YAML ``off`` reaches the factory as False: it must fail
+        when the factory is built, not as an AttributeError mid-run."""
+        from repro.bench.experiments import make_scenario
+
+        for policy in (False, None):
+            with pytest.raises(ValueError, match=f"unknown control policy {policy!r}"):
+                make_scenario("default", "crash_burst", policy=policy)
+
     def test_registry_exposes_scenario_group(self):
         from repro.bench.registry import select
 
@@ -479,7 +488,7 @@ class TestScenarioBench:
         for spec in specs:
             assert spec.maker == "scenario"
             # Scenario name is part of the cache identity.
-            assert spec.variant in spec.payload()["maker_args"]
+            assert dict(spec.payload()["maker_args"])["scenario"] == spec.variant
 
     def test_scenario_experiment_round_trips_executor_and_cache(self, tmp_path):
         from repro.bench.cache import ResultCache

@@ -1,13 +1,11 @@
-"""Shard layer tests: deterministic planning, stitching, registry routing."""
+"""Shard layer tests: deterministic planning and stitching."""
 
 import pytest
 
-from repro.bench.registry import ON_DEMAND_GROUPS, all_specs, get
 from repro.shard import (
     assign_clients,
     derive_channel_seed,
     plan_shards,
-    run_registry_spec,
     run_sharded,
     stitch,
 )
@@ -141,45 +139,3 @@ class TestStitching:
         assert totals["committed"] == 0
         assert totals["avg_latency"] == 0.0
         assert len(stitched.digest()) == 64
-
-
-class TestRegistryRouting:
-    def test_large_scale_is_on_demand_only(self):
-        default_ids = {spec.exp_id for spec in all_specs()}
-        all_ids = {spec.exp_id for spec in all_specs(include_on_demand=True)}
-        assert not any(exp_id.startswith("large_scale/") for exp_id in default_ids)
-        assert "large_scale/multichannel_1m" in all_ids
-        assert "large_scale" in ON_DEMAND_GROUPS
-
-    def test_sharded_spec_has_no_bundle(self):
-        spec = get("large_scale/multichannel_5k")
-        assert spec.maker == "sharded"
-        with pytest.raises(ValueError, match="sharded"):
-            spec.make_bundle()
-
-    def test_run_registry_spec_outcome_shape(self):
-        spec = get("large_scale/multichannel_5k").with_overrides(
-            total_transactions=600
-        )
-        outcome = run_registry_spec(spec)
-        assert outcome.name == spec.title
-        (row,) = outcome.rows
-        assert row.label == "sharded"
-        assert row.throughput > 0
-        assert 0.0 <= row.success_pct <= 100.0
-        assert outcome.recommendations == []
-
-    def test_suite_executes_and_caches_sharded_specs(self, tmp_path):
-        from repro.bench.cache import ResultCache
-        from repro.bench.executor import run_suite
-
-        spec = get("large_scale/multichannel_5k").with_overrides(
-            total_transactions=600
-        )
-        cache = ResultCache(tmp_path)
-        cold = run_suite([spec], jobs=1, cache=cache)
-        assert cold.executed == [spec.exp_id]
-        warm = run_suite([spec], jobs=1, cache=cache)
-        assert warm.simulated_runs == 0
-        assert warm.cached == [spec.exp_id]
-        assert warm.outcomes[0].rows == cold.outcomes[0].rows
