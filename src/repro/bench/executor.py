@@ -151,6 +151,9 @@ def run_suite(
             for future in as_completed(futures):
                 spec = futures[future]
                 if (error := future.exception()) is not None:
+                    # Leaving the block waits for every queued task unless
+                    # they are cancelled first.
+                    pool.shutdown(cancel_futures=True)
                     raise ExperimentExecutionError(spec.exp_id, error) from error
                 finish(spec, future.result())
 

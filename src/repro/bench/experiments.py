@@ -25,6 +25,7 @@ from repro.contracts.registry import (
     voting_family,
 )
 from repro.core.recommendations import OptimizationKind as K
+from repro.fabric.reorder import SCHEDULERS
 from repro.workloads.loan import generate_loan_event_log, loan_workload
 from repro.workloads.spec import ControlVariables, WorkloadType
 from repro.workloads.synthetic import synthetic_workload
@@ -129,13 +130,15 @@ def make_synthetic(
     that field on top of :func:`synthetic_spec`'s ``experiment`` — what
     lets a matrix (:mod:`repro.bench.matrix`) cross *numeric* factors
     (block size × send rate × workload mix) that no single named
-    experiment exposes.  Names
-    are checked when this factory is called: the experiment, the fields
-    and ``workload_type`` values.  The combined spec is re-validated when
-    the bundle is built, so an impossible combination (e.g. a P1 policy
-    with 2 orgs) fails then, before the run.
+    experiment exposes.  Names are checked when this factory is called:
+    the experiment, the fields, the ``workload_type`` values and the
+    ``scheduler``.  The combined spec is re-validated when the bundle is
+    built, so an impossible combination (e.g. a P1 policy with 2 orgs)
+    fails then, before the run.
     """
     synthetic_spec(experiment)  # unknown experiment names fail here
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}; known: {', '.join(SCHEDULERS)}")
     for field_name in overrides:
         if field_name not in TUNABLE_FIELDS:
             raise KeyError(

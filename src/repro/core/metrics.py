@@ -197,9 +197,11 @@ class MetricsAccumulator:
         self.hotkey_min_failures = hotkey_min_failures
         self._stamps = array("d")
         self._fail_flags = bytearray()
-        # Plain dicts updated with local-variable references; insertion
-        # order matches the historical batch passes exactly, so every
-        # derived dict (and anything serialized from it) is unchanged.
+        # Plain dicts updated with local-variable references, keyed in
+        # first-seen order.  The per-key dicts (kfreq, ksig, ksig_failed,
+        # key_failed_activities) follow frozenset iteration of each
+        # record's rw_keys, which changes with PYTHONHASHSEED, so every
+        # consumer reads them by key or in sorted order.
         self._failure_counts: dict[TxStatus, int] = {}
         self._edsig: dict[str, int] = {}
         self._edsig_org: dict[str, int] = {}

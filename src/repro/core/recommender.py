@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.metrics import LogMetrics, compute_metrics
+from repro.core.metrics import LogMetrics, MetricsAccumulator
 from repro.core.recommendations import Level, OptimizationKind, Recommendation
 from repro.core.rules import evaluate_rules
 from repro.core.thresholds import Thresholds
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import BlockchainLog
-from repro.logs.eventlog import EventLog
-from repro.logs.export import log_from_csv, log_from_json
+from repro.logs.eventlog import EventLog, EventLogAccumulator
+from repro.logs.export import CsvLog, log_from_json
 from repro.logs.extract import extract_blockchain_log
 from repro.mining.dfg import DirectlyFollowsGraph
 from repro.mining.footprint import FootprintMatrix
@@ -31,7 +31,9 @@ from repro.mining.heuristics import DependencyGraph, heuristics_miner
 class AnalysisReport:
     """Everything one BlockOptR run produces."""
 
-    log: BlockchainLog
+    #: The analyzed log; for a CSV file, the :class:`CsvLog` it was read
+    #: from (config and record count, no records).
+    log: BlockchainLog | CsvLog
     metrics: LogMetrics
     recommendations: list[Recommendation]
     event_log: EventLog
@@ -85,26 +87,36 @@ class BlockOptR:
         return self.analyze_log(log)
 
     def analyze_file(self, path: str | Path) -> AnalysisReport:
-        """Analyze an exported log (.csv or .json)."""
+        """Analyze an exported log (.csv or .json); a CSV streams through."""
         path = Path(path)
         if path.suffix == ".csv":
-            log = log_from_csv(path)
+            log = CsvLog(path)
         elif path.suffix == ".json":
             log = log_from_json(path)
         else:
             raise ValueError(f"unsupported log format {path.suffix!r}")
         return self.analyze_log(log)
 
-    def analyze_log(self, log: BlockchainLog) -> AnalysisReport:
-        """The Figure 5 pipeline over a preprocessed blockchain log."""
-        metrics = compute_metrics(
-            log,
+    def analyze_log(self, log: BlockchainLog | CsvLog) -> AnalysisReport:
+        """The Figure 5 pipeline over a preprocessed blockchain log.
+
+        One pass over ``log`` feeds each record to the Section 4.3 metrics
+        and the Section 4.2 event log, so a :class:`CsvLog` is read once
+        and no record outlives its step.
+        """
+        metrics_accumulator = MetricsAccumulator(
+            config=log.config,
             interval_seconds=self.thresholds.interval_seconds,
             hotkey_failure_share=self.thresholds.hotkey_failure_share,
             hotkey_min_failures=self.thresholds.hotkey_min_failures,
         )
+        event_accumulator = EventLogAccumulator(self.case_attribute)
+        for record in log:
+            metrics_accumulator.consume(record)
+            event_accumulator.consume(record)
+        metrics = metrics_accumulator.finish()
         recommendations = evaluate_rules(metrics, self.thresholds)
-        event_log = EventLog.from_blockchain_log(log, case_attribute=self.case_attribute)
+        event_log = event_accumulator.finish()
         traces = event_log.traces()
         dfg = DirectlyFollowsGraph.from_traces(traces)
         dependency_graph = heuristics_miner(

@@ -106,7 +106,7 @@ class NetworkConfig:
     block_bytes: int = 2 * 1024 * 1024
     #: Zipf skew for how clients pick among policy alternatives; 0 = uniform.
     endorser_selection_skew: float = 0.0
-    #: Ordering-stage scheduler: "fifo", "fabricpp" or "fabricsharp".
+    #: Ordering-stage scheduler, one of :data:`repro.fabric.reorder.SCHEDULERS`.
     scheduler: str = "fifo"
     #: Sliding-window (in blocks) for the FabricSharp-style scheduler.
     scheduler_window: int = 5

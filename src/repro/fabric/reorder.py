@@ -255,14 +255,18 @@ class FabricSharpScheduler:
         del tx, block
 
 
+#: The scheduler names :func:`make_scheduler` builds.
+SCHEDULERS = ("fifo", "fabricpp", "fabricsharp", "conflict_aware")
+
+
 def make_scheduler(name: str, window: int = 5) -> Scheduler:
     """Factory used by :class:`~repro.fabric.config.NetworkConfig.scheduler`."""
+    if name not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {name!r}; known: {', '.join(SCHEDULERS)}")
     if name == "fifo":
         return FifoScheduler()
     if name == "fabricpp":
         return FabricPlusPlusScheduler()
     if name == "fabricsharp":
         return FabricSharpScheduler(window=window)
-    if name == "conflict_aware":
-        return ConflictAwareScheduler()
-    raise ValueError(f"unknown scheduler {name!r}")
+    return ConflictAwareScheduler()

@@ -3,8 +3,9 @@
 ``extract`` reads the ledger of a simulated network, drops configuration
 transactions, and produces the nine-attribute :class:`BlockchainLog`;
 ``export`` round-trips it through CSV/JSON (the preprocessed log the
-paper releases for process-mining research); ``eventlog`` derives CaseIDs
-from a common element and yields the traces process mining consumes.
+paper releases for process-mining research) and streams a CSV log row by
+row (:class:`CsvLog`); ``eventlog`` derives CaseIDs from a common element
+and yields the traces process mining consumes.
 """
 
 from repro.logs.blockchain_log import (
@@ -24,6 +25,7 @@ from repro.logs.eventlog import (
     derive_case_attribute,
 )
 from repro.logs.export import (
+    CsvLog,
     log_from_csv,
     log_from_json,
     log_to_csv,
@@ -36,6 +38,7 @@ __all__ = [
     "CaseDerivationAccumulator",
     "CaseIdDerivation",
     "ChannelConfig",
+    "CsvLog",
     "Event",
     "EventLog",
     "EventLogAccumulator",

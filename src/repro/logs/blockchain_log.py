@@ -87,8 +87,8 @@ class LogRecord:
     commit_time: float
     contract: str = "contract"
     #: Client attempt number: 1 = original submission, >1 = a retry issued
-    #: under a :class:`~repro.fabric.retry.RetryPolicy`.  Carried in the
-    #: JSON export; the pinned CSV schema omits it (attempt 1 assumed).
+    #: under a :class:`~repro.fabric.retry.RetryPolicy`.  Carried in both
+    #: exports; CSV files written before the ``attempt`` column read as 1.
     attempt: int = 1
     #: Lazily computed cache behind :attr:`rw_keys` — the metrics pass reads
     #: it several times per record and the union is not free.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.logs.blockchain_log import BlockchainLog, LogRecord
 
@@ -83,20 +83,22 @@ def key_family(key: str) -> tuple[str, str] | None:
     return _key_family(key)
 
 
-def _values_for(record: LogRecord, attribute: str) -> list[str]:
-    """All values of ``attribute`` exhibited by one transaction."""
+def _case_id(attribute: str, args: tuple[Any, ...], rw_keys: frozenset[str]) -> str | None:
+    """The CaseID ``attribute`` gives one transaction, or ``None`` if none.
+
+    An argument attribute reads that argument; a key family reads the
+    value of the transaction's first key of that family in sorted order.
+    """
     kind, _, name = attribute.partition(":")
     if kind == "arg":
         index = int(name)
-        if index < len(record.args):
-            return [str(record.args[index])]
-        return []
-    values = []
-    for key in sorted(record.rw_keys):
+        return str(args[index]) if index < len(args) else None
+    first = None
+    for key in rw_keys:
         parsed = _key_family(key)
-        if parsed is not None and parsed[0] == name:
-            values.append(parsed[1])
-    return values
+        if parsed is not None and parsed[0] == name and (first is None or key < first):
+            first = key
+    return None if first is None else _key_family(first)[1]
 
 
 class CaseDerivationAccumulator:
@@ -117,10 +119,6 @@ class CaseDerivationAccumulator:
         self._arg_values: dict[int, set[str]] = {}
         self._family_coverage: dict[str, set[str]] = {}
         self._family_values: dict[str, set[str]] = {}
-        #: Candidate -> number of records exhibiting a value (the bounded
-        #: event count the channel summaries report without materializing
-        #: the event list).
-        self._covered_records: dict[str, int] = {}
 
     def consume(self, record: LogRecord) -> None:
         """Fold one record's arguments and key families in."""
@@ -130,7 +128,6 @@ class CaseDerivationAccumulator:
         args = record.args
         if len(args) > self._max_args:
             self._max_args = len(args)
-        covered_records = self._covered_records
         for index, arg in enumerate(args):
             coverage = self._arg_coverage.get(index)
             if coverage is None:
@@ -138,9 +135,6 @@ class CaseDerivationAccumulator:
                 self._arg_values[index] = set()
             coverage.add(activity)
             self._arg_values[index].add(str(arg))
-            candidate = f"arg:{index}"
-            covered_records[candidate] = covered_records.get(candidate, 0) + 1
-        seen_families: set[str] = set()
         for key in record.rw_keys:
             parsed = _key_family(key)
             if parsed is None:
@@ -152,14 +146,6 @@ class CaseDerivationAccumulator:
                 self._family_values[family] = set()
             coverage.add(activity)
             self._family_values[family].add(value)
-            seen_families.add(family)
-        for family in seen_families:
-            candidate = f"key:{family}"
-            covered_records[candidate] = covered_records.get(candidate, 0) + 1
-
-    def covered_records(self, attribute: str) -> int:
-        """Records that exhibit at least one value of ``attribute``."""
-        return self._covered_records.get(attribute, 0)
 
     def finish(self) -> CaseIdDerivation:
         """Score every candidate and pick the common element."""
@@ -246,58 +232,66 @@ class EventLog:
     ) -> "EventLog":
         """Build the event log, deriving the CaseID attribute if not given.
 
-        Thin batch wrapper: derivation and event materialization each
-        stream the records through their accumulator.  Transactions with
-        no value for the case attribute (e.g. a range read in an
-        argument-based derivation) are assigned to their first matching
-        value or skipped when none exists; ``include_failures`` keeps
-        failed transactions (they are real process steps and the evidence
-        behind pruning recommendations).
+        Thin batch wrapper over :class:`EventLogAccumulator`.
+        Transactions with no value for the case attribute (e.g. a range
+        read in an argument-based derivation) are assigned to their first
+        matching value or skipped when none exists; ``include_failures``
+        keeps failed transactions (they are real process steps and the
+        evidence behind pruning recommendations).
         """
-        derivation = (
-            derive_case_attribute(log)
-            if case_attribute is None
-            else CaseIdDerivation(attribute=case_attribute, coverage=0.0, distinct_values=0)
-        )
-        accumulator = EventLogAccumulator(
-            derivation.attribute, include_failures=include_failures
-        )
+        accumulator = EventLogAccumulator(case_attribute, include_failures=include_failures)
         for record in log.records:
             accumulator.consume(record)
-        return EventLog(events=accumulator.finish(), derivation=derivation)
+        return accumulator.finish()
 
 
 class EventLogAccumulator:
-    """Streaming event materialization for a known case attribute.
+    """Streaming event-log construction (record-consumer protocol).
 
-    Record-consumer protocol; :meth:`finish` returns the event list.
-    Note the event list itself is O(transactions) — large-scale runs use
-    :class:`CaseDerivationAccumulator` (bounded) and skip materialization.
+    Each record is folded into a :class:`CaseDerivationAccumulator`
+    (unless ``case_attribute`` forces the CaseID) and kept as one compact
+    row: commit order, activity, timestamp, invoker, status, ``args`` and
+    ``rw_keys``.  :meth:`finish` picks the attribute and turns the rows
+    into events, so one pass over the log suffices.  The rows, like the
+    event list they become, are O(transactions).
     """
 
-    def __init__(self, attribute: str, include_failures: bool = True) -> None:
-        self.attribute = attribute
+    def __init__(self, case_attribute: str | None = None, include_failures: bool = True) -> None:
+        self.case_attribute = case_attribute
         self.include_failures = include_failures
-        self._events: list[Event] = []
+        self._derivation = CaseDerivationAccumulator() if case_attribute is None else None
+        self._rows: list[tuple] = []
 
     def consume(self, record: LogRecord) -> None:
-        """Append the record's event, if it has a case value."""
+        """Fold the record into the derivation and keep its row."""
+        if self._derivation is not None:
+            self._derivation.consume(record)
         if not self.include_failures and record.is_failure:
             return
-        values = _values_for(record, self.attribute)
-        if not values:
-            return
-        self._events.append(
-            Event(
-                case_id=values[0],
-                activity=record.activity,
-                commit_order=record.commit_order,
-                timestamp=record.client_timestamp,
-                invoker=record.invoker,
-                status=record.status.value,
+        self._rows.append(
+            (
+                record.commit_order,
+                record.activity,
+                record.client_timestamp,
+                record.invoker,
+                record.status.value,
+                record.args,
+                record.rw_keys,
             )
         )
 
-    def finish(self) -> list[Event]:
-        """The materialized events, in consumption order."""
-        return self._events
+    def finish(self) -> EventLog:
+        """Pick the case attribute and turn the rows into events, in consumption order."""
+        if self._derivation is None:
+            derivation = CaseIdDerivation(
+                attribute=self.case_attribute, coverage=0.0, distinct_values=0
+            )
+        else:
+            derivation = self._derivation.finish()
+        attribute = derivation.attribute
+        events = []
+        for order, activity, stamp, invoker, status, args, rw_keys in self._rows:
+            case_id = _case_id(attribute, args, rw_keys)
+            if case_id is not None:
+                events.append(Event(case_id, activity, order, stamp, invoker, status))
+        return EventLog(events=events, derivation=derivation)

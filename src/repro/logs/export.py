@@ -4,6 +4,8 @@ The paper's preprocessing step saves the chain as JSON and converts the
 cleaned log to CSV; these functions reproduce both formats so that
 exported logs can be re-analyzed (or shared) without the simulator.
 Structured cells (args, read-write sets) are JSON-encoded inside the CSV.
+:class:`CsvLog` reads a CSV log one row at a time, so an analysis can
+fold its records in without ever holding the record list.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs.blockchain_log import BlockchainLog, ChannelConfig, LogRecord
@@ -150,28 +152,109 @@ def log_to_csv(log: BlockchainLog, path: str | Path) -> None:
 
 
 def log_from_csv(path: str | Path) -> BlockchainLog:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if not header or header[0] != "#config":
+    """Read a whole CSV log into memory (see :class:`CsvLog`)."""
+    source = CsvLog(path)
+    return BlockchainLog(
+        records=list(source),
+        config=source.config,
+        interval_seconds=source.interval_seconds,
+    )
+
+
+#: Value -> member lookups; a miss calls the enum, which raises its own
+#: ``ValueError`` for an unknown value.
+_STATUSES = {status.value: status for status in TxStatus}
+_TX_TYPES = {tx_type.value: tx_type for tx_type in TxType}
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_cell(cell: str) -> Any:
+    """Decode one JSON cell with a single C-level scan.
+
+    A cell the scan cannot decode, or does not consume whole (padding,
+    trailing data), goes through ``json.loads``: a padded cell still
+    reads and a malformed one raises the decoder's own error.
+    """
+    try:
+        value, end = _scan_once(cell, 0)
+    except (StopIteration, ValueError):
+        return json.loads(cell)
+    return value if end == len(cell) else json.loads(cell)
+
+
+class CsvLog:
+    """A CSV log read row by row: the config on open, records per pass.
+
+    Iterating opens the file and yields one :class:`LogRecord` per row,
+    so a consumer that folds records in as they come
+    (:meth:`repro.core.recommender.BlockOptR.analyze_log`) never holds a
+    record list.  ``len()`` is the number of records the latest pass has
+    read, without reading the file again.  A row whose cell count
+    differs from the header's raises ``ValueError`` naming its line.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        with open(self.path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            columns = tuple(next(reader, ()))
+        if len(header) < 5 or header[0] != "#config":
             raise ValueError(f"{path}: missing #config header row")
-        config = ChannelConfig(
+        self.config = ChannelConfig(
             block_count=int(header[1]),
             block_timeout=float(header[2]),
             block_bytes=int(header[3]),
             endorsement_policy=header[4],
         )
-        interval = float(header[5]) if len(header) > 5 else 1.0
-        columns = next(reader)
-        if tuple(columns) not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
-            raise ValueError(f"{path}: unexpected columns {columns}")
-        records = []
-        for row in reader:
-            data: dict[str, Any] = {}
-            for column, cell in zip(columns, row):
-                if column in ("args", "endorsers", "read_keys", "write_keys", "writes", "read_versions", "range_reads"):
-                    data[column] = json.loads(cell)
-                else:
-                    data[column] = cell
-            records.append(_record_from_dict(data))
-    return BlockchainLog(records=records, config=config, interval_seconds=interval)
+        self.interval_seconds = float(header[5]) if len(header) > 5 else 1.0
+        if columns not in (CSV_COLUMNS, CSV_COLUMNS[:-1]):
+            raise ValueError(f"{path}: unexpected columns {list(columns)}")
+        self._width = len(columns)
+        self._read = 0
+
+    def __len__(self) -> int:
+        return self._read
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        width = self._width
+        has_attempt = width == len(CSV_COLUMNS)
+        cell = _json_cell
+        self._read = 0
+        with open(self.path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)  # the #config row
+            next(reader)  # the column names
+            for row in reader:
+                if len(row) != width:
+                    raise ValueError(
+                        f"{self.path}: line {reader.line_num}: {len(row)} cells, "
+                        f"the header has {width}"
+                    )
+                # Cells in CSV_COLUMNS order; conversions as _record_from_dict.
+                record = LogRecord(
+                    commit_order=int(row[0]),
+                    tx_id=row[1],
+                    client_timestamp=float(row[2]),
+                    activity=row[3],
+                    args=tuple(cell(row[4])),
+                    endorsers=tuple(cell(row[5])),
+                    invoker=row[6],
+                    invoker_org=row[7],
+                    read_keys=tuple(cell(row[8])),
+                    write_keys=tuple(cell(row[9])),
+                    writes=dict(cell(row[10])),
+                    read_versions={
+                        key: (int(v[0]), int(v[1])) for key, v in cell(row[11]).items()
+                    },
+                    range_reads=tuple((str(b[0]), str(b[1])) for b in cell(row[12])),
+                    status=_STATUSES.get(row[13]) or TxStatus(row[13]),
+                    tx_type=_TX_TYPES.get(row[14]) or TxType(row[14]),
+                    block_number=int(row[15]),
+                    block_position=int(row[16]),
+                    commit_time=float(row[17]),
+                    contract=row[18],
+                    attempt=int(row[19]) if has_attempt else 1,
+                )
+                self._read += 1
+                yield record

@@ -10,6 +10,10 @@ Three representative experiments cover the three bundle makers
 
 from __future__ import annotations
 
+import os
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.bench.cache import ResultCache
@@ -144,3 +148,33 @@ class TestFailureAttribution:
         error = excinfo.value
         assert error.exp_id == "poison/bad_maker"
         assert "no_such_maker" in str(error)
+
+    def test_parallel_failure_cancels_the_queued_experiments(self, tmp_path, monkeypatch):
+        """A failure raises at once: experiments still queued never start.
+
+        Up to five slow cells can start before the cancel (two on the
+        workers, three in the pool's call queue), so there are twelve.
+        """
+        from dataclasses import replace
+
+        from repro.bench import executor
+
+        monkeypatch.setenv("REPRO_TEST_MARKERS", str(tmp_path))
+        monkeypatch.setattr(executor, "run_spec", _marking_run_spec)
+        base = get("table3/num_orgs_4")
+        slow = [replace(base, exp_id=f"slow/{index}") for index in range(12)]
+        with pytest.raises(executor.ExperimentExecutionError) as excinfo:
+            run_suite([replace(base, exp_id="poison/first"), *slow], jobs=2, cache=None)
+        assert excinfo.value.exp_id == "poison/first"
+        started = sorted(path.name for path in tmp_path.iterdir())
+        assert "poison_first" in started
+        assert len(started) - 1 < len(slow) / 2, started
+
+
+def _marking_run_spec(spec):
+    """Pool task stand-in: mark the experiment as started, then fail at
+    once (``poison/``) or take half a second."""
+    Path(os.environ["REPRO_TEST_MARKERS"], spec.exp_id.replace("/", "_")).touch()
+    if spec.exp_id.startswith("poison/"):
+        raise RuntimeError("poisoned cell")
+    time.sleep(0.5)

@@ -324,6 +324,13 @@ class TestExport:
         with pytest.raises(ValueError):
             log_from_csv(path)
 
+    @pytest.mark.parametrize("text", ["#config,100\n", ""], ids=["short", "empty"])
+    def test_csv_short_or_empty_config_row_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="missing #config header row"):
+            log_from_csv(path)
+
 
 class TestCaseIdDerivation:
     def test_key_family_wins_on_coverage(self):
@@ -405,6 +412,26 @@ class TestEventLog:
     def test_activities_listing(self):
         event_log = EventLog.from_blockchain_log(self._sample_log())
         assert event_log.activities() == ["close", "create", "process"]
+
+    def test_first_key_in_sorted_order_names_the_case(self):
+        records = [make_record(0, activity="a", keys=["case:B", "case:A", "other:Z"])]
+        event_log = EventLog.from_blockchain_log(make_log(records), case_attribute="key:case")
+        assert [event.case_id for event in event_log] == ["A"]
+
+    def test_excluded_failures_still_count_in_the_derivation(self):
+        # Over successes alone arg:0 wins (3 values); the failed "b"
+        # transactions make key:item the only attribute covering both.
+        records = [
+            make_record(i, activity="a", args=(f"p{i}",), keys=["item:1"]) for i in range(3)
+        ]
+        records.append(
+            make_record(3, activity="b", keys=["item:2"], status=TxStatus.MVCC_CONFLICT)
+        )
+        log = make_log(records)
+        without = EventLog.from_blockchain_log(log, include_failures=False)
+        assert without.derivation == derive_case_attribute(log)
+        assert without.derivation.attribute == "key:item"
+        assert [event.activity for event in without] == ["a", "a", "a"]
 
 
 @settings(max_examples=25)

@@ -284,7 +284,11 @@ class TestStatistics:
                 assert stats.ci_low == stats.median == stats.ci_high
         # Markdown renders the degenerate interval as a bare median.
         text = summary_markdown(matrix, cells)
-        assert "[" not in text.split("|---")[0] or True
+        lines = text.splitlines()
+        separator = next(i for i, line in enumerate(lines) if line.startswith("|---"))
+        rows = [line for line in lines[separator + 1:] if line.startswith("|")]
+        assert len(rows) == len(cells)
+        assert not any("[" in row for row in rows)
         assert f"{cells[0].metrics['latency'].median:.2f}" in text
 
 
@@ -415,8 +419,14 @@ class TestCli:
                 "typo/default_crash_burst_three",
                 "'>' not supported between instances of 'str' and 'int'",
             ),
+            (
+                "synthetic",
+                "experiment: default\n  scheduler: [fabricshrp]",
+                "typo/default_fabricshrp",
+                "unknown scheduler 'fabricshrp'",
+            ),
         ],
-        ids=["mitigation", "policy", "base", "type"],
+        ids=["mitigation", "policy", "base", "type", "scheduler"],
     )
     def test_value_typo_exits_2_at_dry_run_naming_the_cell(
         self, tmp_path, capsys, maker, factors, cell, message
