@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.core.recommender import BlockOptR
 from repro.core.report import render_report
@@ -47,7 +48,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.log is None:
         print("error: need a log file or --cached <exp_id>", file=sys.stderr)
         return 2
-    report = BlockOptR().analyze_file(args.log)
+    try:
+        report = BlockOptR().analyze_file(args.log)
+    except (OSError, ValueError) as exc:
+        return _log_error(args.log, exc)
     print(
         render_report(
             report,
@@ -56,6 +60,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+def _log_error(path: str, exc: OSError | ValueError) -> int:
+    """Report a log that cannot be read as one ``error: <path>: <message>`` line."""
+    message = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+    if not message.startswith(f"{Path(path)}:"):  # the readers' own errors name it
+        message = f"{path}: {message}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _analyze_cached(args: argparse.Namespace) -> int:
@@ -132,14 +145,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.logs.export import log_from_csv, log_from_json, log_to_csv, log_to_json
 
     source = args.log
-    if source.endswith(".csv"):
-        log = log_from_csv(source)
-    else:
-        log = log_from_json(source)
-    if args.out.endswith(".csv"):
-        log_to_csv(log, args.out)
-    else:
-        log_to_json(log, args.out)
+    try:
+        log = log_from_csv(source) if source.endswith(".csv") else log_from_json(source)
+    except (OSError, ValueError) as exc:
+        return _log_error(source, exc)
+    try:
+        (log_to_csv if args.out.endswith(".csv") else log_to_json)(log, args.out)
+    except OSError as exc:
+        return _log_error(args.out, exc)
     print(f"wrote {args.out} ({len(log)} records)")
     return 0
 
@@ -301,8 +314,6 @@ def _slo_targets(items: list[str]):
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis import render_cause_summary
     from repro.bench.experiments import make_scenario, make_synthetic
     from repro.control import ControlSpec, render_control_timeline
@@ -423,8 +434,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.scenario.fuzz import (
         ORACLES,
         FuzzConfig,
@@ -539,7 +548,6 @@ def _peak_rss_mb() -> float:
 
 def _cmd_shard(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.shard import plan_shards, run_sharded
 

@@ -3,11 +3,13 @@
 Computes every metric the paper defines — rate and failure distributions,
 block size, endorser/invoker significance, key frequency/significance,
 data-value correlation and (activity-based) proximity correlation — via
-:class:`MetricsAccumulator`, a streaming consumer that folds each
-:class:`~repro.logs.blockchain_log.LogRecord` in as it commits, so the
-rule layer (:mod:`repro.core.rules`) only ever looks at precomputed
-values and a run never has to materialize the full log.
-:func:`compute_metrics` is the batch entry point: it feeds a
+:class:`MetricsAccumulator`, a streaming consumer that takes each
+:class:`~repro.logs.blockchain_log.LogRecord` in as it commits, keeps
+its columns in a :class:`~repro.logs.blockchain_log.RecordTable` and
+counts them when the stream ends, so the rule layer
+(:mod:`repro.core.rules`) only ever looks at precomputed values and a run
+never has to materialize the full log.  :func:`compute_metrics` is the
+batch entry point: it feeds a
 :class:`~repro.logs.blockchain_log.BlockchainLog` through the accumulator
 record by record and returns the identical :class:`LogMetrics`.
 """
@@ -15,16 +17,18 @@ record by record and returns the identical :class:`LogMetrics`.
 from __future__ import annotations
 
 import bisect
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain, compress, repeat
+from operator import sub
+from typing import Any, NamedTuple, Sequence
 
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs.blockchain_log import (
     BlockchainLog,
     ChannelConfig,
     LogRecord,
+    RecordTable,
     interval_index,
 )
 
@@ -146,38 +150,26 @@ class LogMetrics:
 _MVCC_LIKE = (TxStatus.MVCC_CONFLICT, TxStatus.PHANTOM_CONFLICT)
 
 
-class _Writer:
-    """Slim stand-in for a successful writer (conflict-pair tracking).
+class _Writer(NamedTuple):
+    """The four attributes the corDV pass reads from a successful writer,
+    so the accumulator never keeps a whole :class:`LogRecord` alive."""
 
-    Retains only the four attributes the corDV pass reads from a culprit,
-    so the streaming accumulator never keeps whole :class:`LogRecord`
-    objects alive between blocks.
-    """
-
-    __slots__ = ("order", "activity", "write_keys", "write_set", "block_number")
-
-    def __init__(self, record: LogRecord) -> None:
-        self.order = record.commit_order
-        self.activity = record.activity
-        self.write_keys = record.write_keys
-        self.write_set = frozenset(record.write_keys)
-        self.block_number = record.block_number
+    order: int
+    activity: str
+    write_set: frozenset[str]
+    block_number: int
 
 
 class MetricsAccumulator:
-    """Streaming Section 4.3 metrics: fold records in, then :meth:`finish`.
+    """Streaming Section 4.3 metrics: consume records, then :meth:`finish`.
 
     Implements the record-consumer protocol (``consume``/``finish``): feed
-    every log record in commit order — one at a time, straight off the
-    ledger — and ``finish()`` returns the same :class:`LogMetrics` the
-    batch :func:`compute_metrics` produces, bit for bit.  Per-record state
-    is bounded by the key space and block count except for two exact
-    analyses that are inherently history-dependent (the delta-write
-    version index and the corPA distance lists); the bounded channel
-    summaries used at large scale skip this class entirely (see
-    ``docs/SCALING.md``).  Timestamps are kept in a compact ``array('d')``
-    (plus one failure byte each) because the rate/failure distributions
-    need the global min/max before they can bin.
+    every log record in commit order, one at a time, and ``finish()``
+    counts the columns of :attr:`table`.  Only the two history-dependent
+    analyses run per record, on the records they concern: the corDV
+    last-writer index and the delta-write version map.  All three are
+    O(transactions); the bounded channel summaries used at large scale
+    skip this class entirely (see ``docs/SCALING.md``).
     """
 
     def __init__(
@@ -195,216 +187,167 @@ class MetricsAccumulator:
         self.interval_seconds = interval_seconds
         self.hotkey_failure_share = hotkey_failure_share
         self.hotkey_min_failures = hotkey_min_failures
-        self._stamps = array("d")
-        self._fail_flags = bytearray()
-        # Plain dicts updated with local-variable references, keyed in
-        # first-seen order.  The per-key dicts (kfreq, ksig, ksig_failed,
-        # key_failed_activities) follow frozenset iteration of each
-        # record's rw_keys, which changes with PYTHONHASHSEED, so every
-        # consumer reads them by key or in sorted order.
-        self._failure_counts: dict[TxStatus, int] = {}
-        self._edsig: dict[str, int] = {}
-        self._edsig_org: dict[str, int] = {}
-        self._ivsig: dict[str, int] = {}
-        self._ivsig_org: dict[str, int] = {}
-        self._ksig_sets: dict[str, set[str]] = {}
-        self._kfreq: dict[str, int] = {}
-        self._key_failed_activity_counts: dict[str, dict[str, int]] = {}
-        self._activity_stats: dict[str, ActivityStats] = {}
-        self._block_sizes: dict[int, int] = {}
-        #: Memo of endorser name -> org (rpartition is per-record otherwise).
-        self._endorser_org: dict[str, str] = {}
+        #: Every consumed record's columns (the event log reads them too).
+        self.table = RecordTable()
         # corDV state: latest successful writer per key + sorted key index
         # for phantom range scans.
         self._last_writer: dict[str, _Writer] = {}
         self._written_keys_sorted: list[str] = []
         self._pairs: list[ConflictPair] = []
-        # corPA state: last commit order per activity.
-        self._last_seen: dict[str, int] = {}
-        self._corpa: dict[str, list[int]] = {}
         # Delta-write state: written value per created state version.
         self._by_version: dict[tuple[str, int, int], Any] = {}
         self._delta_candidates: Counter = Counter()
 
     def consume(self, record: LogRecord) -> None:
-        """Fold one record in (records must arrive in commit order)."""
-        self._stamps.append(record.client_timestamp)
+        """Take one record in (records must arrive in commit order)."""
+        self.table.consume(record)
         status = record.status
-        failed = status is not TxStatus.SUCCESS
-        self._fail_flags.append(1 if failed else 0)
-
-        activity = record.activity
-        stats = self._activity_stats.get(activity)
-        if stats is None:
-            stats = self._activity_stats[activity] = ActivityStats()
-        stats.total += 1
-        rw_keys = record.rw_keys
-        # Transactions that never executed (all endorsements timed out)
-        # have an empty read-write set; their derived type is an artifact
-        # and must not feed the pruning detector.
-        if rw_keys or record.range_reads:
-            stats.type_counts[record.tx_type] += 1
-        if failed:
-            stats.failures += 1
-            failure_counts = self._failure_counts
-            failure_counts[status] = failure_counts.get(status, 0) + 1
-            kfreq = self._kfreq
-            key_failed = self._key_failed_activity_counts
-            for key in rw_keys:
-                kfreq[key] = kfreq.get(key, 0) + 1
-                by_activity = key_failed.get(key)
-                if by_activity is None:
-                    by_activity = key_failed[key] = {}
-                by_activity[activity] = by_activity.get(activity, 0) + 1
-        edsig = self._edsig
-        edsig_org = self._edsig_org
-        endorser_org = self._endorser_org
-        for endorser in record.endorsers:
-            edsig[endorser] = edsig.get(endorser, 0) + 1
-            org = endorser_org.get(endorser)
-            if org is None:
-                org = endorser_org[endorser] = endorser.rpartition("-peer")[0]
-            edsig_org[org] = edsig_org.get(org, 0) + 1
-        invoker = record.invoker
-        self._ivsig[invoker] = self._ivsig.get(invoker, 0) + 1
-        invoker_org = record.invoker_org
-        self._ivsig_org[invoker_org] = self._ivsig_org.get(invoker_org, 0) + 1
-        ksig_sets = self._ksig_sets
-        for key in rw_keys:
-            activities = ksig_sets.get(key)
-            if activities is None:
-                activities = ksig_sets[key] = set()
-            activities.add(activity)
-        block = record.block_number
-        if block >= 0:
-            self._block_sizes[block] = self._block_sizes.get(block, 0) + 1
-
-        self._consume_conflicts(record, status)
-
-        # corPA: commit-order distance to the previous same-activity tx.
-        order = record.commit_order
-        previous = self._last_seen.get(activity)
-        if previous is not None:
-            self._corpa.setdefault(activity, []).append(order - previous)
-        self._last_seen[activity] = order
-
-        self._consume_delta(record, status)
-
-    def _consume_conflicts(self, record: LogRecord, status: TxStatus) -> None:
-        """corDV pairs: for each MVCC/phantom failure, the latest
-        successful transaction that wrote one of its read keys."""
-        last_writer = self._last_writer
-        if status in _MVCC_LIKE:
-            culprit: _Writer | None = None
-            for key in record.read_keys:
-                writer = last_writer.get(key)
-                if writer is None:
-                    continue
-                if culprit is None or writer.order > culprit.order:
-                    culprit = writer
-            if status is TxStatus.PHANTOM_CONFLICT:
-                # A phantom's culprit may have written a *new* key inside
-                # the scanned range, absent from the recorded read set.
-                written_keys_sorted = self._written_keys_sorted
-                for start, end in record.range_reads:
-                    lo = bisect.bisect_left(written_keys_sorted, start)
-                    hi = bisect.bisect_left(written_keys_sorted, end)
-                    for key in written_keys_sorted[lo:hi]:
-                        writer = last_writer[key]
-                        if culprit is None or writer.order > culprit.order:
-                            culprit = writer
-            if culprit is not None:
-                culprit_writes = culprit.write_set
-                shared = sorted(set(record.read_keys) & culprit_writes)
-                disjoint_writes = not (set(record.write_keys) & culprit_writes)
-                self._pairs.append(
-                    ConflictPair(
-                        failed_order=record.commit_order,
-                        culprit_order=culprit.order,
-                        failed_activity=record.activity,
-                        culprit_activity=culprit.activity,
-                        shared_keys=tuple(shared),
-                        distance=record.commit_order - culprit.order,
-                        same_block=record.block_number == culprit.block_number,
-                        reorderable=disjoint_writes,
-                    )
-                )
         if status is TxStatus.SUCCESS and record.write_keys:
-            writer = _Writer(record)
+            # Index the writer by key and by the state versions it created.
+            block = record.block_number
+            writer = _Writer(
+                record.commit_order, record.activity, frozenset(record.write_keys), block
+            )
             for key in record.write_keys:
-                if key not in last_writer:
+                if key not in self._last_writer:
                     bisect.insort(self._written_keys_sorted, key)
-                last_writer[key] = writer
+                self._last_writer[key] = writer
+                version = (key, block, record.block_position)
+                self._by_version[version] = record.writes.get(key)
+        elif status is TxStatus.MVCC_CONFLICT or status is TxStatus.PHANTOM_CONFLICT:
+            self._add_conflict(record, status)
 
-    def _consume_delta(self, record: LogRecord, status: TxStatus) -> None:
-        """Table 1 delta-write condition, counted per activity.
+    def _add_conflict(self, record: LogRecord, status: TxStatus) -> None:
+        """corDV pair and delta-write check of one MVCC/phantom failure.
 
-        A failed MVCC transaction ``x`` with a single-key write is an
-        increment/decrement in disguise when its written value is exactly
-        one numeric step away from the value written by the transaction
-        that created the version ``x`` read — i.e. ``x`` computed
-        ``old + 1``.  Such updates can be rewritten as blind writes to
-        unique delta keys.
+        The corDV culprit is the latest successful transaction that wrote
+        one of the failure's read keys.  Table 1's delta-write condition
+        holds for an MVCC failure ``x`` with a single-key write whose
+        written value is exactly one numeric step away from the value
+        written by the transaction that created the version ``x`` read —
+        i.e. ``x`` computed ``old + 1``.  Such updates can be rewritten as
+        blind writes to unique delta keys.
         """
-        by_version = self._by_version
+        last_writer = self._last_writer
+        culprit: _Writer | None = None
+        for key in record.read_keys:
+            writer = last_writer.get(key)
+            if writer is not None and (culprit is None or writer.order > culprit.order):
+                culprit = writer
+        if status is TxStatus.PHANTOM_CONFLICT:
+            # A phantom's culprit may have written a *new* key inside the
+            # scanned range, absent from the recorded read set.
+            written_keys_sorted = self._written_keys_sorted
+            for start, end in record.range_reads:
+                lo = bisect.bisect_left(written_keys_sorted, start)
+                hi = bisect.bisect_left(written_keys_sorted, end)
+                for key in written_keys_sorted[lo:hi]:
+                    writer = last_writer[key]
+                    if culprit is None or writer.order > culprit.order:
+                        culprit = writer
+        if culprit is not None:
+            culprit_writes = culprit.write_set
+            shared = sorted(set(record.read_keys) & culprit_writes)
+            disjoint_writes = not (set(record.write_keys) & culprit_writes)
+            self._pairs.append(
+                ConflictPair(
+                    failed_order=record.commit_order,
+                    culprit_order=culprit.order,
+                    failed_activity=record.activity,
+                    culprit_activity=culprit.activity,
+                    shared_keys=tuple(shared),
+                    distance=record.commit_order - culprit.order,
+                    same_block=record.block_number == culprit.block_number,
+                    reorderable=disjoint_writes,
+                )
+            )
         if status is TxStatus.MVCC_CONFLICT and len(record.write_keys) == 1:
             key = record.write_keys[0]
             version = record.read_versions.get(key)
             if version is not None:
-                sentinel = _MISSING
-                before = by_version.get((key, version[0], version[1]), sentinel)
-                if before is not sentinel:
+                before = self._by_version.get((key, *version), _MISSING)
+                if before is not _MISSING:
                     step = increment_delta(before, record.writes[key])
                     if step is not None and abs(step) == 1.0:
                         self._delta_candidates[record.activity] += 1
-        if status is TxStatus.SUCCESS:
-            writes = record.writes
-            for key in record.write_keys:
-                by_version[(key, record.block_number, record.block_position)] = (
-                    writes.get(key)
-                )
 
     def finish(self) -> LogMetrics:
-        """Close the stream and derive the full :class:`LogMetrics`."""
+        """Count the table's columns into the full :class:`LogMetrics`.
+
+        ``Counter`` keeps first-seen order, so every dict keyed by status,
+        activity, endorser, org or invoker lists its keys in the order of
+        their first record.  The per-key dicts follow the iteration order
+        of each record's ``rw_keys`` frozenset (``kfreq``, the failed-key
+        dicts) or of a set (``ksig``), which changes with
+        ``PYTHONHASHSEED``, so every consumer reads them by key or sorted.
+        """
         if self.config is None:
             raise ValueError("no channel configuration attached before finish()")
-        stamps = self._stamps
+        table = self.table
+        stamps = table.timestamps
+        failed = table.failed
         total = len(stamps)
         ins = self.interval_seconds
 
         if total:
             start = min(stamps)
             end = max(stamps)
-            duration = end - start
-        else:
-            start = end = duration = 0.0
-        tr = total / duration if duration > 0 else float(total)
-
-        if total:
             count = interval_index(end, start, ins) + 1
-            slice_totals = [0] * count
-            slice_failures = [0] * count
-            top = count - 1
-            for stamp, flag in zip(stamps, self._fail_flags):
-                index = interval_index(stamp, start, ins)
-                if index > top:
-                    index = top
-                slice_totals[index] += 1
-                slice_failures[index] += flag
-            trd = [n / ins for n in slice_totals]
-            frd = [n / ins for n in slice_failures]
+            # A stamp's interval is the number of inner bounds at or below
+            # it: the half-open windows of interval_index, found in C.
+            bounds = [start + index * ins for index in range(1, count)]
+            slices = list(map(bisect.bisect_right, repeat(bounds), stamps))
+            slice_totals = Counter(slices)
+            slice_failures = Counter(compress(slices, failed))
+            trd = [slice_totals[index] / ins for index in range(count)]
+            frd = [slice_failures[index] / ins for index in range(count)]
         else:
+            start = end = 0.0
             trd = []
             frd = []
+        duration = end - start
+        tr = total / duration if duration > 0 else float(total)
 
-        failure_counts = self._failure_counts
+        failure_counts = {
+            TxStatus(status): n
+            for status, n in Counter(compress(table.statuses, failed)).items()
+        }
         total_failures = sum(failure_counts.values())
-        block_sizes = self._block_sizes
+        block_sizes = Counter(table.block_numbers)
+        block_sizes.pop(-1, None)
         bsize_avg = (
             sum(block_sizes.values()) / len(block_sizes) if block_sizes else 0.0
         )
 
-        kfreq = self._kfreq
+        activities = table.activities
+        rows_by_activity = table.rows_by_activity
+        activity_failures = Counter(compress(activities, failed))
+        activity_stats = {
+            activity: ActivityStats(total=len(rows), failures=activity_failures[activity])
+            for activity, rows in rows_by_activity.items()
+        }
+        for (activity, tx_type), n in Counter(zip(activities, table.tx_types)).items():
+            if tx_type is not None:
+                activity_stats[activity].type_counts[TxType(tx_type)] = n
+
+        edsig = Counter(chain.from_iterable(table.endorsers))
+        edsig_org: dict[str, int] = {}
+        for endorser, n in edsig.items():
+            org = endorser.rpartition("-peer")[0]
+            edsig_org[org] = edsig_org.get(org, 0) + n
+
+        rw_keys = table.rw_keys
+        kfreq = Counter(chain.from_iterable(compress(rw_keys, failed)))
+        key_failed_activities: dict[str, dict[str, int]] = {}
+        for activity, rows in rows_by_activity.items():
+            failed_rows = compress(rows, map(failed.__getitem__, rows))
+            keys = Counter(chain.from_iterable(map(rw_keys.__getitem__, failed_rows)))
+            for key, n in keys.items():
+                key_failed_activities.setdefault(key, {})[activity] = n
+        significant = {
+            key: _significant_activities(counts)
+            for key, counts in key_failed_activities.items()
+        }
         hot_cut = max(
             self.hotkey_min_failures, self.hotkey_failure_share * total_failures
         )
@@ -434,29 +377,25 @@ class MetricsAccumulator:
             trd=trd,
             total_failures=total_failures,
             tfr=total_failures / total if total else 0.0,
-            failure_counts=dict(failure_counts),
+            failure_counts=failure_counts,
             frd=frd,
             bcount=self.config.block_count,
             btimeout=self.config.block_timeout,
             bsize_avg=bsize_avg,
-            edsig=dict(self._edsig),
-            edsig_org=dict(self._edsig_org),
-            ivsig=dict(self._ivsig),
-            ivsig_org=dict(self._ivsig_org),
+            edsig=dict(edsig),
+            edsig_org=edsig_org,
+            ivsig=dict(Counter(table.invokers)),
+            ivsig_org=dict(Counter(table.invoker_orgs)),
             kfreq=dict(kfreq),
-            ksig={key: len(acts) for key, acts in self._ksig_sets.items()},
-            ksig_failed={
-                key: len(_significant_activities(counts))
-                for key, counts in self._key_failed_activity_counts.items()
-            },
+            ksig=dict(Counter(chain.from_iterable(table.keys_by_activity.values()))),
+            ksig_failed={key: len(acts) for key, acts in significant.items()},
             key_failed_activities={
-                key: frozenset(_significant_activities(counts))
-                for key, counts in self._key_failed_activity_counts.items()
+                key: frozenset(acts) for key, acts in significant.items()
             },
             hotkeys=hotkeys,
             conflict_pairs=conflict_pairs,
-            corpa=self._corpa,
-            activity_stats=self._activity_stats,
+            corpa=_corpa(rows_by_activity, table.commit_orders),
+            activity_stats=activity_stats,
             delta_candidates=dict(self._delta_candidates),
             mvcc_failures=mvcc_failures,
             reorderable_mvcc=len(reorderable),
@@ -465,6 +404,23 @@ class MetricsAccumulator:
             intra_block_pairs=sum(1 for p in conflict_pairs if p.same_block),
             endorsement_policy=self.config.endorsement_policy,
         )
+
+
+def _corpa(
+    rows_by_activity: dict[str, list[int]], orders: Sequence[int]
+) -> dict[str, list[int]]:
+    """corPA: per activity, the commit-order distance from each of its
+    transactions to the previous one.
+
+    Keyed in the order of each activity's *second* transaction, where its
+    first distance appears.
+    """
+    found = []
+    for activity, rows in rows_by_activity.items():
+        if len(rows) > 1:
+            seen = list(map(orders.__getitem__, rows))
+            found.append((rows[1], activity, list(map(sub, seen[1:], seen[:-1]))))
+    return {activity: distances for _, activity, distances in sorted(found)}
 
 
 #: Sentinel distinguishing "version never indexed" from a written ``None``.

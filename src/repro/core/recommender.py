@@ -19,7 +19,7 @@ from repro.core.thresholds import Thresholds
 from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import BlockchainLog
-from repro.logs.eventlog import EventLog, EventLogAccumulator
+from repro.logs.eventlog import EventLog
 from repro.logs.export import CsvLog, log_from_json
 from repro.logs.extract import extract_blockchain_log
 from repro.mining.dfg import DirectlyFollowsGraph
@@ -100,27 +100,28 @@ class BlockOptR:
     def analyze_log(self, log: BlockchainLog | CsvLog) -> AnalysisReport:
         """The Figure 5 pipeline over a preprocessed blockchain log.
 
-        One pass over ``log`` feeds each record to the Section 4.3 metrics
-        and the Section 4.2 event log, so a :class:`CsvLog` is read once
-        and no record outlives its step.
+        One pass over ``log`` appends each record to one column table,
+        from which both the Section 4.3 metrics and the Section 4.2 event
+        log are counted, so a :class:`CsvLog` is read once and no record
+        outlives its step.
         """
-        metrics_accumulator = MetricsAccumulator(
+        accumulator = MetricsAccumulator(
             config=log.config,
             interval_seconds=self.thresholds.interval_seconds,
             hotkey_failure_share=self.thresholds.hotkey_failure_share,
             hotkey_min_failures=self.thresholds.hotkey_min_failures,
         )
-        event_accumulator = EventLogAccumulator(self.case_attribute)
         for record in log:
-            metrics_accumulator.consume(record)
-            event_accumulator.consume(record)
-        metrics = metrics_accumulator.finish()
+            accumulator.consume(record)
+        metrics = accumulator.finish()
+        event_log = EventLog.from_table(accumulator.table, self.case_attribute)
+        # The table and the corDV/delta indexes are O(transactions); free
+        # them before the rules and mining run.
+        del accumulator
         recommendations = evaluate_rules(metrics, self.thresholds)
-        event_log = event_accumulator.finish()
-        traces = event_log.traces()
-        dfg = DirectlyFollowsGraph.from_traces(traces)
+        dfg = DirectlyFollowsGraph.from_traces(event_log.traces())
         dependency_graph = heuristics_miner(
-            traces, dependency_threshold=self.dependency_threshold
+            dfg, dependency_threshold=self.dependency_threshold
         )
         footprint = FootprintMatrix.from_dfg(dfg)
         return AnalysisReport(

@@ -5,23 +5,23 @@ transactions, and produces the nine-attribute :class:`BlockchainLog`;
 ``export`` round-trips it through CSV/JSON (the preprocessed log the
 paper releases for process-mining research) and streams a CSV log row by
 row (:class:`CsvLog`); ``eventlog`` derives CaseIDs from a common element
-and yields the traces process mining consumes.
+and yields the traces process mining consumes.  An analysis keeps the log
+as columns (:class:`RecordTable`).
 """
 
 from repro.logs.blockchain_log import (
     BlockchainLog,
     ChannelConfig,
     LogRecord,
+    RecordTable,
     interval_index,
     record_from_transaction,
     validate_record,
 )
 from repro.logs.eventlog import (
-    CaseDerivationAccumulator,
     CaseIdDerivation,
     Event,
     EventLog,
-    EventLogAccumulator,
     derive_case_attribute,
 )
 from repro.logs.export import (
@@ -35,14 +35,13 @@ from repro.logs.extract import extract_blockchain_log
 
 __all__ = [
     "BlockchainLog",
-    "CaseDerivationAccumulator",
     "CaseIdDerivation",
     "ChannelConfig",
     "CsvLog",
     "Event",
     "EventLog",
-    "EventLogAccumulator",
     "LogRecord",
+    "RecordTable",
     "derive_case_attribute",
     "extract_blockchain_log",
     "interval_index",

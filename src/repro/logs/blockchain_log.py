@@ -5,12 +5,26 @@ The preprocessed output of BlockOptR's data-preprocessing step.  Each
 client timestamp, activity name, function arguments, endorsers, invoker,
 read-write set, transaction status, derived transaction type, and commit
 order — plus the block number needed for the block-size metrics.
+
+An analysis keeps the log as columns: :class:`RecordTable` appends one
+entry per column for each record and keeps no :class:`LogRecord` alive,
+so a streamed log is read once and each record is dropped as soon as it
+is consumed.  The Section 4.3 metrics
+(:class:`repro.core.metrics.MetricsAccumulator`) and the Section 4.2
+event log (:meth:`repro.logs.eventlog.EventLog.from_table`) are then
+counted over the columns with ``Counter`` and ``itertools`` passes that
+run in C.  Enum columns hold the member's ``_value_`` string: counting
+strings hashes in C, where counting the members would call
+``Enum.__hash__`` per record.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import cached_property
+from itertools import chain, compress
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.fabric.transaction import TxStatus, TxType
 
@@ -90,20 +104,11 @@ class LogRecord:
     #: under a :class:`~repro.fabric.retry.RetryPolicy`.  Carried in both
     #: exports; CSV files written before the ``attempt`` column read as 1.
     attempt: int = 1
-    #: Lazily computed cache behind :attr:`rw_keys` — the metrics pass reads
-    #: it several times per record and the union is not free.
-    _rw_keys: frozenset[str] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def rw_keys(self) -> frozenset[str]:
-        """RWS(x): all keys accessed by the transaction (computed once)."""
-        cached = self._rw_keys
-        if cached is None:
-            cached = frozenset(self.read_keys) | frozenset(self.write_keys)
-            self._rw_keys = cached
-        return cached
+        """RWS(x): all keys accessed by the transaction."""
+        return frozenset(self.read_keys) | frozenset(self.write_keys)
 
     @property
     def is_failure(self) -> bool:
@@ -125,20 +130,6 @@ class BlockchainLog:
 
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self.records)
-
-    def activities(self) -> list[str]:
-        """Distinct activity names, sorted."""
-        return sorted({record.activity for record in self.records})
-
-    def failed(self) -> list[LogRecord]:
-        return [record for record in self.records if record.is_failure]
-
-    def duration(self) -> float:
-        """Span of client timestamps covered by the log."""
-        if not self.records:
-            return 0.0
-        stamps = [record.client_timestamp for record in self.records]
-        return max(stamps) - min(stamps)
 
     def validate(self) -> None:
         """Sanity-check invariants; raises ``ValueError`` on violation."""
@@ -162,6 +153,86 @@ def validate_record(record: LogRecord, last_order: int = -1) -> None:
     unread = set(record.read_versions) - set(record.read_keys)
     if unread:
         raise ValueError(f"read versions without keys in tx {record.tx_id}: {unread}")
+
+
+class RecordTable:
+    """One column per attribute the metrics and the event log read.
+
+    Fill it with ``records`` or :meth:`consume`, in commit order, then
+    read it; the derived views (:attr:`failed`, :attr:`rows_by_activity`,
+    :attr:`keys_by_activity`) are computed on first read, so read them
+    only after the last record.
+    """
+
+    def __init__(self, records: Iterable[LogRecord] = ()) -> None:
+        self.commit_orders = array("q")
+        self.timestamps = array("d")
+        self.activities: list[str] = []
+        #: ``TxStatus`` values.
+        self.statuses: list[str] = []
+        #: ``TxType`` value of each executed transaction, ``None`` for one
+        #: that never executed (empty read-write set and no range read):
+        #: its derived type is an artifact.
+        self.tx_types: list[str | None] = []
+        self.endorsers: list[tuple[str, ...]] = []
+        self.invokers: list[str] = []
+        self.invoker_orgs: list[str] = []
+        self.args: list[tuple[Any, ...]] = []
+        self.rw_keys: list[frozenset[str]] = []
+        #: ``-1`` for a transaction that never reached a block.
+        self.block_numbers = array("q")
+        #: One object per distinct activity, invoker, org and endorser
+        #: tuple: a CSV row decodes its own copy of each, and the column
+        #: passes hash and compare shared objects faster.
+        self._shared: dict = {}
+        for record in records:
+            self.consume(record)
+
+    def consume(self, record: LogRecord) -> None:
+        """Append one record's columns."""
+        rw_keys = record.rw_keys
+        share = self._shared.setdefault
+        activity = record.activity
+        endorsers = record.endorsers
+        invoker = record.invoker
+        invoker_org = record.invoker_org
+        self.commit_orders.append(record.commit_order)
+        self.timestamps.append(record.client_timestamp)
+        self.activities.append(share(activity, activity))
+        self.statuses.append(record.status._value_)
+        self.tx_types.append(
+            record.tx_type._value_ if rw_keys or record.range_reads else None
+        )
+        self.endorsers.append(share(endorsers, endorsers))
+        self.invokers.append(share(invoker, invoker))
+        self.invoker_orgs.append(share(invoker_org, invoker_org))
+        self.args.append(record.args)
+        self.rw_keys.append(rw_keys)
+        self.block_numbers.append(record.block_number)
+
+    @cached_property
+    def failed(self) -> list[bool]:
+        """Per record, whether it failed: the selector for ``compress``."""
+        return list(map(TxStatus.SUCCESS.value.__ne__, self.statuses))
+
+    @cached_property
+    def rows_by_activity(self) -> dict[str, list[int]]:
+        """Each activity's row indices; activities in first-seen order."""
+        activities = self.activities
+        rows = range(len(activities))
+        return {
+            activity: list(compress(rows, map(activity.__eq__, activities)))
+            for activity in dict.fromkeys(activities)
+        }
+
+    @cached_property
+    def keys_by_activity(self) -> dict[str, set[str]]:
+        """The keys each activity's transactions read or write."""
+        rw_keys = self.rw_keys
+        return {
+            activity: set(chain.from_iterable(map(rw_keys.__getitem__, rows)))
+            for activity, rows in self.rows_by_activity.items()
+        }
 
 
 @dataclass

@@ -22,11 +22,14 @@ automates that derivation:
 from __future__ import annotations
 
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Iterator
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
+from operator import is_not, itemgetter
+from typing import Iterator, Sequence
 
-from repro.logs.blockchain_log import BlockchainLog, LogRecord
+from repro.logs.blockchain_log import BlockchainLog, RecordTable
 
 #: Keys look like ``family:value`` or ``family000123``; both yield a family.
 _KEY_SPLIT_RE = re.compile(r"^([A-Za-z_]+)[:]?(.*)$")
@@ -56,11 +59,20 @@ class CaseIdDerivation:
 
 
 @lru_cache(maxsize=65536)
-def _key_family(key: str) -> tuple[str, str] | None:
-    """Split ``key`` into ``(family, value)``; memoized — the same keys
-    recur across thousands of records within one analysis.  Bounded so
-    workloads with per-transaction-unique keys (DRM delta keys) cannot
-    grow a long-lived suite worker's memory without limit."""
+def key_family(key: str) -> tuple[str, str] | None:
+    """Split ``key`` into ``(family, value)``, the key-family split used
+    across the analysis layers.
+
+    ``key_family("asset:42")`` and ``key_family("asset000042")`` both
+    return ``("asset", ...)``; keys with no recognizable family prefix
+    return ``None``.  The forensics hot-key attribution
+    (:mod:`repro.analysis.forensics`) groups conflicting keys with the
+    same splitter the CaseID derivation uses, so both views agree on what
+    a "key family" is.  Memoized, because the same keys recur across
+    analyses; bounded, so workloads with per-transaction-unique keys (DRM
+    delta keys) cannot grow a long-lived suite worker's memory without
+    limit.
+    """
     match = _KEY_SPLIT_RE.match(key)
     if match is None:
         return None
@@ -70,21 +82,72 @@ def _key_family(key: str) -> tuple[str, str] | None:
     return family, value or key
 
 
-def key_family(key: str) -> tuple[str, str] | None:
-    """Public form of the key-family split used across the analysis layers.
+def derive_case_attribute(log: BlockchainLog) -> CaseIdDerivation:
+    """Find the common element best suited as the CaseID.
 
-    ``key_family("asset:42")`` and ``key_family("asset000042")`` both
-    return ``("asset", ...)``; keys with no recognizable family prefix
-    return ``None``.  The forensics hot-key attribution
-    (:mod:`repro.analysis.forensics`) groups conflicting keys with the
-    same splitter the CaseID derivation uses, so both views agree on what
-    a "key family" is.
+    Raises ``ValueError`` on an empty log — there is nothing to derive.
     """
-    return _key_family(key)
+    table = RecordTable(log.records)
+    return _derive(table, _split_keys(table))
 
 
-def _case_id(attribute: str, args: tuple[Any, ...], rw_keys: frozenset[str]) -> str | None:
-    """The CaseID ``attribute`` gives one transaction, or ``None`` if none.
+def _split_keys(table: RecordTable) -> dict[str, tuple[str, str]]:
+    """``(family, value)`` of every key the table's transactions touch
+    that belongs to a key family."""
+    keys = set().union(*table.keys_by_activity.values())
+    return {key: parsed for key in keys if (parsed := key_family(key)) is not None}
+
+
+def _derive(table: RecordTable, split: dict[str, tuple[str, str]]) -> CaseIdDerivation:
+    """Score every candidate attribute family and pick the common element.
+
+    Reads per activity instead of per record: an argument position
+    covers the activities whose transactions reach it, and a key family
+    covers the activities that touch one of its keys.
+    """
+    if not table.statuses:
+        raise ValueError("cannot derive a case attribute from an empty log")
+    rows_by_activity = table.rows_by_activity
+    n_activities = len(rows_by_activity)
+    arities = list(map(len, table.args))
+    widest = [max(map(arities.__getitem__, rows)) for rows in rows_by_activity.values()]
+    scores: dict[str, tuple[float, int]] = {}
+    for index in range(max(widest)):
+        covered = sum(1 for arity in widest if arity > index)
+        with_arg = compress(table.args, map(index.__lt__, arities))
+        values = set(map(str, map(itemgetter(index), with_arg)))
+        scores[f"arg:{index}"] = (covered / n_activities, len(values))
+    family_of = {key: family for key, (family, _) in split.items()}
+    family_coverage: dict[str, int] = {}
+    for keys in table.keys_by_activity.values():
+        for family in set(map(family_of.get, keys)) - {None}:
+            family_coverage[family] = family_coverage.get(family, 0) + 1
+    family_values: dict[str, set[str]] = {}
+    for family, value in split.values():
+        family_values.setdefault(family, set()).add(value)
+    for family in sorted(family_values):
+        scores[f"key:{family}"] = (
+            family_coverage[family] / n_activities,
+            len(family_values[family]),
+        )
+    if not scores:
+        raise ValueError(
+            "cannot derive a case attribute: no transaction has an argument or a key"
+        )
+    best = max(scores.items(), key=lambda item: (item[1][0], item[1][1], item[0]))
+    attribute, (coverage, distinct) = best
+    return CaseIdDerivation(
+        attribute=attribute,
+        coverage=coverage,
+        distinct_values=distinct,
+        scores=scores,
+    )
+
+
+def _case_ids(
+    attribute: str, table: RecordTable, split: dict[str, tuple[str, str]]
+) -> list[str | None]:
+    """The CaseID ``attribute`` gives each record, or ``None`` if none.
 
     An argument attribute reads that argument; a key family reads the
     value of the transaction's first key of that family in sorted order.
@@ -92,110 +155,38 @@ def _case_id(attribute: str, args: tuple[Any, ...], rw_keys: frozenset[str]) -> 
     kind, _, name = attribute.partition(":")
     if kind == "arg":
         index = int(name)
-        return str(args[index]) if index < len(args) else None
-    first = None
-    for key in rw_keys:
-        parsed = _key_family(key)
-        if parsed is not None and parsed[0] == name and (first is None or key < first):
-            first = key
-    return None if first is None else _key_family(first)[1]
+        return [str(args[index]) if index < len(args) else None for args in table.args]
+    value_of = {key: value for key, (family, value) in split.items() if family == name}
+    case_ids = []
+    for keys in table.rw_keys:
+        first = None
+        for key in keys:
+            if key in value_of and (first is None or key < first):
+                first = key
+        case_ids.append(value_of.get(first))
+    return case_ids
 
 
-class CaseDerivationAccumulator:
-    """Streaming common-element analysis (record-consumer protocol).
-
-    Folds one record at a time into per-candidate coverage/value sets and
-    returns from :meth:`finish` the same :class:`CaseIdDerivation` the
-    batch :func:`derive_case_attribute` computes.  State is bounded by the
-    *distinct* activities, argument positions, key families and attribute
-    values — never by the transaction count.
-    """
-
-    def __init__(self) -> None:
-        self._total = 0
-        self._max_args = 0
-        self._activities: set[str] = set()
-        self._arg_coverage: dict[int, set[str]] = {}
-        self._arg_values: dict[int, set[str]] = {}
-        self._family_coverage: dict[str, set[str]] = {}
-        self._family_values: dict[str, set[str]] = {}
-
-    def consume(self, record: LogRecord) -> None:
-        """Fold one record's arguments and key families in."""
-        self._total += 1
-        activity = record.activity
-        self._activities.add(activity)
-        args = record.args
-        if len(args) > self._max_args:
-            self._max_args = len(args)
-        for index, arg in enumerate(args):
-            coverage = self._arg_coverage.get(index)
-            if coverage is None:
-                coverage = self._arg_coverage[index] = set()
-                self._arg_values[index] = set()
-            coverage.add(activity)
-            self._arg_values[index].add(str(arg))
-        for key in record.rw_keys:
-            parsed = _key_family(key)
-            if parsed is None:
-                continue
-            family, value = parsed
-            coverage = self._family_coverage.get(family)
-            if coverage is None:
-                coverage = self._family_coverage[family] = set()
-                self._family_values[family] = set()
-            coverage.add(activity)
-            self._family_values[family].add(value)
-
-    def finish(self) -> CaseIdDerivation:
-        """Score every candidate and pick the common element."""
-        if not self._total:
-            raise ValueError("cannot derive a case attribute from an empty log")
-        candidates = [f"arg:{i}" for i in range(self._max_args)]
-        candidates.extend(f"key:{family}" for family in sorted(self._family_coverage))
-        n_activities = len(self._activities)
-        scores: dict[str, tuple[float, int]] = {}
-        for attribute in candidates:
-            kind, _, name = attribute.partition(":")
-            if kind == "arg":
-                index = int(name)
-                covered = self._arg_coverage.get(index, set())
-                values = self._arg_values.get(index, set())
-            else:
-                covered = self._family_coverage[name]
-                values = self._family_values[name]
-            scores[attribute] = (len(covered) / n_activities, len(values))
-        best = max(scores.items(), key=lambda item: (item[1][0], item[1][1], item[0]))
-        attribute, (coverage, distinct) = best
-        return CaseIdDerivation(
-            attribute=attribute,
-            coverage=coverage,
-            distinct_values=distinct,
-            scores=scores,
-        )
-
-
-def derive_case_attribute(log: BlockchainLog) -> CaseIdDerivation:
-    """Find the common element best suited as the CaseID.
-
-    Thin batch wrapper over :class:`CaseDerivationAccumulator`.  Raises
-    ``ValueError`` on an empty log — there is nothing to derive.
-    """
-    accumulator = CaseDerivationAccumulator()
-    for record in log.records:
-        accumulator.consume(record)
-    return accumulator.finish()
-
-
-@dataclass
 class EventLog:
-    """Derived event log: events with CaseIDs, grouped into traces."""
+    """Derived event log: events with CaseIDs, grouped into traces.
 
-    events: list[Event]
-    derivation: CaseIdDerivation
+    Held as one column per :class:`Event` field, in the order the records
+    were consumed; ``len()`` and the traces read the columns, and the
+    :class:`Event` rows are built only when :attr:`events` is read.
+    """
+
+    def __init__(self, derivation: CaseIdDerivation, columns: tuple[Sequence, ...]) -> None:
+        self.derivation = derivation
+        #: Case ids, activities, commit orders, timestamps, invokers and
+        #: statuses, in :class:`Event` field order.
+        self._columns = columns
+
+    @cached_property
+    def events(self) -> list[Event]:
+        return list(map(Event, *self._columns))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -208,21 +199,24 @@ class EventLog:
         return grouped
 
     def traces(self) -> list[tuple[str, ...]]:
-        """Activity sequences of all cases (one tuple per case)."""
-        return [
-            tuple(event.activity for event in events)
-            for events in self.cases().values()
-        ]
+        """Activity sequences of all cases (one tuple per case), in the
+        order of each case's first event by commit order."""
+        case_ids, activities, commit_orders = self._columns[:3]
+        by_order = sorted(range(len(case_ids)), key=commit_orders.__getitem__)
+        grouped: defaultdict[str, list[str]] = defaultdict(list)
+        for case_id, activity in zip(
+            map(case_ids.__getitem__, by_order), map(activities.__getitem__, by_order)
+        ):
+            grouped[case_id].append(activity)
+        return list(map(tuple, grouped.values()))
 
     def trace_variants(self) -> dict[tuple[str, ...], int]:
         """Distinct traces with their frequencies, most frequent first."""
-        variants: dict[tuple[str, ...], int] = {}
-        for trace in self.traces():
-            variants[trace] = variants.get(trace, 0) + 1
+        variants = Counter(self.traces())
         return dict(sorted(variants.items(), key=lambda item: (-item[1], item[0])))
 
     def activities(self) -> list[str]:
-        return sorted({event.activity for event in self.events})
+        return sorted(set(self._columns[1]))
 
     @staticmethod
     def from_blockchain_log(
@@ -230,68 +224,43 @@ class EventLog:
         case_attribute: str | None = None,
         include_failures: bool = True,
     ) -> "EventLog":
-        """Build the event log, deriving the CaseID attribute if not given.
+        """Build the event log, deriving the CaseID attribute if not given."""
+        table = RecordTable(log.records)
+        return EventLog.from_table(table, case_attribute, include_failures)
 
-        Thin batch wrapper over :class:`EventLogAccumulator`.
+    @staticmethod
+    def from_table(
+        table: RecordTable,
+        case_attribute: str | None = None,
+        include_failures: bool = True,
+    ) -> "EventLog":
+        """The event log of a filled :class:`RecordTable`.
+
         Transactions with no value for the case attribute (e.g. a range
-        read in an argument-based derivation) are assigned to their first
-        matching value or skipped when none exists; ``include_failures``
-        keeps failed transactions (they are real process steps and the
-        evidence behind pruning recommendations).
+        read in an argument-based derivation) are skipped;
+        ``include_failures`` keeps failed transactions (they are real
+        process steps and the evidence behind pruning recommendations).
+        A forced ``case_attribute`` skips the derivation.
         """
-        accumulator = EventLogAccumulator(case_attribute, include_failures=include_failures)
-        for record in log.records:
-            accumulator.consume(record)
-        return accumulator.finish()
-
-
-class EventLogAccumulator:
-    """Streaming event-log construction (record-consumer protocol).
-
-    Each record is folded into a :class:`CaseDerivationAccumulator`
-    (unless ``case_attribute`` forces the CaseID) and kept as one compact
-    row: commit order, activity, timestamp, invoker, status, ``args`` and
-    ``rw_keys``.  :meth:`finish` picks the attribute and turns the rows
-    into events, so one pass over the log suffices.  The rows, like the
-    event list they become, are O(transactions).
-    """
-
-    def __init__(self, case_attribute: str | None = None, include_failures: bool = True) -> None:
-        self.case_attribute = case_attribute
-        self.include_failures = include_failures
-        self._derivation = CaseDerivationAccumulator() if case_attribute is None else None
-        self._rows: list[tuple] = []
-
-    def consume(self, record: LogRecord) -> None:
-        """Fold the record into the derivation and keep its row."""
-        if self._derivation is not None:
-            self._derivation.consume(record)
-        if not self.include_failures and record.is_failure:
-            return
-        self._rows.append(
-            (
-                record.commit_order,
-                record.activity,
-                record.client_timestamp,
-                record.invoker,
-                record.status.value,
-                record.args,
-                record.rw_keys,
-            )
-        )
-
-    def finish(self) -> EventLog:
-        """Pick the case attribute and turn the rows into events, in consumption order."""
-        if self._derivation is None:
-            derivation = CaseIdDerivation(
-                attribute=self.case_attribute, coverage=0.0, distinct_values=0
-            )
+        split = _split_keys(table)
+        if case_attribute is None:
+            derivation = _derive(table, split)
         else:
-            derivation = self._derivation.finish()
-        attribute = derivation.attribute
-        events = []
-        for order, activity, stamp, invoker, status, args, rw_keys in self._rows:
-            case_id = _case_id(attribute, args, rw_keys)
-            if case_id is not None:
-                events.append(Event(case_id, activity, order, stamp, invoker, status))
-        return EventLog(events=events, derivation=derivation)
+            derivation = CaseIdDerivation(
+                attribute=case_attribute, coverage=0.0, distinct_values=0
+            )
+        case_ids = _case_ids(derivation.attribute, table, split)
+        keep = list(map(is_not, case_ids, repeat(None)))
+        if not include_failures:
+            keep = [kept and not failed for kept, failed in zip(keep, table.failed)]
+        columns = (
+            case_ids,
+            table.activities,
+            table.commit_orders,
+            table.timestamps,
+            table.invokers,
+            table.statuses,
+        )
+        if not all(keep):
+            columns = tuple(list(compress(column, keep)) for column in columns)
+        return EventLog(derivation, columns)

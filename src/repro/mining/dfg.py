@@ -31,10 +31,8 @@ class DirectlyFollowsGraph:
                 continue
             dfg.start_activities[trace[0]] += 1
             dfg.end_activities[trace[-1]] += 1
-            for activity in trace:
-                dfg.activity_counts[activity] += 1
-            for left, right in zip(trace, trace[1:]):
-                dfg.counts[(left, right)] += 1
+            dfg.activity_counts.update(trace)
+            dfg.counts.update(zip(trace, trace[1:]))
         return dfg
 
     def activities(self) -> list[str]:

@@ -13,8 +13,6 @@ filtering for rare behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
 import networkx as nx
 
 from repro.mining.dfg import DirectlyFollowsGraph
@@ -52,11 +50,11 @@ class DependencyGraph:
 
 
 def heuristics_miner(
-    traces: Iterable[tuple[str, ...]],
+    dfg: DirectlyFollowsGraph,
     dependency_threshold: float = 0.9,
     min_edge_frequency: int = 1,
 ) -> DependencyGraph:
-    """Mine a dependency graph with the heuristics-miner measures.
+    """Mine a dependency graph from directly-follows counts.
 
     ``dependency_threshold`` is the classical confidence cut-off; lowering
     it admits weaker (noisier) edges.  ``min_edge_frequency`` additionally
@@ -65,7 +63,6 @@ def heuristics_miner(
     """
     if not 0.0 <= dependency_threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {dependency_threshold}")
-    dfg = DirectlyFollowsGraph.from_traces(traces)
     activities = tuple(dfg.activities())
 
     dependency: dict[tuple[str, str], float] = {}

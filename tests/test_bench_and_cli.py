@@ -131,6 +131,62 @@ class TestCli:
         assert main(["export", str(csv_path), "--out", str(json_path)]) == 0
         assert len(log_from_json(json_path)) == 200
 
+    @pytest.mark.parametrize(
+        "command, log",
+        [
+            ("analyze", "missing"),
+            ("analyze", "empty"),
+            ("analyze", "header-only"),
+            ("analyze", "short-row"),
+            ("analyze", "txt-suffix"),
+            ("export", "missing"),
+            ("export", "empty"),
+            ("export", "short-row"),
+        ],
+    )
+    def test_unreadable_log_is_one_error_line(
+        self, tmp_path, capsys, finished_network, command, log
+    ):
+        """A log that cannot be read exits 2 with one line naming it, no traceback."""
+        import csv
+
+        from repro.logs import extract_blockchain_log, log_to_csv
+
+        network, _ = finished_network
+        exported = tmp_path / "exported.csv"
+        log_to_csv(extract_blockchain_log(network), exported)
+        with open(exported, newline="") as handle:
+            rows = list(csv.reader(handle))
+        path = tmp_path / ("log.txt" if log == "txt-suffix" else f"{log}.csv")
+        edited = {
+            "empty": [],
+            "header-only": rows[:2],
+            "short-row": [*rows[:3], rows[3][:-1], *rows[4:]],
+            "txt-suffix": rows,
+        }
+        if log in edited:
+            with open(path, "w", newline="") as handle:
+                csv.writer(handle).writerows(edited[log])
+        argv = [command, str(path)]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+    def test_export_to_a_missing_directory_is_one_error_line(
+        self, tmp_path, capsys, finished_network
+    ):
+        from repro.logs import extract_blockchain_log, log_to_csv
+
+        network, _ = finished_network
+        source = tmp_path / "log.csv"
+        log_to_csv(extract_blockchain_log(network), source)
+        out = tmp_path / "missing" / "out.json"
+        assert main(["export", str(source), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: No such file or directory\n"
+
     def test_bad_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])

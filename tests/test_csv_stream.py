@@ -1,7 +1,7 @@
 """The streamed CSV path: one decode per JSON cell, one pass, no record list.
 
-``CsvLog`` reads a CSV log row by row and ``BlockOptR.analyze_file`` folds
-each record into the metrics and the event log as it is read.  These tests
+``CsvLog`` reads a CSV log row by row and ``BlockOptR.analyze_file``
+appends each record to one column table as it is read.  These tests
 hold it to the JSON reader (whose ``_record_from_dict`` is the independent
 reference) and to the extracted ledger log on all five use cases, check
 that malformed rows still fail, and count the live records during a pass.
@@ -19,9 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.experiments import make_usecase
 from repro.core import BlockOptR, render_report
-from repro.core.metrics import MetricsAccumulator
 from repro.fabric.network import run_workload
-from repro.logs import LogRecord, extract_blockchain_log, log_from_csv, log_from_json
+from repro.logs import (
+    LogRecord,
+    RecordTable,
+    extract_blockchain_log,
+    log_from_csv,
+    log_from_json,
+)
 from repro.logs.export import CSV_COLUMNS, CsvLog, _json_cell, log_to_csv, log_to_json
 
 USECASES = ("scm", "drm", "ehr", "voting", "loan")
@@ -86,7 +91,7 @@ def test_csv_analysis_holds_no_record_list(tmp_path, monkeypatch):
     baseline = _live_records()
     samples = []
     consumed = 0
-    original = MetricsAccumulator.consume
+    original = RecordTable.consume
 
     def consume(self, record):
         nonlocal consumed
@@ -95,7 +100,7 @@ def test_csv_analysis_holds_no_record_list(tmp_path, monkeypatch):
             samples.append(_live_records() - baseline)
         original(self, record)
 
-    monkeypatch.setattr(MetricsAccumulator, "consume", consume)
+    monkeypatch.setattr(RecordTable, "consume", consume)
     report = BlockOptR().analyze_file(path)
     assert len(report.log) == 6_002
     assert len(samples) == 12

@@ -115,38 +115,50 @@ class TestAlpha:
 
 class TestHeuristics:
     def test_dependency_measure(self):
-        graph = heuristics_miner(SIMPLE)
+        graph = heuristics_miner(DirectlyFollowsGraph.from_traces(SIMPLE))
         assert graph.measure("a", "b") == pytest.approx(10 / 11)
         assert graph.measure("b", "a") == pytest.approx(-10 / 11)
 
     def test_edges_thresholded(self):
-        graph = heuristics_miner(SIMPLE, dependency_threshold=0.9)
+        graph = heuristics_miner(
+            DirectlyFollowsGraph.from_traces(SIMPLE), dependency_threshold=0.9
+        )
         assert ("a", "b") in graph.edges
         assert ("b", "a") not in graph.edges
 
     def test_noise_filtered_by_frequency(self):
         noisy = SIMPLE + [("c", "a")]  # one backwards observation
-        strict = heuristics_miner(noisy, dependency_threshold=0.3, min_edge_frequency=2)
+        strict = heuristics_miner(
+            DirectlyFollowsGraph.from_traces(noisy),
+            dependency_threshold=0.3,
+            min_edge_frequency=2,
+        )
         assert ("c", "a") not in strict.edges
 
     def test_parallel_pairs_get_no_edges(self):
-        graph = heuristics_miner(PARALLEL, dependency_threshold=0.5)
+        graph = heuristics_miner(
+            DirectlyFollowsGraph.from_traces(PARALLEL), dependency_threshold=0.5
+        )
         assert ("b", "c") not in graph.edges
         assert ("c", "b") not in graph.edges
 
     def test_successors_predecessors(self):
-        graph = heuristics_miner(SIMPLE)
+        graph = heuristics_miner(DirectlyFollowsGraph.from_traces(SIMPLE))
         assert graph.successors("a") == ["b"]
         assert graph.predecessors("b") == ["a"]
 
     def test_loop_detection(self):
         looping = [("a", "b", "a", "b", "c")] * 5
-        graph = heuristics_miner(looping, dependency_threshold=0.3)
+        graph = heuristics_miner(
+            DirectlyFollowsGraph.from_traces(looping), dependency_threshold=0.3
+        )
         assert graph.has_loop() or not graph.has_loop()  # runs without error
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            heuristics_miner(SIMPLE, dependency_threshold=1.5)
+            heuristics_miner(
+                DirectlyFollowsGraph.from_traces(SIMPLE), dependency_threshold=1.5
+            )
 
 
 class TestConformance:

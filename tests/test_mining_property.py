@@ -143,8 +143,8 @@ def test_heuristics_graph_covers_its_own_structured_log(log):
     # Threshold 0.5 admits any edge never observed in reverse (measure
     # f/(f+1) >= 0.5 from the first observation), which is every edge of
     # a loop-free sequential log.
-    graph = heuristics_miner(log, dependency_threshold=0.5)
     dfg = DirectlyFollowsGraph.from_traces(log)
+    graph = heuristics_miner(dfg, dependency_threshold=0.5)
     for (a, b), count in dfg.counts.items():
         if count > 0:
             assert (a, b) in graph.edges, f"dependency edge {(a, b)} missing"

@@ -4,13 +4,17 @@ The batch entry points (``compute_metrics``, ``forensics_report``) now
 delegate to the same accumulators the streaming path uses, so comparing
 the two directly would be vacuous.  The property tests here therefore
 check the accumulators against *independent reference implementations
-written in this file* (linear-scan binning, quadratic conflict search),
-and the end-to-end tests check that a live streamed run reproduces what
-batch extraction + post-processing derives from the identical workload.
+written in this file* (linear-scan binning, quadratic conflict search,
+and the per-record metrics and CaseID folds that the column counts
+replaced), and the end-to-end tests check that a live streamed run
+reproduces what batch extraction + post-processing derives from the
+identical workload.
 """
 
+import bisect
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +23,23 @@ from repro.analysis import report_digest
 from repro.analysis.forensics import ForensicsAccumulator, forensics_report
 from repro.bench.experiments import make_synthetic, synthetic_spec
 from repro.contracts.registry import genchain_family
-from repro.core.metrics import MetricsAccumulator, compute_metrics
+from repro.core.metrics import (
+    ActivityStats,
+    ConflictPair,
+    LogMetrics,
+    MetricsAccumulator,
+    compute_metrics,
+    increment_delta,
+)
 from repro.fabric.network import FabricNetwork, run_workload
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs.blockchain_log import (
+    BlockchainLog,
     ChannelConfig,
     LogRecord,
     interval_index,
 )
+from repro.logs.eventlog import CaseIdDerivation, derive_case_attribute, key_family
 from repro.logs.extract import extract_blockchain_log
 from repro.logs.stream import RunStream, StreamingLedger
 from repro.shard.summary import RateSeriesAccumulator
@@ -177,40 +190,371 @@ def test_property_rate_series_matches_brute_force(items, ins):
     assert [list(row) for row in accumulator.series()] == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["pay", "check", "close"]),
-            st.lists(st.sampled_from(["k1", "k2", "k3", "k4"]), max_size=3),
-            st.sampled_from(
-                [TxStatus.SUCCESS, TxStatus.MVCC_CONFLICT, TxStatus.ENDORSEMENT_FAILURE]
-            ),
-            st.booleans(),  # writes its read keys too
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-def test_property_metrics_counts_match_reference(items):
-    records = []
-    for order, (activity, keys, status, writes_keys) in enumerate(items):
-        writes = {key: order for key in keys} if writes_keys else {}
-        records.append(
-            _make_record(
-                order, float(order), status=status, keys=keys, writes=writes,
-                activity=activity,
+class _ReferenceMetrics:
+    """The per-record metrics fold: every counter updated as each record
+    arrives.  ``MetricsAccumulator`` counts the same metrics over columns
+    when the stream ends; this is the reference it must match, dict key
+    order included."""
+
+    def __init__(self, config, interval_seconds=1.0, hotkey_failure_share=0.1,
+                 hotkey_min_failures=20):
+        self.config = config
+        self.interval_seconds = interval_seconds
+        self.hotkey_failure_share = hotkey_failure_share
+        self.hotkey_min_failures = hotkey_min_failures
+        self._stamps = []
+        self._fail_flags = []
+        self._failure_counts = {}
+        self._edsig = {}
+        self._edsig_org = {}
+        self._ivsig = {}
+        self._ivsig_org = {}
+        self._ksig_sets = {}
+        self._kfreq = {}
+        self._key_failed_activity_counts = {}
+        self._activity_stats = {}
+        self._block_sizes = {}
+        self._last_writer = {}
+        self._written_keys_sorted = []
+        self._pairs = []
+        self._last_seen = {}
+        self._corpa = {}
+        self._by_version = {}
+        self._delta_candidates = Counter()
+
+    def consume(self, record):
+        self._stamps.append(record.client_timestamp)
+        status = record.status
+        failed = status is not TxStatus.SUCCESS
+        self._fail_flags.append(1 if failed else 0)
+        activity = record.activity
+        stats = self._activity_stats.setdefault(activity, ActivityStats())
+        stats.total += 1
+        rw_keys = record.rw_keys
+        if rw_keys or record.range_reads:
+            stats.type_counts[record.tx_type] += 1
+        if failed:
+            stats.failures += 1
+            self._failure_counts[status] = self._failure_counts.get(status, 0) + 1
+            for key in rw_keys:
+                self._kfreq[key] = self._kfreq.get(key, 0) + 1
+                by_activity = self._key_failed_activity_counts.setdefault(key, {})
+                by_activity[activity] = by_activity.get(activity, 0) + 1
+        for endorser in record.endorsers:
+            self._edsig[endorser] = self._edsig.get(endorser, 0) + 1
+            org = endorser.rpartition("-peer")[0]
+            self._edsig_org[org] = self._edsig_org.get(org, 0) + 1
+        self._ivsig[record.invoker] = self._ivsig.get(record.invoker, 0) + 1
+        org = record.invoker_org
+        self._ivsig_org[org] = self._ivsig_org.get(org, 0) + 1
+        for key in rw_keys:
+            self._ksig_sets.setdefault(key, set()).add(activity)
+        if record.block_number >= 0:
+            block = record.block_number
+            self._block_sizes[block] = self._block_sizes.get(block, 0) + 1
+        self._consume_conflicts(record, status)
+        previous = self._last_seen.get(activity)
+        if previous is not None:
+            self._corpa.setdefault(activity, []).append(record.commit_order - previous)
+        self._last_seen[activity] = record.commit_order
+        self._consume_delta(record, status)
+
+    def _consume_conflicts(self, record, status):
+        last_writer = self._last_writer
+        if status in (TxStatus.MVCC_CONFLICT, TxStatus.PHANTOM_CONFLICT):
+            culprit = None
+            for key in record.read_keys:
+                writer = last_writer.get(key)
+                if writer is not None and (culprit is None or writer[0] > culprit[0]):
+                    culprit = writer
+            if status is TxStatus.PHANTOM_CONFLICT:
+                written = self._written_keys_sorted
+                for start, end in record.range_reads:
+                    lo = bisect.bisect_left(written, start)
+                    hi = bisect.bisect_left(written, end)
+                    for key in written[lo:hi]:
+                        writer = last_writer[key]
+                        if culprit is None or writer[0] > culprit[0]:
+                            culprit = writer
+            if culprit is not None:
+                order, activity, write_set, block = culprit
+                self._pairs.append(
+                    ConflictPair(
+                        failed_order=record.commit_order,
+                        culprit_order=order,
+                        failed_activity=record.activity,
+                        culprit_activity=activity,
+                        shared_keys=tuple(sorted(set(record.read_keys) & write_set)),
+                        distance=record.commit_order - order,
+                        same_block=record.block_number == block,
+                        reorderable=not (set(record.write_keys) & write_set),
+                    )
+                )
+        if status is TxStatus.SUCCESS and record.write_keys:
+            writer = (
+                record.commit_order,
+                record.activity,
+                frozenset(record.write_keys),
+                record.block_number,
             )
+            for key in record.write_keys:
+                if key not in last_writer:
+                    bisect.insort(self._written_keys_sorted, key)
+                last_writer[key] = writer
+
+    def _consume_delta(self, record, status):
+        if status is TxStatus.MVCC_CONFLICT and len(record.write_keys) == 1:
+            key = record.write_keys[0]
+            version = record.read_versions.get(key)
+            if version is not None and (key, *version) in self._by_version:
+                before = self._by_version[(key, *version)]
+                step = increment_delta(before, record.writes[key])
+                if step is not None and abs(step) == 1.0:
+                    self._delta_candidates[record.activity] += 1
+        if status is TxStatus.SUCCESS:
+            for key in record.write_keys:
+                self._by_version[(key, record.block_number, record.block_position)] = (
+                    record.writes.get(key)
+                )
+
+    @staticmethod
+    def _significant(counts):
+        total = sum(counts.values())
+        return [a for a, n in counts.items() if total and n / total >= 0.05]
+
+    def finish(self):
+        stamps = self._stamps
+        total = len(stamps)
+        ins = self.interval_seconds
+        start, end = (min(stamps), max(stamps)) if total else (0.0, 0.0)
+        duration = end - start
+        trd, frd = [], []
+        if total:
+            count = _linear_scan_index(end, start, ins) + 1
+            trd, frd = [0] * count, [0] * count
+            for stamp, flag in zip(stamps, self._fail_flags):
+                index = _linear_scan_index(stamp, start, ins)
+                trd[index] += 1
+                frd[index] += flag
+            trd = [n / ins for n in trd]
+            frd = [n / ins for n in frd]
+        total_failures = sum(self._failure_counts.values())
+        kfreq = self._kfreq
+        hot_cut = max(self.hotkey_min_failures, self.hotkey_failure_share * total_failures)
+        pairs = self._pairs
+        reorderable = [p for p in pairs if p.reorderable]
+        counts = self._key_failed_activity_counts
+        return LogMetrics(
+            total_transactions=total,
+            duration=duration,
+            tr=total / duration if duration > 0 else float(total),
+            trd=trd,
+            total_failures=total_failures,
+            tfr=total_failures / total if total else 0.0,
+            failure_counts=dict(self._failure_counts),
+            frd=frd,
+            bcount=self.config.block_count,
+            btimeout=self.config.block_timeout,
+            bsize_avg=(
+                sum(self._block_sizes.values()) / len(self._block_sizes)
+                if self._block_sizes
+                else 0.0
+            ),
+            edsig=dict(self._edsig),
+            edsig_org=dict(self._edsig_org),
+            ivsig=dict(self._ivsig),
+            ivsig_org=dict(self._ivsig_org),
+            kfreq=dict(kfreq),
+            ksig={key: len(acts) for key, acts in self._ksig_sets.items()},
+            ksig_failed={key: len(self._significant(c)) for key, c in counts.items()},
+            key_failed_activities={
+                key: frozenset(self._significant(c)) for key, c in counts.items()
+            },
+            hotkeys=sorted(
+                (key for key, n in kfreq.items() if n >= hot_cut),
+                key=lambda key: (-kfreq[key], key),
+            ),
+            conflict_pairs=pairs,
+            corpa=self._corpa,
+            activity_stats=self._activity_stats,
+            delta_candidates=dict(self._delta_candidates),
+            mvcc_failures=sum(
+                self._failure_counts.get(s, 0)
+                for s in (TxStatus.MVCC_CONFLICT, TxStatus.PHANTOM_CONFLICT)
+            ),
+            reorderable_mvcc=len(reorderable),
+            reorderable_activity_pairs=sorted(
+                {(p.failed_activity, p.culprit_activity) for p in reorderable}
+            ),
+            self_dependent_activities=sorted(
+                {
+                    p.failed_activity
+                    for p in pairs
+                    if p.failed_activity == p.culprit_activity and not p.reorderable
+                }
+            ),
+            intra_block_pairs=sum(1 for p in pairs if p.same_block),
+            endorsement_policy=self.config.endorsement_policy,
         )
 
-    accumulator = MetricsAccumulator(
-        config=ChannelConfig(100, 1.0, 1 << 20, "Majority(Org1,Org2)")
-    )
+
+class _ReferenceDerivation:
+    """The per-record CaseID derivation fold: coverage and value sets per
+    argument position and key family, updated record by record."""
+
+    def __init__(self):
+        self._total = 0
+        self._activities = set()
+        self._arg_coverage = {}
+        self._arg_values = {}
+        self._family_coverage = {}
+        self._family_values = {}
+
+    def consume(self, record):
+        self._total += 1
+        self._activities.add(record.activity)
+        for index, arg in enumerate(record.args):
+            self._arg_coverage.setdefault(index, set()).add(record.activity)
+            self._arg_values.setdefault(index, set()).add(str(arg))
+        for key in record.rw_keys:
+            parsed = key_family(key)
+            if parsed is not None:
+                family, value = parsed
+                self._family_coverage.setdefault(family, set()).add(record.activity)
+                self._family_values.setdefault(family, set()).add(value)
+
+    def finish(self):
+        n = len(self._activities)
+        scores = {
+            f"arg:{index}": (
+                len(self._arg_coverage[index]) / n,
+                len(self._arg_values[index]),
+            )
+            for index in range(len(self._arg_coverage))
+        }
+        for family in sorted(self._family_coverage):
+            scores[f"key:{family}"] = (
+                len(self._family_coverage[family]) / n,
+                len(self._family_values[family]),
+            )
+        attribute, (coverage, distinct) = max(
+            scores.items(), key=lambda item: (item[1][0], item[1][1], item[0])
+        )
+        return CaseIdDerivation(attribute, coverage, distinct, scores)
+
+
+#: The LogMetrics dicts whose keys keep first-seen order (the per-key
+#: dicts follow frozenset iteration, so only their contents are compared).
+_ORDERED_METRICS = (
+    "failure_counts", "activity_stats", "edsig", "edsig_org", "ivsig",
+    "ivsig_org", "corpa", "delta_candidates",
+)
+_KEYS = ("k1", "k2", "item:a", "item:b")
+
+#: One transaction: client timestamp (whole seconds sit on window
+#: bounds), activity, read keys, write keys, the written value's step from
+#: the value read (+-1 is a delta write), status, whether it range-reads
+#: [k1, k3), type, endorsers, invoker, whether it failed before reaching a
+#: block, and arguments.
+_STEP = st.tuples(
+    st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 6.0, allow_nan=False)),
+    st.sampled_from(["pay", "check", "close"]),
+    st.lists(st.sampled_from(_KEYS), max_size=2, unique=True),
+    st.lists(st.sampled_from(_KEYS), max_size=2, unique=True),
+    st.sampled_from([-1, 1, 2]),
+    st.sampled_from(
+        [
+            TxStatus.SUCCESS,
+            TxStatus.MVCC_CONFLICT,
+            TxStatus.PHANTOM_CONFLICT,
+            TxStatus.ENDORSEMENT_FAILURE,
+        ]
+    ),
+    st.booleans(),
+    st.sampled_from(list(TxType)),
+    st.lists(
+        st.sampled_from(["Org1-peer0", "Org1-peer1", "Org2-peer0", "Org3-peer0"]),
+        max_size=3,
+        unique=True,
+    ),
+    st.sampled_from(
+        [("Org1-client0", "Org1"), ("Org2-client0", "Org2"), ("Org2-client1", "Org2")]
+    ),
+    st.booleans(),
+    st.lists(st.sampled_from(["x", "y", 3]), max_size=2),
+)
+
+
+def _records_from_steps(steps):
+    """Log records whose reads see the versions earlier successes wrote."""
+    state = {}  # key -> (version, value) of its latest successful write
+    records = []
+    for order, step in enumerate(steps):
+        (stamp, activity, reads, writes, delta, status, ranged, tx_type,
+         endorsers, (invoker, invoker_org), unblocked, args) = step
+        in_block = status is TxStatus.SUCCESS or not unblocked
+        block, position = (order // 3, order % 3) if in_block else (-1, -1)
+        written = {key: state.get(key, ((0, 0), 0))[1] + delta for key in writes}
+        records.append(
+            LogRecord(
+                commit_order=order,
+                tx_id=f"tx{order}",
+                client_timestamp=stamp,
+                activity=activity,
+                args=tuple(args),
+                endorsers=tuple(endorsers),
+                invoker=invoker,
+                invoker_org=invoker_org,
+                read_keys=tuple(sorted(reads)),
+                write_keys=tuple(sorted(writes)),
+                writes=written,
+                read_versions={key: state.get(key, ((0, 0), 0))[0] for key in reads},
+                range_reads=(("k1", "k3"),) if ranged else (),
+                status=status,
+                tx_type=tx_type,
+                block_number=block,
+                block_position=position,
+                commit_time=stamp + 1.0,
+            )
+        )
+        if status is TxStatus.SUCCESS:
+            for key, value in written.items():
+                state[key] = ((block, position), value)
+    return records
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_STEP, min_size=1, max_size=30), st.sampled_from([1.0, 0.3]))
+def test_property_metrics_counts_match_reference(steps, ins):
+    records = _records_from_steps(steps)
+    config = ChannelConfig(100, 1.0, 1 << 20, "Majority(Org1,Org2)")
+    accumulator = MetricsAccumulator(config=config, interval_seconds=ins)
+    reference = _ReferenceMetrics(config, interval_seconds=ins)
+    derivation = _ReferenceDerivation()
     for record in records:
         accumulator.consume(record)
+        reference.consume(record)
+        derivation.consume(record)
     metrics = accumulator.finish()
+    expected = reference.finish()
 
-    # Reference: brute-force recomputation of the countable metrics.
+    assert metrics == expected
+    for name in _ORDERED_METRICS:
+        assert list(getattr(metrics, name)) == list(getattr(expected, name)), name
+    for activity, stats in expected.activity_stats.items():
+        assert list(metrics.activity_stats[activity].type_counts) == list(stats.type_counts)
+    log = BlockchainLog(records=records, config=config)
+    try:
+        expected_derivation = derivation.finish()
+    except ValueError:  # no argument and no keyed access: nothing to derive
+        with pytest.raises(ValueError):
+            derive_case_attribute(log)
+    else:
+        derived = derive_case_attribute(log)
+        assert derived == expected_derivation
+        assert list(derived.scores) == list(expected_derivation.scores)
+
+    # Brute-force recomputation of the countable metrics.
     failed = [r for r in records if r.status is not TxStatus.SUCCESS]
     assert metrics.total_transactions == len(records)
     assert metrics.total_failures == len(failed)
