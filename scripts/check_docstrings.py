@@ -11,7 +11,7 @@ through the data model).
 
 Scope: all ``repro.*`` package ``__init__.py`` files plus the public-API
 modules the documentation contract names — the simulation kernel, the
-suite executor, the scenario engine and fuzzer, the whole
+suite executor, the scenario engine and fuzzer, the run stream, the whole
 ``repro.analysis`` and ``repro.control`` packages, and every public module
 of ``repro.fabric``.
 
@@ -42,6 +42,7 @@ DEFAULT_SCOPE = [
     SRC / "bench" / "executor.py",
     SRC / "scenario" / "engine.py",
     SRC / "scenario" / "fuzz.py",
+    SRC / "logs" / "stream.py",
 ]
 
 

@@ -142,7 +142,7 @@ class ForensicsReport:
     #: Transactions issued, client retries included.
     total_issued: int
     #: Denominator of failure rates: issued minus chaincode-stage aborts
-    #: (consistent with :func:`repro.fabric.results.summarize_run`).
+    #: (consistent with :class:`repro.fabric.results.RunFold`).
     submitted: int
     successes: int
     failures: int
@@ -342,6 +342,26 @@ class ForensicsAccumulator(OutcomeTally):
             ),
         )
 
+    def finish_run(self, network: "FabricNetwork") -> ForensicsReport:
+        """:meth:`finish` with ``network``'s scenario, mitigation and retry counters.
+
+        The scenario timeline is sorted by (time, kind), so the report
+        does not depend on the order interventions were journaled in.
+        """
+        engine = network.scenario_engine
+        return self.finish(
+            scenario=engine.spec.name if engine is not None else None,
+            mitigation=network.config.mitigation,
+            timeline=(
+                sorted(engine.timeline, key=lambda e: (e[0], e[1]))
+                if engine is not None
+                else []
+            ),
+            resubmissions=network.retries_issued,
+            recovered=network.retries_recovered,
+            exhausted=network.retries_exhausted,
+        )
+
     def _series(self) -> list[TimeBucket]:
         """Bucket issued/failed counts by client submit time.
 
@@ -410,21 +430,7 @@ def forensics_report(
         accumulator.consume(tx)
     for tx in network.aborted:
         accumulator.consume(tx)
-
-    timeline: list[tuple[float, str, str]] = []
-    scenario_name = None
-    if network.scenario_engine is not None:
-        scenario_name = network.scenario_engine.spec.name
-        timeline = sorted(network.scenario_engine.timeline, key=lambda e: (e[0], e[1]))
-
-    return accumulator.finish(
-        scenario=scenario_name,
-        mitigation=network.config.mitigation,
-        timeline=timeline,
-        resubmissions=network.retries_issued,
-        recovered=network.retries_recovered,
-        exhausted=network.retries_exhausted,
-    )
+    return accumulator.finish_run(network)
 
 
 def top_hits(hits: dict[str, int], n: int = TOP_N) -> list[tuple[str, int]]:

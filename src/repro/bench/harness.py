@@ -258,8 +258,8 @@ def execute_experiment(
     """
     bundle = make()
     # One function per run, not one body: each run's network (and the
-    # RunResult holding its ledger) is freed when its step returns, so the
-    # baseline's does not stay alive across the plan runs.
+    # chain it keeps) is freed when its step returns, so the baseline's
+    # does not stay alive across the plan runs.
     baseline, report, tasks = run_baseline(bundle, plans, thresholds)
     records = [baseline] + [run_plan(bundle, task) for task in tasks]
     return assemble_outcome(

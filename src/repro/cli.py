@@ -921,8 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Generate seeded random scenario compositions (faults, rate "
             "curves, hot-key drift, region lag, mix shifts), check each "
-            "against differential oracles (determinism, stream≡batch "
-            "equivalence, tx conservation, JSON round-trip, "
+            "against differential oracles (determinism, live stream "
+            "consumers ≡ post-run readers, tx conservation, JSON round-trip, "
             "control equivalence), shrink any "
             "failure to a minimal reproducer, and rank oracle-clean "
             "survivors by abort/retry severity. The same seed and budget "

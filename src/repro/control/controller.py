@@ -13,7 +13,7 @@ actuation seams and records the decision in the
 Determinism: ticks are ordinary kernel events, observables are pure
 functions of kernel-ordered transaction completions, and policies are
 pure functions of observables — so a controller-on run is bit-reproducible
-per (seed, policy, scenario) across replays and run modes.  The
+per (seed, policy, scenario) across replays.  The
 controller never mutates the shared :class:`~repro.fabric.config
 .NetworkConfig`: block cutting is re-sized on the live orderer, the
 mitigation/retry toggles go through network setters, and the rate
@@ -56,12 +56,14 @@ class SLOGuardian:
         )
 
     def install(self) -> None:
-        """Schedule the first tick.
+        """Register the monitor on the network's stream; schedule the first tick.
 
-        The monitor needs no registration: the network feeds it every
-        finished transaction from its commit and abort seams, at the
-        completion event, before any later tick — in both run modes.
+        As a transaction consumer, the monitor sees every finished
+        transaction at its completion event, before any later tick: the
+        validator hands each block to the stream in the event that
+        commits it, and aborts reach the stream synchronously.
         """
+        self.network.stream.add_transaction_consumer(self.monitor)
         self.network.kernel.schedule_control(self.spec.interval, self._tick)
 
     def _tick(self) -> None:

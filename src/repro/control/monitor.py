@@ -2,9 +2,10 @@
 
 :class:`WindowedMonitor` implements the transaction-consumer protocol of
 :class:`repro.logs.stream.RunStream` (``consume(tx)`` sees every finished
-transaction — committed or aborted — as it happens).  The network feeds
-it from its commit and abort seams, in both run modes, and the controller
-calls :meth:`WindowedMonitor.snapshot` once per tick, closing a *tumbling*
+transaction — committed or aborted — as it happens).
+:meth:`~repro.control.controller.SLOGuardian.install` registers it on the
+network's stream, and the controller calls
+:meth:`WindowedMonitor.snapshot` once per tick, closing a *tumbling*
 window: every transaction that finished since the previous tick,
 summarized into abort rate by taxonomy cause, retry rate, per-org
 endorsement gaps, hot-key conflict share and latency quantiles.

@@ -181,8 +181,8 @@ class MetricsAccumulator:
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError(f"interval must be positive, got {interval_seconds}")
-        #: Channel configuration; may be attached after construction (the
-        #: streaming ledger only learns it from the genesis block).
+        #: Channel configuration; may be attached after construction (a
+        #: run's stream only learns it from the genesis block).
         self.config = config
         self.interval_seconds = interval_seconds
         self.hotkey_failure_share = hotkey_failure_share

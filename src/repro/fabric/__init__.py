@@ -20,7 +20,7 @@ from repro.fabric.config import NetworkConfig, OrgConfig, TimingConfig
 from repro.fabric.ledger import Block, Ledger
 from repro.fabric.network import FabricNetwork, run_workload
 from repro.fabric.policy import EndorsementPolicy, parse_policy
-from repro.fabric.results import RunResult, summarize_run
+from repro.fabric.results import RunResult
 from repro.fabric.state import VersionedValue, WorldState
 from repro.fabric.verify import SerializabilityReport, verify_serializability
 from repro.fabric.transaction import (
@@ -55,6 +55,5 @@ __all__ = [
     "contract_function",
     "parse_policy",
     "run_workload",
-    "summarize_run",
     "verify_serializability",
 ]

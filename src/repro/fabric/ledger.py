@@ -3,7 +3,9 @@
 Fabric appends *every* transaction — successful or failed — to the ledger;
 only successful ones update world state.  That append-all property is what
 makes the ledger a complete activity log and the primary data source for
-BlockOptR (Section 4 of the paper).
+BlockOptR (Section 4 of the paper).  A network keeps its chain through
+:class:`KeptChain`, a consumer of the run's
+:class:`~repro.logs.stream.RunStream`.
 """
 
 from __future__ import annotations
@@ -97,3 +99,26 @@ class Ledger:
                 return False
             previous = block.block_hash
         return True
+
+
+class KeptChain:
+    """The whole run kept in memory: the ledger plus the aborted list.
+
+    A chain consumer of :class:`~repro.logs.stream.RunStream`: a network
+    built without a caller's stream registers one before its genesis
+    block, and the post-run readers (``run_digest``, ``forensics_report``,
+    ``extract_blockchain_log``, ``verify_serializability``) walk it.
+    """
+
+    def __init__(self) -> None:
+        self.ledger = Ledger()
+        #: Transactions that aborted before reaching the chain, in order.
+        self.aborted: list[Transaction] = []
+
+    def accept_block(self, block: Block) -> None:
+        """Append one committed block to the ledger."""
+        self.ledger.append(block)
+
+    def accept_abort(self, tx: Transaction) -> None:
+        """Keep one transaction that never reached the chain."""
+        self.aborted.append(tx)

@@ -15,6 +15,10 @@ through the full execute-order-validate lifecycle:
 The genesis block (block 0) carries a config transaction recording block
 count, block timeout and the endorsement policy, so that BlockOptR can
 later *extract the configuration from the ledger*, as the paper does.
+
+Every block and every abort goes to one sink, the network's
+:class:`~repro.logs.stream.RunStream`; whatever reads the run is a
+consumer registered on it.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from repro.fabric.client import ClientPool
 from repro.fabric.conditions import NetworkConditions
 from repro.fabric.config import MITIGATIONS, NetworkConfig
 from repro.fabric.endorser import EndorserPool
-from repro.fabric.ledger import Block, Ledger
+from repro.fabric.ledger import Block, KeptChain, Ledger
 from repro.fabric.orderer import OrderingService
 from repro.fabric.policy import parse_policy
 from repro.fabric.reorder import make_scheduler
-from repro.fabric.results import RunResult, summarize_run
+from repro.fabric.results import RunFold, RunResult
 from repro.fabric.state import StateDatabase
 from repro.fabric.transaction import Transaction, TxRequest, TxStatus
 from repro.fabric.validator import ValidationPipeline, rwset_conflict
@@ -46,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class StreamedRunStats:
-    """Headline accounting of one streamed run (no ledger to re-read)."""
+    """Headline accounting of one run, read off its stream's counters."""
 
     issued: int
     committed: int
@@ -59,11 +63,6 @@ class StreamedRunStats:
     first_submit: float
     last_commit: float
 
-    @property
-    def makespan(self) -> float:
-        """Wall-clock span from first submission to last commit."""
-        return max(0.0, self.last_commit - self.first_submit)
-
 
 class FabricNetwork:
     """A simulated Fabric network ready to execute workloads.
@@ -72,6 +71,10 @@ class FabricNetwork:
     static network into a dynamic one: its interventions are installed on
     the kernel's intervention lane at construction time and its workload
     transforms are applied to the requests in :meth:`run`.
+
+    Built without a ``stream``, the network makes one and keeps the
+    chain on it (:attr:`ledger`, :attr:`aborted`); built on a caller's
+    stream, it keeps nothing and reading the chain back raises.
     """
 
     def __init__(
@@ -83,16 +86,6 @@ class FabricNetwork:
     ) -> None:
         if not contracts:
             raise ValueError("a network needs at least one smart contract")
-        if (
-            stream is not None
-            and scenario is not None
-            and scenario.workload_interventions()
-        ):
-            raise ValueError(
-                "streaming runs do not support workload-transform interventions: "
-                "they need the full request list (apply the transforms to the "
-                "request iterable up front and pass a network-only scenario)"
-            )
         self.config = config
         self.kernel = Kernel()
         self.rng = SimRng(config.seed)
@@ -104,21 +97,14 @@ class FabricNetwork:
                 f"policy references organizations missing from the network: {sorted(unknown)}"
             )
         self.state_db = StateDatabase()
-        self.stream = stream
-        #: Aborted transactions, retained only when the ledger is.
-        self.aborted: list[Transaction] = []
-        # The one difference between the two run modes is where finished
-        # transactions go: a retained ledger plus the aborted list, or a
-        # streaming ledger that fans every block and abort out to the
-        # RunStream's consumers and keeps only counters.
-        if stream is not None:
-            from repro.logs.stream import StreamingLedger
+        self._chain: KeptChain | None = None
+        if stream is None:
+            from repro.logs.stream import RunStream
 
-            self.ledger: Ledger = StreamingLedger(stream)  # type: ignore[assignment]
-            self._abort_sink = stream.accept_abort
-        else:
-            self.ledger = Ledger()
-            self._abort_sink = self.aborted.append
+            self._chain = KeptChain()
+            stream = RunStream().add_chain_consumer(self._chain)
+        #: The run's one output seam (see :mod:`repro.logs.stream`).
+        self.stream: RunStream = stream
         self.contracts = {contract.name: contract for contract in contracts}
         if len(self.contracts) != len(contracts):
             raise ValueError("duplicate contract names")
@@ -137,7 +123,7 @@ class FabricNetwork:
         )
         self._scheduler = self._scheduler_for(config.mitigation)
         self.validator = ValidationPipeline(
-            self.kernel, config, self.policy, self.state_db, self.ledger
+            self.kernel, config, self.policy, self.state_db, stream
         )
         self.orderer = OrderingService(
             self.kernel,
@@ -146,7 +132,6 @@ class FabricNetwork:
             deliver=self.validator.receive_block,
             conditions=self.conditions,
         )
-        self.aborted_count = 0
         self._tx_counter = 0
         self._retry = config.retry
         self._mitigation = config.mitigation
@@ -180,6 +165,26 @@ class FabricNetwork:
 
             self.controller = SLOGuardian(self, config.control)
             self.controller.install()
+
+    # -- the kept chain ---------------------------------------------------------
+
+    @property
+    def ledger(self) -> Ledger:
+        """The kept chain's ledger, genesis block included."""
+        return self._kept().ledger
+
+    @property
+    def aborted(self) -> list[Transaction]:
+        """Transactions that aborted before reaching the chain, in order."""
+        return self._kept().aborted
+
+    def _kept(self) -> KeptChain:
+        if self._chain is None:
+            raise RuntimeError(
+                "a network built on a caller's RunStream keeps no chain; "
+                "register consumers on the stream before the run instead"
+            )
+        return self._chain
 
     # -- live actuation seams ---------------------------------------------------
 
@@ -252,7 +257,7 @@ class FabricNetwork:
             created_at=0.0,
             committed_at=0.0,
         )
-        self.ledger.append(genesis)
+        self.stream.accept_block(genesis)
 
     def _next_tx_id(self) -> str:
         self._tx_counter += 1
@@ -323,7 +328,7 @@ class FabricNetwork:
         tx.abort_stage = "stale_read"
         tx.conflict_key = key
         tx.commit_time = self.kernel.now
-        self._record_abort(tx)
+        self.stream.accept_abort(tx)
         self._maybe_retry(tx)
         return True
 
@@ -331,24 +336,14 @@ class FabricNetwork:
         tx.status = TxStatus.EARLY_ABORT
         tx.abort_stage = "ordering"
         tx.commit_time = at
-        self._record_abort(tx)
+        self.stream.accept_abort(tx)
         self._maybe_retry(tx)
 
-    def _record_abort(self, tx: Transaction) -> None:
-        """Account one never-committed transaction and hand it to the sink."""
-        self.aborted_count += 1
-        self._abort_sink(tx)
-        if self.controller is not None:
-            self.controller.monitor.consume(tx)
-
     def _after_block(self, block: Block) -> None:
-        """Post-commit hook: feed the monitor, account retries, resubmit failures."""
-        monitor = self.controller.monitor if self.controller is not None else None
+        """Post-commit hook: account retries, resubmit failures."""
         for tx in block.transactions:
             if tx.is_config:
                 continue
-            if monitor is not None:
-                monitor.consume(tx)
             if tx.status is TxStatus.SUCCESS:
                 if tx.attempt > 1:
                     self.retries_recovered += 1
@@ -383,13 +378,13 @@ class FabricNetwork:
 
     # -- running ----------------------------------------------------------------
 
-    def _pump_arrivals(self, requests: Iterable[TxRequest]) -> tuple[int, float]:
+    def _pump_arrivals(self, requests: Iterable[TxRequest]) -> StreamedRunStats:
         """Pump submit-time-ordered ``requests`` through the kernel to completion.
 
-        The one arrival pump behind :meth:`run` and :meth:`run_streamed`
-        (see :class:`_ArrivalPump`).  Returns (requests issued, first
-        submit time) once every issued transaction, retries included, has
-        committed or aborted exactly once.
+        The one run body behind :meth:`run` and :meth:`run_streamed` (see
+        :class:`_ArrivalPump`).  Returns the run's counters once every
+        issued transaction, retries included, has committed or aborted
+        exactly once.
         """
         pump = _ArrivalPump(self, requests)
         first = pump.request
@@ -408,83 +403,66 @@ class FabricNetwork:
         finally:
             self.orderer.early_abort = None
             self.validator.on_block_committed = None
-        issued = pump.issued
-
-        committed = sum(self.validator.status_counts.values())
-        accounted = committed + self.aborted_count
-        total_issued = issued + self.retries_issued
+        stream = self.stream
+        total_issued = pump.issued + self.retries_issued
+        accounted = stream.committed_txs + stream.aborts
         if accounted != total_issued:
             raise RuntimeError(
                 f"transaction accounting mismatch: {accounted} finished "
                 f"of {total_issued} issued ({self.retries_issued} retries)"
             )
-        return issued, first.submit_time
+        return StreamedRunStats(
+            issued=pump.issued,
+            committed=stream.committed_txs,
+            aborted=stream.aborts,
+            blocks=stream.height,
+            data_blocks=stream.data_blocks,
+            retries_issued=self.retries_issued,
+            retries_recovered=self.retries_recovered,
+            retries_exhausted=self.retries_exhausted,
+            first_submit=first.submit_time,
+            last_commit=(
+                stream.last_commit_time
+                if stream.last_commit_time is not None
+                else first.submit_time
+            ),
+        )
 
     def run(self, requests: list[TxRequest]) -> RunResult:
-        """Execute a workload to completion and summarize it."""
-        if self.stream is not None:
-            raise ValueError("use run_streamed() on a stream-mode network")
+        """Execute a workload to completion and summarize it.
+
+        Applies the scenario's workload transforms, sorts the requests by
+        submit time (stably) and runs them like :meth:`run_streamed`,
+        with a :class:`~repro.fabric.results.RunFold` on the stream.
+        """
         if not requests:
             raise ValueError("empty workload")
         if self.scenario_engine is not None:
             requests = self.scenario_engine.transform_requests(requests)
-        _, first_submit = self._pump_arrivals(sorted(requests, key=lambda r: r.submit_time))
-
-        last_commit = max(
-            (
-                tx.commit_time
-                for tx in self.ledger.transactions(include_config=False)
-                if tx.commit_time is not None
-            ),
-            default=first_submit,
-        )
-        self._assign_commit_order()
-        return summarize_run(
-            ledger=self.ledger,
-            aborted=self.aborted,
-            first_submit=first_submit,
-            last_commit=last_commit,
-            cut_reasons=self.orderer.cut_reasons,
-            utilization=self._utilization(last_commit),
-        )
+        fold = RunFold()
+        self.stream.add_transaction_consumer(fold)
+        stats = self._pump_arrivals(sorted(requests, key=lambda r: r.submit_time))
+        return fold.result(stats, self._utilization(stats.last_commit))
 
     def run_streamed(self, requests: Iterable[TxRequest]) -> StreamedRunStats:
         """Execute a submit-time-ordered request *stream* to completion.
 
-        The counterpart of :meth:`run` for stream-mode networks, on the
-        same arrival pump: neither the request list nor the ledger is
-        ever materialized.  With the accumulators registered on the
-        :class:`~repro.logs.stream.RunStream`, a run's live state is the
-        in-flight transactions plus O(blocks) bookkeeping, independent of
-        how many transactions flow through.
+        Neither the request list nor a summary is ever materialized: with
+        only the caller's accumulators registered on the
+        :class:`~repro.logs.stream.RunStream` of a network built on it, a
+        run's live state is the in-flight transactions plus O(blocks)
+        bookkeeping, independent of how many transactions flow through.
+        Workload transforms need the whole request list, so a scenario
+        carrying them must run through :meth:`run`.
         """
-        if self.stream is None:
-            raise ValueError("run_streamed() needs a network built with a RunStream")
-        issued, first_submit = self._pump_arrivals(requests)
-        ledger = self.ledger
-        last_commit = (
-            ledger.last_commit_time
-            if ledger.last_commit_time is not None
-            else first_submit
-        )
-        return StreamedRunStats(
-            issued=issued,
-            committed=ledger.committed_txs,
-            aborted=self.aborted_count,
-            blocks=ledger.blocks_committed,
-            data_blocks=ledger.data_blocks,
-            retries_issued=self.retries_issued,
-            retries_recovered=self.retries_recovered,
-            retries_exhausted=self.retries_exhausted,
-            first_submit=first_submit,
-            last_commit=last_commit,
-        )
-
-    def _assign_commit_order(self) -> None:
-        order = 0
-        for tx in self.ledger.transactions(include_config=False):
-            tx.commit_order = order
-            order += 1
+        engine = self.scenario_engine
+        if engine is not None and engine.spec.workload_interventions():
+            raise ValueError(
+                "run_streamed() cannot apply workload-transform interventions: "
+                "they need the full request list (apply the transforms to the "
+                "request iterable up front and pass a network-only scenario)"
+            )
+        return self._pump_arrivals(requests)
 
     def _utilization(self, horizon: float) -> dict[str, float]:
         stats: dict[str, float] = {}
@@ -613,7 +591,7 @@ class _Flight:
         tx.status = TxStatus.EARLY_ABORT
         tx.abort_stage = "endorsement"
         tx.commit_time = self.network.kernel.now
-        self.network._record_abort(tx)
+        self.network.stream.accept_abort(tx)
 
 
 def run_workload(

@@ -9,9 +9,12 @@ and *success rate* (successful / all issued, early aborts included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.fabric.ledger import Ledger
 from repro.fabric.transaction import Transaction, TxStatus
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fabric.network import StreamedRunStats
 
 #: Makespan floor when computing throughput, so an empty or instant run
 #: never divides by zero.
@@ -22,7 +25,6 @@ MIN_MAKESPAN = 1e-9
 class RunResult:
     """Outcome of one simulated workload execution."""
 
-    ledger: Ledger
     total_issued: int
     success_count: int
     failure_counts: dict[str, int]
@@ -33,7 +35,6 @@ class RunResult:
     success_rate: float
     blocks: int
     avg_block_size: float
-    cut_reasons: dict[str, int] = field(default_factory=dict)
     utilization: dict[str, float] = field(default_factory=dict)
     early_aborts: int = 0
 
@@ -54,60 +55,56 @@ class RunResult:
         )
 
 
-def summarize_run(
-    ledger: Ledger,
-    aborted: list[Transaction],
-    first_submit: float,
-    last_commit: float,
-    cut_reasons: dict[str, int] | None = None,
-    utilization: dict[str, float] | None = None,
-) -> RunResult:
-    """Compute a :class:`RunResult` from a completed run's artifacts."""
-    committed = [tx for tx in ledger.transactions(include_config=False)]
-    all_txs = committed + aborted
-    total = len(all_txs)
+class RunFold:
+    """Transaction consumer that folds a run into its :class:`RunResult`.
 
-    failure_counts: dict[str, int] = {}
-    latencies: list[float] = []
-    success = 0
-    submitted = 0
-    for tx in all_txs:
-        status = tx.status if tx.status is not None else TxStatus.EARLY_ABORT
-        # Endorsement-phase aborts never reach the ordering service; like
-        # Caliper, the success rate is computed over submitted transactions
-        # only (the aborts are still reported via ``early_aborts``).
+    ``FabricNetwork.run`` registers one on the network's stream; the
+    transaction and block counts and the last commit come from the run's
+    ``StreamedRunStats``.  Like Caliper, the success rate's denominator
+    excludes endorsement-stage aborts, which never reached ordering
+    (they still count in ``early_aborts``).
+    """
+
+    def __init__(self) -> None:
+        self.submitted = 0
+        self.successes = 0
+        self.latencies: list[float] = []
+        self.failure_counts: dict[str, int] = {}
+
+    def consume(self, tx: Transaction) -> None:
+        """Fold one finished transaction in, committed or aborted."""
         if tx.abort_stage != "endorsement":
-            submitted += 1
+            self.submitted += 1
+        status = tx.status
         if status is TxStatus.SUCCESS:
-            success += 1
-            if tx.latency is not None:
-                latencies.append(tx.latency)
+            self.successes += 1
+            latency = tx.latency
+            if latency is not None:
+                self.latencies.append(latency)
         else:
-            failure_counts[status.value] = failure_counts.get(status.value, 0) + 1
+            counts = self.failure_counts
+            counts[status.value] = counts.get(status.value, 0) + 1
 
-    makespan = max(last_commit - first_submit, MIN_MAKESPAN)
-    latencies.sort()
-    avg_latency = sum(latencies) / len(latencies) if latencies else 0.0
-    p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0
-
-    data_blocks = [block for block in ledger if any(not tx.is_config for tx in block.transactions)]
-    avg_block_size = (
-        sum(len(block) for block in data_blocks) / len(data_blocks) if data_blocks else 0.0
-    )
-
-    return RunResult(
-        ledger=ledger,
-        total_issued=total,
-        success_count=success,
-        failure_counts=failure_counts,
-        makespan=makespan,
-        success_throughput=success / makespan,
-        avg_latency=avg_latency,
-        p95_latency=p95,
-        success_rate=success / submitted if submitted else 0.0,
-        blocks=len(data_blocks),
-        avg_block_size=avg_block_size,
-        cut_reasons=dict(cut_reasons or {}),
-        utilization=dict(utilization or {}),
-        early_aborts=len(aborted),
-    )
+    def result(
+        self, stats: "StreamedRunStats", utilization: dict[str, float]
+    ) -> RunResult:
+        """The :class:`RunResult` of the run ``stats`` describes."""
+        makespan = max(stats.last_commit - stats.first_submit, MIN_MAKESPAN)
+        latencies = sorted(self.latencies)
+        success = self.successes
+        return RunResult(
+            total_issued=stats.committed + stats.aborted,
+            success_count=success,
+            failure_counts=self.failure_counts,
+            makespan=makespan,
+            success_throughput=success / makespan,
+            avg_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+            p95_latency=latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
+            success_rate=success / self.submitted if self.submitted else 0.0,
+            blocks=stats.data_blocks,
+            avg_block_size=(
+                stats.committed / stats.data_blocks if stats.data_blocks else 0.0
+            ),
+            utilization=utilization,
+            early_aborts=stats.aborted,
+        )

@@ -10,16 +10,19 @@ exactly as in Fabric.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.fabric.chaincode import MISSING_VERSION
 from repro.fabric.config import NetworkConfig
-from repro.fabric.ledger import Block, Ledger
+from repro.fabric.ledger import Block
 from repro.fabric.policy import EndorsementPolicy
 from repro.fabric.state import StateDatabase
 from repro.fabric.transaction import ReadWriteSet, Transaction, TxStatus, Version
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Server
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.logs.stream import RunStream
 
 
 def rwset_conflict(namespace, rwset: ReadWriteSet) -> tuple[TxStatus, str] | None:
@@ -57,7 +60,7 @@ def rwset_conflict(namespace, rwset: ReadWriteSet) -> tuple[TxStatus, str] | Non
 
 
 class ValidationPipeline:
-    """Validates ordered blocks and commits them to ledger + world state."""
+    """Validates ordered blocks; commits them to world state and the run's stream."""
 
     def __init__(
         self,
@@ -65,19 +68,18 @@ class ValidationPipeline:
         config: NetworkConfig,
         policy: EndorsementPolicy,
         state_db: StateDatabase,
-        ledger: Ledger,
+        stream: "RunStream",
     ) -> None:
         self._kernel = kernel
         self._timing = config.timing
         self._policy = policy
         self._state_db = state_db
-        self._ledger = ledger
+        self._stream = stream
         #: Post-commit hook, called with each committed block.  The network
         #: binds it for the length of a run (see
         #: ``FabricNetwork._pump_arrivals``).
         self.on_block_committed: Callable[[Block], None] | None = None
         self._server = Server(kernel, "validator")
-        self.status_counts: dict[TxStatus, int] = {status: 0 for status in TxStatus}
         # Policy evaluation is a pure function of the endorser-name tuple,
         # and workloads draw from a handful of endorser sets — memoizing it
         # removes a per-transaction set comprehension + policy tree walk.
@@ -112,26 +114,25 @@ class ValidationPipeline:
     # -- validation logic ------------------------------------------------------
 
     def _validate_and_commit(self, transactions: list[Transaction], cut_reason: str) -> None:
-        block_number = self._ledger.height
+        block_number = self._stream.height
         now = self._kernel.now
         for index, tx in enumerate(transactions):
             status = self._validate(tx)
             tx.status = status
             tx.block_number = block_number
             tx.commit_time = now
-            self.status_counts[status] += 1
             if status is TxStatus.SUCCESS:
                 self._apply_writes(tx, Version(block=block_number, tx=index))
 
         block = Block(
             number=block_number,
             transactions=list(transactions),
-            previous_hash=self._ledger.tip_hash,
+            previous_hash=self._stream.tip_hash,
             cut_reason=cut_reason,
             created_at=now,
             committed_at=now,
         )
-        self._ledger.append(block)
+        self._stream.accept_block(block)
         if self.on_block_committed is not None:
             self.on_block_committed(block)
 

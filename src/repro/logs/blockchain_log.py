@@ -21,7 +21,7 @@ strings hashes in C, where counting the members would call
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -235,26 +235,13 @@ class RecordTable:
         }
 
 
-@dataclass
-class LogSlice:
-    """Records of one time interval (used by the distribution metrics)."""
+def record_from_transaction(tx: "Transaction", block_position: int) -> LogRecord:
+    """Build the blockchain-log record of a committed transaction.
 
-    index: int
-    start: float
-    end: float
-    records: list[LogRecord] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-
-def record_from_transaction(tx: "Transaction", order: int, block_position: int) -> LogRecord:
-    """Build one blockchain-log record from a committed (or aborted) transaction.
-
-    Lives here rather than in :mod:`repro.logs.extract` so the streaming
-    ledger path can convert blocks as they commit without importing the
-    network layer.
+    ``tx.commit_order`` must already be set: :class:`~repro.logs.stream
+    .RunStream` numbers every committed transaction as its block is
+    accepted, and both the live fan-out and the extraction read that
+    number.
     """
     read_versions = {key: (v.block, v.tx) for key, v in tx.rwset.reads.items()}
     read_keys = set(tx.rwset.reads)
@@ -263,7 +250,7 @@ def record_from_transaction(tx: "Transaction", order: int, block_position: int) 
             read_keys.add(key)
             read_versions.setdefault(key, (version.block, version.tx))
     return LogRecord(
-        commit_order=order,
+        commit_order=tx.commit_order,
         tx_id=tx.tx_id,
         client_timestamp=tx.client_timestamp,
         activity=tx.activity,
@@ -301,23 +288,3 @@ def interval_index(timestamp: float, start: float, ins: float) -> int:
     while timestamp >= start + (index + 1) * ins:
         index += 1
     return index
-
-
-def slice_by_interval(log: BlockchainLog, interval_seconds: float | None = None) -> list[LogSlice]:
-    """Partition the log into client-timestamp intervals of ``ins`` seconds."""
-    ins = interval_seconds if interval_seconds is not None else log.interval_seconds
-    if ins <= 0:
-        raise ValueError(f"interval must be positive, got {ins}")
-    if not log.records:
-        return []
-    start = min(record.client_timestamp for record in log.records)
-    end = max(record.client_timestamp for record in log.records)
-    count = interval_index(end, start, ins) + 1
-    slices = [
-        LogSlice(index=i, start=start + i * ins, end=start + (i + 1) * ins)
-        for i in range(count)
-    ]
-    for record in log.records:
-        index = min(interval_index(record.client_timestamp, start, ins), count - 1)
-        slices[index].records.append(record)
-    return slices

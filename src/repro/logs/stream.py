@@ -1,195 +1,149 @@
-"""Streaming record pipeline: consume a run block by block, O(blocks) memory.
+"""The run's one output seam: a hash-checked fan-out of blocks and aborts.
 
-The batch pipeline materializes the whole ledger, extracts a
-:class:`~repro.logs.blockchain_log.BlockchainLog` and post-processes it —
-O(transactions) memory, which caps realistic scale.  This module is the
-streaming alternative:
+Every :class:`~repro.fabric.network.FabricNetwork` appends to one
+:class:`RunStream` its genesis block, each block the validator commits
+and each transaction that aborts before reaching the chain.  The stream
+keeps no block and no record: it checks that each block extends the
+chain, numbers the committed data transactions (``tx.commit_order``),
+keeps the run counters and fans everything out to the consumers
+registered before the run:
 
-* :class:`RunStream` is the hub.  Consumers register up front; every
-  committed block is converted to :class:`LogRecord`s (config
-  transactions update the captured :class:`ChannelConfig` instead) and
-  fanned out record by record, exactly as the batch extraction would
-  have ordered them.  Aborted transactions that never reach the chain
-  are fanned out to transaction consumers as they happen.
-* :class:`StreamingLedger` is the ledger stand-in: it enforces the same
-  number/hash chain-continuity rules as
-  :class:`~repro.fabric.ledger.Ledger`, forwards each appended block to
-  the stream, and then lets the block go — no block list, no record
-  list, no event list.
+* a *chain consumer* implements ``accept_block(block)`` and
+  ``accept_abort(tx)``, like :class:`~repro.fabric.ledger.KeptChain`;
+* a *transaction consumer* implements ``consume(tx)`` and sees every
+  finished transaction, committed or aborted (the forensics taxonomy
+  needs abort stages and missing endorsements that a log record
+  does not carry);
+* a *record consumer* implements ``consume(record)`` and sees each
+  committed data transaction as a :class:`LogRecord`.  Records are built
+  and validated only while a record consumer is registered, and
+  :attr:`RunStream.records_streamed` counts exactly those.
 
-A *record consumer* implements ``consume(record)``; a *transaction
-consumer* implements ``consume(tx)`` and additionally sees aborted
-transactions (the forensics taxonomy needs abort stages and missing
-endorsements that :class:`LogRecord` does not carry).  ``finish()``
-semantics are left to each accumulator — the stream never calls it, the
-harvesting caller does.  The accumulators in :mod:`repro.core.metrics`,
-:mod:`repro.analysis.forensics` and :mod:`repro.logs.eventlog` implement
+``finish()`` semantics are left to each accumulator — the stream never
+calls it, the harvesting caller does.  The accumulators in
+:mod:`repro.core.metrics`, :mod:`repro.analysis.forensics`,
+:mod:`repro.control.monitor` and :mod:`repro.fabric.results` implement
 these protocols; see docs/SCALING.md for the full contract.
 """
 
 from __future__ import annotations
-
-from typing import Protocol
 
 from repro.fabric.ledger import Block, Ledger
 from repro.fabric.transaction import Transaction
 from repro.logs.blockchain_log import (
     CONFIG_DEFAULTS,
     ChannelConfig,
-    LogRecord,
     fold_config,
     record_from_transaction,
     validate_record,
 )
 
 
-class RecordConsumer(Protocol):
-    """Anything that folds committed log records in one at a time."""
-
-    def consume(self, record: LogRecord) -> None: ...  # pragma: no cover
-
-
-class TransactionConsumer(Protocol):
-    """Anything that folds finished transactions in, aborts included."""
-
-    def consume(self, tx: Transaction) -> None: ...  # pragma: no cover
-
-
 class RunStream:
-    """Fan-out hub between the committing ledger and streaming consumers.
+    """Fan-out hub between a network's commit and abort seams and its consumers.
 
-    Records are emitted in commit order with the same ``commit_order`` /
-    ``block_position`` numbering the batch extraction assigns, so a
-    consumer fed live produces byte-identical results to one fed from
-    :func:`~repro.logs.extract.extract_blockchain_log`.
+    Records are emitted in commit order, numbered by ``tx.commit_order``
+    (set here, for every committed data transaction) and their position
+    in the block, so a consumer fed live produces byte-identical results
+    to one fed from :func:`~repro.logs.extract.extract_blockchain_log`,
+    which replays the kept chain through a fresh stream.
     """
 
     def __init__(self) -> None:
-        self.record_consumers: list[RecordConsumer] = []
-        self.tx_consumers: list[TransactionConsumer] = []
+        self.chain_consumers: list = []
+        self.record_consumers: list = []
+        self.tx_consumers: list = []
         #: Channel configuration captured from config transactions; the
         #: last config update wins, mirroring Fabric's semantics.
         self.config: ChannelConfig | None = None
         self._settings = dict(CONFIG_DEFAULTS)
-        self._order = 0
-        self.records_streamed = 0
-        self.aborts_streamed = 0
-
-    def add_record_consumer(self, consumer: RecordConsumer) -> "RunStream":
-        self.record_consumers.append(consumer)
-        return self
-
-    def add_transaction_consumer(self, consumer: TransactionConsumer) -> "RunStream":
-        self.tx_consumers.append(consumer)
-        return self
-
-    def accept_block(self, block: Block) -> int:
-        """Convert and fan out one committed block; returns data-tx count.
-
-        The block is not retained: once every consumer has folded its
-        records in, the only references left are the caller's.
-        """
-        streamed = 0
-        for position, tx in enumerate(block.transactions):
-            if tx.is_config:
-                self.config = fold_config(self._settings, tx)
-                continue
-            record = record_from_transaction(tx, self._order, position)
-            validate_record(record, self._order - 1)
-            self._order += 1
-            streamed += 1
-            for consumer in self.record_consumers:
-                consumer.consume(record)
-            for consumer in self.tx_consumers:
-                consumer.consume(tx)
-        self.records_streamed += streamed
-        return streamed
-
-    def accept_abort(self, tx: Transaction) -> None:
-        """Fan out a transaction that aborted before reaching the chain.
-
-        Only transaction consumers see aborts: the blockchain log (and
-        therefore every record consumer) holds committed transactions,
-        matching the batch extraction's default.
-        """
-        self.aborts_streamed += 1
-        for consumer in self.tx_consumers:
-            consumer.consume(tx)
-
-
-class StreamingLedger:
-    """Hash-chained ledger stand-in that streams blocks instead of keeping them.
-
-    Duck-typed for the validator/network append path (``height``,
-    ``tip_hash``, ``append``); the read-back API of
-    :class:`~repro.fabric.ledger.Ledger` is deliberately absent — batch
-    post-processing of a streamed run is a contradiction, and attempting
-    it fails loudly.
-    """
-
-    GENESIS_HASH = Ledger.GENESIS_HASH
-
-    def __init__(self, stream: RunStream) -> None:
-        self.stream = stream
-        self._height = 0
-        self._tip_hash = self.GENESIS_HASH
-        self.blocks_committed = 0
-        #: Blocks containing at least one non-config transaction.
+        #: Blocks accepted so far (the next block number).
+        self.height = 0
+        #: Hash of the newest block (chained into the next one).
+        self.tip_hash = Ledger.GENESIS_HASH
+        #: Blocks holding at least one non-config transaction.
         self.data_blocks = 0
-        #: Non-config transactions streamed off the chain.
+        #: Non-config transactions committed (the next commit order).
         self.committed_txs = 0
+        #: Transactions that aborted before reaching the chain.
+        self.aborts = 0
         #: Commit time of the newest data block (None until one commits).
         self.last_commit_time: float | None = None
         #: Largest single block seen — the run's true record high-water.
         self.max_block_transactions = 0
         self.cut_reason_counts: dict[str, int] = {}
+        #: Log records built for record consumers.
+        self.records_streamed = 0
 
-    @property
-    def height(self) -> int:
-        """Number of blocks committed so far (the next block number)."""
-        return self._height
+    def add_chain_consumer(self, consumer) -> "RunStream":
+        """Register ``consumer`` for every block and abort; returns the stream."""
+        self.chain_consumers.append(consumer)
+        return self
 
-    @property
-    def tip_hash(self) -> str:
-        """Hash of the newest block (chained into the next one)."""
-        return self._tip_hash
+    def add_record_consumer(self, consumer) -> "RunStream":
+        """Register ``consumer`` for every committed record; returns the stream."""
+        self.record_consumers.append(consumer)
+        return self
 
-    def append(self, block: Block) -> None:
-        """Verify chain continuity, stream the block out, keep only counters."""
-        if block.number != self._height:
+    def add_transaction_consumer(self, consumer) -> "RunStream":
+        """Register ``consumer`` for every finished transaction; returns the stream."""
+        self.tx_consumers.append(consumer)
+        return self
+
+    def accept_block(self, block: Block) -> None:
+        """Check that ``block`` extends the chain, count it and fan it out.
+
+        The block is not retained: once every consumer has taken it in,
+        the only references left are the caller's and the chain
+        consumers'.
+        """
+        if block.number != self.height:
             raise ValueError(
-                f"block number {block.number} does not extend ledger height {self._height}"
+                f"block number {block.number} does not extend ledger height {self.height}"
             )
-        if block.previous_hash != self._tip_hash:
+        if block.previous_hash != self.tip_hash:
             raise ValueError("block does not chain from current tip")
-        self._height += 1
-        self._tip_hash = block.block_hash
-        self.blocks_committed += 1
-        size = len(block.transactions)
-        if size > self.max_block_transactions:
-            self.max_block_transactions = size
-        self.cut_reason_counts[block.cut_reason] = (
-            self.cut_reason_counts.get(block.cut_reason, 0) + 1
-        )
-        streamed = self.stream.accept_block(block)
-        if streamed:
+        self.height += 1
+        self.tip_hash = block.block_hash
+        transactions = block.transactions
+        if len(transactions) > self.max_block_transactions:
+            self.max_block_transactions = len(transactions)
+        cut_reasons = self.cut_reason_counts
+        cut_reasons[block.cut_reason] = cut_reasons.get(block.cut_reason, 0) + 1
+        for consumer in self.chain_consumers:
+            consumer.accept_block(block)
+
+        record_consumers = self.record_consumers
+        tx_consumers = self.tx_consumers
+        first = order = self.committed_txs
+        for position, tx in enumerate(transactions):
+            if tx.is_config:
+                self.config = fold_config(self._settings, tx)
+                continue
+            tx.commit_order = order
+            if record_consumers:
+                record = record_from_transaction(tx, position)
+                validate_record(record, order - 1)
+                for consumer in record_consumers:
+                    consumer.consume(record)
+            for consumer in tx_consumers:
+                consumer.consume(tx)
+            order += 1
+        if order > first:
+            self.committed_txs = order
             self.data_blocks += 1
-            self.committed_txs += streamed
-            if block.committed_at is not None:
-                self.last_commit_time = block.committed_at
+            self.last_commit_time = block.committed_at
+            if record_consumers:
+                self.records_streamed += order - first
 
-    def transactions(self, include_config: bool = True):
-        """Unavailable by design — the whole point is not keeping them."""
-        raise RuntimeError(
-            "a streaming ledger retains no transactions; register consumers "
-            "on the RunStream before the run instead"
-        )
+    def accept_abort(self, tx: Transaction) -> None:
+        """Fan out a transaction that aborted before reaching the chain.
 
-    def __len__(self) -> int:
-        return self._height
-
-    def __iter__(self):
-        raise RuntimeError(
-            "a streaming ledger retains no blocks; register consumers "
-            "on the RunStream before the run instead"
-        )
+        Record consumers never see aborts: the blockchain log holds
+        committed transactions only, as a real Fabric ledger does.
+        """
+        self.aborts += 1
+        for consumer in self.chain_consumers:
+            consumer.accept_abort(tx)
+        for consumer in self.tx_consumers:
+            consumer.consume(tx)

@@ -21,10 +21,14 @@ Oracles (each returns a list of violation strings, empty = pass):
     digest and control-timeline digest.  ``repro scenario
     --check-determinism`` applies the same check to its last row.
 ``stream_batch``
-    A streamed run (workload transforms pre-applied, network
-    interventions live) must produce the same
-    :class:`~repro.analysis.forensics.ForensicsReport` digest and the
-    same :class:`~repro.core.metrics.LogMetrics` as the batch pipeline.
+    Within one run, the live stream consumers must agree with the
+    post-run readers: a :class:`~repro.analysis.forensics
+    .ForensicsAccumulator` registered on the network's stream produces
+    the :class:`~repro.analysis.forensics.ForensicsReport` digest of
+    :func:`~repro.analysis.forensics.forensics_report`, and a live
+    :class:`~repro.core.metrics.MetricsAccumulator` produces the
+    :class:`~repro.core.metrics.LogMetrics` BlockOptR reads back from the
+    run's exported CSV log.
 ``conservation``
     Transaction counts must balance: every issued transaction (original
     or retry) ends exactly once — committed or aborted — and the
@@ -33,10 +37,8 @@ Oracles (each returns a list of violation strings, empty = pass):
     Every generated spec must survive JSON serialization unchanged.
 ``control_equivalence``
     The SLO-guardian controller must keep the differential invariants: a
-    noop-policy controller reproduces the primary run digest, guardian-on
-    runs replay with no :func:`divergences`, and a guardian-on streamed
-    run matches the guardian-on batch run's control-timeline and
-    forensics digests.
+    noop-policy controller reproduces the primary run digest, and
+    guardian-on runs replay with no :func:`divergences`.
 
 Everything is deterministic: the generator derives one private
 ``random.Random`` per (campaign seed, composition index) via SHA-256, so
@@ -51,6 +53,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -64,7 +67,7 @@ from repro.analysis.forensics import (
 )
 from repro.fabric.network import FabricNetwork
 from repro.fabric.retry import RetryPolicy
-from repro.scenario.engine import ScenarioEngine, run_digest
+from repro.scenario.engine import run_digest
 from repro.scenario.spec import (
     KINDS,
     MIX_FROM_ACTIVITIES,
@@ -75,7 +78,6 @@ from repro.scenario.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.contracts.registry import ContractFamily
-    from repro.core.metrics import LogMetrics
     from repro.fabric.config import NetworkConfig
     from repro.fabric.results import RunResult
     from repro.fabric.transaction import TxRequest
@@ -389,68 +391,32 @@ class FuzzHarness:
         """Same seed + spec must reproduce the run bit for bit."""
         return divergences(self.primary(spec), self.run(spec))
 
-    def execute_streamed(
-        self, spec: ScenarioSpec, config: NetworkConfig | None = None
-    ) -> tuple[FabricNetwork, str, LogMetrics]:
-        """One streamed run of ``spec``: (network, forensics digest, metrics).
-
-        Workload transforms need the full request list, so they are
-        applied up front by a throwaway engine; only the network
-        interventions ride along into the streamed run.  ``config``
-        defaults to the campaign's network config.
-        """
-        from repro.core.metrics import MetricsAccumulator
-        from repro.logs.stream import RunStream
-
-        pre = ScenarioEngine(spec)
-        transformed = pre.transform_requests(list(self.requests))
-        ordered = sorted(transformed, key=lambda request: request.submit_time)
-        network_ivs = tuple(spec.network_interventions())
-        live_spec = (
-            dataclasses.replace(spec, interventions=network_ivs)
-            if network_ivs
-            else None
-        )
-
-        stream = RunStream()
-        forensics = ForensicsAccumulator()
-        metrics = MetricsAccumulator(interval_seconds=1.0)
-        stream.add_transaction_consumer(forensics)
-        stream.add_record_consumer(metrics)
-        config = config if config is not None else self.network_config
-        network = FabricNetwork(
-            config, self._family.deploy().contracts, scenario=live_spec, stream=stream
-        )
-        network.run_streamed(ordered)
-
-        timeline = list(pre.timeline)
-        if network.scenario_engine is not None:
-            timeline += network.scenario_engine.timeline
-        report = forensics.finish(
-            scenario=spec.name,
-            mitigation=config.mitigation,
-            timeline=sorted(timeline, key=lambda entry: (entry[0], entry[1])),
-            resubmissions=network.retries_issued,
-            recovered=network.retries_recovered,
-            exhausted=network.retries_exhausted,
-        )
-        metrics.config = stream.config
-        return network, report_digest(report), metrics.finish()
-
     def check_stream_batch(self, spec: ScenarioSpec) -> list[str]:
-        """Streaming pipeline must equal the batch pipeline digest for digest."""
-        from repro.core.metrics import compute_metrics
+        """Live stream consumers must equal the post-run readers of one run."""
+        from repro.core.metrics import MetricsAccumulator
+        from repro.core.recommender import BlockOptR
+        from repro.logs.export import log_to_csv
         from repro.logs.extract import extract_blockchain_log
 
-        batch = self.primary(spec)
-        _, streamed_digest, streamed_metrics = self.execute_streamed(spec)
+        network = FabricNetwork(
+            self.network_config, self._family.deploy().contracts, scenario=spec
+        )
+        forensics = ForensicsAccumulator()
+        metrics = MetricsAccumulator()
+        network.stream.add_transaction_consumer(forensics).add_record_consumer(metrics)
+        network.run(list(self.requests))
 
         violations = []
-        if streamed_digest != batch.forensics_digest:
-            violations.append("streamed forensics digest != batch forensics digest")
-        batch_metrics = compute_metrics(extract_blockchain_log(batch.network))
-        if streamed_metrics != batch_metrics:
-            violations.append("streamed LogMetrics != batch LogMetrics")
+        live = report_digest(forensics.finish_run(network))
+        if live != report_digest(forensics_report(network)):
+            violations.append("live forensics digest != forensics_report digest")
+        metrics.config = network.stream.config
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.csv"
+            log_to_csv(extract_blockchain_log(network), path)
+            exported = BlockOptR().analyze_file(path).metrics
+        if metrics.finish() != exported:
+            violations.append("live LogMetrics != LogMetrics of the exported CSV log")
         return violations
 
     def check_conservation(self, spec: ScenarioSpec) -> list[str]:
@@ -510,14 +476,11 @@ class FuzzHarness:
     def check_control_equivalence(self, spec: ScenarioSpec) -> list[str]:
         """The SLO-guardian controller must preserve the differential invariants.
 
-        Three sub-checks against the composition: a noop-policy controller
+        Two sub-checks against the composition: a noop-policy controller
         reproduces the primary (controller-off) run digest bit for bit —
-        controller *presence* never changes outcomes; a guardian-on run
-        replays with no :func:`divergences` (kernel trace, run,
-        forensics and control-timeline digests); and a guardian-on streamed run
-        reproduces the guardian-on batch run's control-timeline and
-        forensics digests — the monitor sees the same completions in the
-        same order whichever sink the network streams to.
+        controller *presence* never changes outcomes; and a guardian-on
+        run replays with no :func:`divergences` (kernel trace, run,
+        forensics and control-timeline digests).
         """
         from repro.control.spec import ControlSpec
 
@@ -539,14 +502,6 @@ class FuzzHarness:
         violations.extend(
             f"guardian-on replay: {found}" for found in divergences(first, second)
         )
-        network, forensics_digest, _ = self.execute_streamed(
-            spec, config_for("guardian")
-        )
-        streamed = (network.controller.timeline.digest(), forensics_digest)
-        if streamed != (first.control_digest, first.forensics_digest):
-            violations.append(
-                "guardian-on streamed run diverged from the guardian-on batch run"
-            )
         return violations
 
     def run_oracles(self, spec: ScenarioSpec) -> dict[str, list[str]]:

@@ -2,11 +2,12 @@
 
 Each channel is a full, independent
 :class:`~repro.fabric.network.FabricNetwork` — its own ordering service,
-validation pipeline and simulation kernel — built in *stream mode*: the
-ledger is a :class:`~repro.logs.stream.StreamingLedger`, the workload is
-pulled from :func:`~repro.workloads.synthetic.iter_synthetic_requests`
-one request at a time, and the only things that survive the run are the
-bounded accumulators of :mod:`repro.shard.summary`.  Peak memory is
+validation pipeline and simulation kernel — built on a
+:class:`~repro.logs.stream.RunStream` of its own, so it keeps no chain;
+the workload is pulled from
+:func:`~repro.workloads.synthetic.iter_synthetic_requests` one request
+at a time, and the only things that survive the run are the stream's
+counters and the bounded accumulators of :mod:`repro.shard.summary`.  Peak memory is
 therefore independent of the transaction budget — the property the
 CI smoke step asserts via ``repro shard --max-rss-mb`` and the 1M-tx
 digest golden demonstrates (docs/SCALING.md).
@@ -59,7 +60,7 @@ def run_channel(plan: ShardPlan, channel: ChannelPlan) -> ChannelSummary:
 
     network = FabricNetwork(config, deployment.contracts, stream=stream)
     stats = network.run_streamed(iter_synthetic_requests(spec, contract_name))
-    return summarize_channel(channel, stats, tally, rates, network.ledger)
+    return summarize_channel(channel, stats, tally, rates, stream)
 
 
 def _split_send_rate(spec, channels: int) -> None:

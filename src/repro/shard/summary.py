@@ -11,10 +11,10 @@ held: each channel registers two accumulators on its
   transaction count;
 * :class:`RateSeriesAccumulator` (record consumer) bins committed
   records into fixed-width wall-clock intervals with
-  :func:`repro.logs.blockchain_log.interval_index` — the robust binning
-  that :func:`~repro.logs.blockchain_log.slice_by_interval` uses — so
-  state is bounded by the run's duration, and folds the success latency
-  as (sum, count, max) so the stitcher can merge channels exactly.
+  :func:`repro.logs.blockchain_log.interval_index` — the boundary-exact
+  binning BlockOptR's rate metrics use — so state is bounded by the
+  run's duration, and folds the success latency as (sum, count, max) so
+  the stitcher can merge channels exactly.
 
 :func:`stitch` merges the per-channel :class:`ChannelSummary` objects
 into one :class:`StitchedSummary`, whose :meth:`~StitchedSummary.digest`
@@ -111,7 +111,7 @@ class ChannelSummary:
 
     @property
     def makespan(self) -> float:
-        """First submission to last commit, floored like ``summarize_run``."""
+        """First submission to last commit, floored like ``RunResult.makespan``."""
         return max(self.last_commit - self.first_submit, MIN_MAKESPAN)
 
     @property
@@ -164,13 +164,13 @@ def summarize_channel(
     stats,
     tally: OutcomeTally,
     rates: RateSeriesAccumulator,
-    ledger,
+    stream,
 ) -> ChannelSummary:
     """Assemble one channel's :class:`ChannelSummary` after its run.
 
     ``stats`` is the :class:`~repro.fabric.network.StreamedRunStats` the
-    run returned; ``ledger`` the channel's
-    :class:`~repro.logs.stream.StreamingLedger` (counters only).
+    run returned; ``stream`` the channel's
+    :class:`~repro.logs.stream.RunStream` (counters only).
     """
     return ChannelSummary(
         name=channel.name,
@@ -181,8 +181,8 @@ def summarize_channel(
         aborted=stats.aborted,
         blocks=stats.blocks,
         data_blocks=stats.data_blocks,
-        max_block_transactions=ledger.max_block_transactions,
-        cut_reasons=dict(ledger.cut_reason_counts),
+        max_block_transactions=stream.max_block_transactions,
+        cut_reasons=dict(stream.cut_reason_counts),
         submitted=tally.submitted,
         successes=tally.successes,
         failures=tally.total - tally.successes,

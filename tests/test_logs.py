@@ -16,7 +16,7 @@ from repro.logs import (
     log_to_csv,
     log_to_json,
 )
-from repro.logs.blockchain_log import interval_index, slice_by_interval
+from repro.logs.blockchain_log import interval_index
 
 
 def make_record(order, activity="act", args=(), keys=(), writes=None, status=TxStatus.SUCCESS, ts=None):
@@ -97,7 +97,7 @@ class TestExtraction:
         """A later config transaction overrides only the keys it sets, and
         the batch extraction and the streaming hub agree on the result."""
         from repro.fabric.ledger import Ledger
-        from repro.logs.stream import RunStream, StreamingLedger
+        from repro.logs.stream import RunStream
 
         blocks = _chain(
             [_config_tx("config-0", (("block_count", 50), ("block_timeout", 2.0),
@@ -109,10 +109,9 @@ class TestExtraction:
         )
         ledger = Ledger()
         stream = RunStream()
-        streaming = StreamingLedger(stream)
         for block in blocks:
             ledger.append(block)
-            streaming.append(block)
+            stream.accept_block(block)
         expected = ChannelConfig(
             block_count=300,
             block_timeout=2.0,
@@ -177,27 +176,6 @@ def _chain(*block_transactions):
     return blocks
 
 
-class TestSlicing:
-    def test_slices_partition_records(self):
-        log = make_log([make_record(i) for i in range(50)])
-        slices = slice_by_interval(log, 1.0)
-        assert sum(s.count for s in slices) == 50
-
-    def test_interval_boundaries(self):
-        log = make_log([make_record(i) for i in range(30)])  # ts 0.0 .. 2.9
-        slices = slice_by_interval(log, 1.0)
-        assert len(slices) == 3
-        assert slices[0].count == 10
-
-    def test_bad_interval(self):
-        log = make_log([make_record(0)])
-        with pytest.raises(ValueError):
-            slice_by_interval(log, 0.0)
-
-    def test_empty_log(self):
-        assert slice_by_interval(make_log([]), 1.0) == []
-
-
 class TestIntervalBoundaries:
     """Regressions for the float-division binning bug in interval_index."""
 
@@ -215,20 +193,12 @@ class TestIntervalBoundaries:
 
     def test_half_open_invariant_on_boundary_grid(self):
         # Every k*ins timestamp must satisfy the half-open window
-        # comparisons exactly as slice_by_interval evaluates them.
+        # comparisons exactly.
         for ins in (0.1, 0.3, 0.7, 1.0):
             for k in range(200):
                 timestamp = k * ins
                 index = interval_index(timestamp, 0.0, ins)
                 assert index * ins <= timestamp < (index + 1) * ins
-
-    def test_slices_respect_their_own_boundaries(self):
-        records = [make_record(i, ts=1.0 + i * 0.1) for i in range(31)]
-        slices = slice_by_interval(make_log(records), 0.1)
-        assert sum(s.count for s in slices) == len(records)
-        for log_slice in slices[:-1]:
-            for record in log_slice.records:
-                assert log_slice.start <= record.client_timestamp < log_slice.end
 
 
 class TestValidation:

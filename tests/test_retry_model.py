@@ -175,7 +175,7 @@ class TestMitigations:
         stale = [tx for tx in network.aborted if tx.abort_stage == "stale_read"]
         assert stale, "the conflict storm should trip the early-abort check"
         assert all(tx.conflict_key is not None for tx in stale)
-        # summarize_run counts them in the denominator (unlike chaincode
+        # The run summary counts them in the denominator (unlike chaincode
         # aborts), so the success rate is not inflated by the mitigation.
         report = forensics_report(network)
         assert report.submitted == result.total_issued

@@ -41,7 +41,7 @@ from repro.logs.blockchain_log import (
 )
 from repro.logs.eventlog import CaseIdDerivation, derive_case_attribute, key_family
 from repro.logs.extract import extract_blockchain_log
-from repro.logs.stream import RunStream, StreamingLedger
+from repro.logs.stream import RunStream
 from repro.shard.summary import RateSeriesAccumulator
 from repro.workloads.synthetic import iter_synthetic_requests
 
@@ -100,11 +100,12 @@ class TestStreamedEquivalence:
         network, _ = _batch_run(self.BASE, self.SEED, self.TOTAL)
         log = extract_blockchain_log(network)
 
-        stream, streamed_network, stats = _streamed_run(self._spec())
+        census = _RecordCensus()
+        stream, _, stats = _streamed_run(self._spec(), record_consumers=[census])
         assert stats.committed == len(log.records)
-        assert stream.records_streamed == len(log.records)
-        assert streamed_network.ledger.height == network.ledger.height
-        assert streamed_network.ledger.tip_hash == network.ledger.tip_hash
+        assert stream.records_streamed == census.seen == len(log.records)
+        assert stream.height == network.ledger.height
+        assert stream.tip_hash == network.ledger.tip_hash
 
     def test_streaming_ledger_refuses_read_back(self):
         _, network, _ = _streamed_run(self._spec())
@@ -673,7 +674,7 @@ def test_streamed_run_never_holds_more_than_one_block_of_records():
     _, network, stats = _streamed_run(spec, record_consumers=[census])
     assert stats.committed == 100_000
     assert census.seen == 100_000
-    ceiling = network.ledger.max_block_transactions
+    ceiling = network.stream.max_block_transactions
     assert census.max_live <= ceiling, (
         f"{census.max_live} live records at a sample point; "
         f"expected at most one block ({ceiling})"
@@ -695,6 +696,169 @@ def test_finished_streamed_network_is_freed_by_reference_counting():
     try:
         _, network, stats = _streamed_run(spec)
         assert stats.committed + stats.aborted == stats.issued
+        network_ref = weakref.ref(network)
+        state_ref = weakref.ref(network.state_db)
+        del network
+        assert network_ref() is None
+        assert state_ref() is None
+    finally:
+        gc.enable()
+
+
+# -- one output seam ---------------------------------------------------------------
+
+
+def _reference_summary(network, first_submit):
+    """Reference run summary: one walk of the kept chain, as the batch
+    summary computed it before the run result became a live fold."""
+    committed = list(network.ledger.transactions(include_config=False))
+    every = committed + list(network.aborted)
+    latencies = sorted(
+        tx.latency for tx in every if tx.status is TxStatus.SUCCESS and tx.latency is not None
+    )
+    submitted = sum(1 for tx in every if tx.abort_stage != "endorsement")
+    successes = sum(1 for tx in every if tx.status is TxStatus.SUCCESS)
+    failures = Counter(tx.status.value for tx in every if tx.status is not TxStatus.SUCCESS)
+    data_blocks = [
+        block for block in network.ledger if any(not tx.is_config for tx in block.transactions)
+    ]
+    last_commit = max((tx.commit_time for tx in committed), default=first_submit)
+    makespan = max(last_commit - first_submit, 1e-9)
+    return {
+        "total_issued": len(every),
+        "success_count": successes,
+        "failure_counts": dict(failures),
+        "makespan": makespan,
+        "success_throughput": successes / makespan,
+        "avg_latency": sum(latencies) / len(latencies) if latencies else 0.0,
+        "p95_latency": latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
+        "success_rate": successes / submitted if submitted else 0.0,
+        "blocks": len(data_blocks),
+        "avg_block_size": (
+            sum(len(block) for block in data_blocks) / len(data_blocks) if data_blocks else 0.0
+        ),
+        "early_aborts": len(network.aborted),
+    }
+
+
+def _fold_case(case):
+    """(network, result, first submit) of a run with commits and aborts."""
+    import dataclasses
+
+    from repro.bench.experiments import make_usecase
+    from repro.fabric.retry import RetryPolicy
+    from repro.scenario.library import get_scenario
+
+    if case == "pruned_scm":
+        # The pruned contract aborts illogical transitions at endorsement.
+        config, family, requests = make_usecase("scm", total_transactions=600)()
+        contracts = family.deploy("process_model_pruning").contracts
+        network, result = run_workload(config, contracts, requests)
+    else:
+        config, family, requests = make_synthetic(
+            "workload_update_heavy", seed=7, total_transactions=600
+        )()
+        config = dataclasses.replace(
+            config, mitigation=case, retry=RetryPolicy(max_attempts=2)
+        )
+        # The conflict storm retargets keys, not submit times.
+        network, result = run_workload(
+            config, family.deploy().contracts, requests,
+            scenario=get_scenario("conflict_storm"),
+        )
+    return network, result, min(request.submit_time for request in requests)
+
+
+@pytest.mark.parametrize(
+    "case, abort_stage",
+    [("none", None), ("early_abort", "stale_read"), ("pruned_scm", "endorsement")],
+)
+def test_run_result_fold_matches_a_walk_of_the_kept_chain(case, abort_stage):
+    network, result, first_submit = _fold_case(case)
+    if abort_stage is not None:
+        assert any(tx.abort_stage == abort_stage for tx in network.aborted)
+    reference = _reference_summary(network, first_submit)
+    assert {name: getattr(result, name) for name in reference} == reference
+
+
+def test_records_are_built_only_for_record_consumers(monkeypatch):
+    """No record consumer: no LogRecord is built and records_streamed stays
+    0.  One record consumer: it counts exactly the committed data txs."""
+    import repro.logs.stream as stream_module
+
+    built = []
+    convert = stream_module.record_from_transaction
+
+    def counting(tx, position):
+        built.append(tx.tx_id)
+        return convert(tx, position)
+
+    monkeypatch.setattr(stream_module, "record_from_transaction", counting)
+    spec = synthetic_spec("default", seed=3)
+    spec.total_transactions = 300
+
+    tally = ForensicsAccumulator()
+    stream, _, stats = _streamed_run(spec, tx_consumers=[tally])
+    assert stats.committed > 0 and tally.total == stats.committed + stats.aborted
+    assert built == [] and stream.records_streamed == 0
+
+    census = _RecordCensus()
+    stream, _, stats = _streamed_run(spec, record_consumers=[census])
+    assert stream.records_streamed == census.seen == len(built) == stats.committed
+
+
+def test_one_run_path_for_kept_and_caller_streams():
+    """run() and run_streamed() share one body whatever the stream: run()
+    on a caller's stream summarizes the same run, and run_streamed() on a
+    kept-chain network keeps the same chain."""
+    config, family, requests = make_synthetic("default", seed=13, total_transactions=300)()
+    kept, result = run_workload(config, family.deploy().contracts, requests)
+
+    stream = RunStream()
+    on_stream = FabricNetwork(config, family.deploy().contracts, stream=stream)
+    assert on_stream.run(requests) == result
+    assert stream.tip_hash == kept.ledger.tip_hash
+    with pytest.raises(RuntimeError, match="keeps no chain"):
+        on_stream.aborted
+
+    streamed = FabricNetwork(config, family.deploy().contracts)
+    stats = streamed.run_streamed(sorted(requests, key=lambda r: r.submit_time))
+    assert stats.committed == sum(1 for _ in kept.ledger.transactions(include_config=False))
+    assert streamed.ledger.tip_hash == kept.ledger.tip_hash
+    assert [tx.tx_id for tx in streamed.aborted] == [tx.tx_id for tx in kept.aborted]
+
+
+def test_run_streamed_refuses_workload_transforms():
+    from repro.scenario.spec import Intervention, ScenarioSpec
+
+    config, family, requests = make_synthetic("default", seed=13, total_transactions=200)()
+    storm = ScenarioSpec(
+        name="storm",
+        interventions=(
+            Intervention(kind="conflict_storm", at=0.1, duration=0.3, fraction=0.5),
+        ),
+    )
+    network = FabricNetwork(config, family.deploy().contracts, scenario=storm)
+    with pytest.raises(ValueError, match="workload-transform"):
+        network.run_streamed(iter(requests))
+    network = FabricNetwork(config, family.deploy().contracts, scenario=storm)
+    assert network.run(requests).total_issued >= len(requests)
+
+
+def test_finished_run_network_is_freed_by_reference_counting():
+    """A finished run() network keeps its chain and its run summary as
+    consumers of its stream; neither refers back to the network, so with
+    the cyclic collector off dropping the network frees it at once."""
+    from repro.fabric.ledger import KeptChain
+    from repro.fabric.results import RunFold
+
+    gc.collect()
+    gc.disable()
+    try:
+        network, result = _batch_run("default", 7, 2_000)
+        assert result.total_issued >= 2_000
+        assert [type(c) for c in network.stream.chain_consumers] == [KeptChain]
+        assert [type(c) for c in network.stream.tx_consumers] == [RunFold]
         network_ref = weakref.ref(network)
         state_ref = weakref.ref(network.state_db)
         del network
