@@ -6,14 +6,17 @@ optimizations (Table 4 settings), re-execute the same workload, and
 compare success throughput, average latency and success rate.
 
 The protocol is written once, as :func:`run_baseline`, :func:`run_plan`
-and :func:`assemble_outcome`, which :func:`execute_experiment` calls in
-turn; the parallel executor runs one whole experiment per pool task.
+and :func:`assemble_outcome`, which :func:`execute_group` calls in turn
+for every experiment that shares one bundle; :func:`execute_experiment`
+runs a group of one, and the parallel executor runs one group per pool
+task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import copy
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
 from repro.contracts.registry import ContractFamily
 from repro.core.apply import apply_recommendations
@@ -242,6 +245,67 @@ def assemble_outcome(
     )
 
 
+#: One experiment of a group: its name, its plans (as
+#: :func:`execute_experiment` takes them) and the paper's values.
+Experiment = tuple[
+    str,
+    list[tuple[str, tuple[OptimizationKind, ...]]],
+    dict[str, tuple[float, float, float]] | None,
+]
+
+
+def _own_copy(record: RunRecord, label: str) -> RunRecord:
+    """One outcome's copy of a shared record, under its own row label."""
+    row, forensics, control = record
+    return replace(row, label=label), copy.deepcopy(forensics), copy.deepcopy(control)
+
+
+def execute_group(
+    make: MakeBundle,
+    experiments: Sequence[Experiment],
+    thresholds: Thresholds | None = None,
+    keep_report: bool = False,
+) -> Iterator[tuple[ExperimentOutcome, int]]:
+    """Run experiments that share one bundle, yielding each outcome in turn.
+
+    The bundle from ``make`` is built once; its baseline, BlockOptR
+    analysis and each distinct plan (keyed by its tuple of kinds) run
+    once, the first time an experiment needs them.  The simulator is
+    deterministic, so a second run would only repeat the first.  Each
+    experiment's outcome is yielded as soon as its own runs finish,
+    together with the number of runs simulated for it; it holds its own
+    copies of the shared records, under its own row labels, so no
+    outcome sees another's mutations.  ``keep_report`` attaches the
+    group's one analysis report to every outcome.
+    """
+    bundle = make()
+    # Each distinct plan under one of its labels; every outcome relabels.
+    distinct = {kinds: label for _, plans, _ in experiments for label, kinds in plans}
+    # One function per run, not one body: each run's network (and the
+    # chain it keeps) is freed when its step returns, so the baseline's
+    # does not stay alive across the plan runs.
+    baseline, report, tasks = run_baseline(
+        bundle, [(label, kinds) for kinds, label in distinct.items()], thresholds
+    )
+    task_of = dict(zip(distinct, tasks))
+    recommended = report.recommended_kinds()
+    done: dict[tuple[OptimizationKind, ...], RunRecord] = {}
+    runs = 1
+    for name, plans, paper in experiments:
+        for _, kinds in plans:
+            if kinds not in done:
+                done[kinds] = run_plan(bundle, task_of[kinds])
+                runs += 1
+        records = [_own_copy(baseline, "without")] + [
+            _own_copy(done[kinds], label) for label, kinds in plans
+        ]
+        outcome = assemble_outcome(
+            name, records, recommended, paper, report if keep_report else None
+        )
+        yield outcome, runs
+        runs = 0
+
+
 def execute_experiment(
     name: str,
     make: MakeBundle,
@@ -254,21 +318,11 @@ def execute_experiment(
 
     ``plans`` lists the optimization combinations the figure shows, e.g.
     ``[("rate control", (TRANSACTION_RATE_CONTROL,)), ("all", (...))]``.
-    The baseline and every plan share one bundle from ``make``.
+    The baseline and every plan share one bundle from ``make``: this is
+    :func:`execute_group` on a group of one.
     """
-    bundle = make()
-    # One function per run, not one body: each run's network (and the
-    # chain it keeps) is freed when its step returns, so the baseline's
-    # does not stay alive across the plan runs.
-    baseline, report, tasks = run_baseline(bundle, plans, thresholds)
-    records = [baseline] + [run_plan(bundle, task) for task in tasks]
-    return assemble_outcome(
-        name,
-        records,
-        report.recommended_kinds(),
-        paper,
-        report if keep_report else None,
-    )
+    [(outcome, _)] = execute_group(make, [(name, plans, paper)], thresholds, keep_report)
+    return outcome
 
 
 def run_usecase_demo(

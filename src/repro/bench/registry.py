@@ -16,6 +16,7 @@ matrix cell (:mod:`repro.bench.matrix`) uses.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -85,6 +86,18 @@ class ExperimentSpec:
         if total_transactions is not None:
             spec = replace(spec, total_transactions=total_transactions)
         return spec
+
+    def bundle_key(self) -> str:
+        """The bundle's identity: :meth:`payload` less the id and the plans.
+
+        Specs with one key (maker, its arguments, seed and resolved
+        budget) build equal bundles, so the suite runs their baseline,
+        analysis and shared plans once
+        (:func:`repro.bench.executor.run_suite`).
+        """
+        identity = self.payload()
+        del identity["exp_id"], identity["plans"]
+        return json.dumps(identity, sort_keys=True)
 
     def payload(self) -> dict:
         """JSON-able identity of this spec, used for cache keying.

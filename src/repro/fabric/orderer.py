@@ -54,8 +54,6 @@ class OrderingService:
         #: the shared (and possibly reused) :class:`NetworkConfig`.
         self.block_count = config.block_count
         self.block_timeout = config.block_timeout
-        self.blocks_cut = 0
-        self.cut_reasons: dict[str, int] = {"count": 0, "timeout": 0, "bytes": 0}
 
     @property
     def server(self) -> Server:
@@ -113,8 +111,6 @@ class OrderingService:
             # The scheduler aborted the whole batch; Fabric never emits
             # empty blocks.
             return
-        self.blocks_cut += 1
-        self.cut_reasons[reason] = self.cut_reasons.get(reason, 0) + 1
 
         service = self._timing.order_per_block + self._timing.order_per_tx * len(ordered)
 

@@ -115,6 +115,94 @@ class TestCacheRobustness:
         assert path.read_bytes() == before
 
 
+class TestSharedGroups:
+    """Experiments that share a bundle share its runs, and stay exact.
+
+    Three specs of the ``block_count_1000`` bundle: Table 3 (baseline
+    only), Figure 11 and Figure 12 (one shared plan, ``activity
+    reordering`` under two labels).  Figure 10's spec of that bundle at
+    another seed is a different bundle and must not join the group.
+    """
+
+    TXS = 200
+    SUITE = [
+        get("table3/block_count_1000").with_overrides(total_transactions=TXS),
+        get("fig11_reordering/block_count_1000").with_overrides(total_transactions=TXS),
+        get("fig12_combined/block_count_1000").with_overrides(total_transactions=TXS),
+        get("fig10_rate_control/block_count_1000").with_overrides(
+            seed=8, total_transactions=TXS
+        ),
+    ]
+    #: The seed-7 group's baseline and shared plan, plus Figure 10's
+    #: baseline and plan.
+    DISTINCT_RUNS = 4
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        return [run_spec(spec) for spec in self.SUITE]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_outcome_equals_its_own_run(self, references, jobs):
+        lines: list[str] = []
+        report = run_suite(self.SUITE, jobs=jobs, cache=None, progress=lines.append)
+        assert report.simulated_runs == self.DISTINCT_RUNS
+        assert sum(spec.run_count() for spec in self.SUITE) == 7
+        assert sorted(lines) == sorted(f"executed {spec.exp_id}" for spec in self.SUITE)
+        for spec, outcome, reference in zip(self.SUITE, report.outcomes, references):
+            assert outcome.name == reference.name == spec.title
+            assert outcome.rows == reference.rows
+            assert outcome.recommendations == reference.recommendations
+            assert outcome.paper == reference.paper
+            assert outcome.forensics == reference.forensics
+            assert outcome.control == reference.control
+        # The shared plan row keeps each figure's own label.
+        assert report.outcomes[1].rows[1].label == "activity reordering"
+        assert report.outcomes[2].rows[1].label == "all"
+
+    def test_serial_progress_follows_each_experiments_own_runs(self, monkeypatch):
+        from repro.bench import harness
+
+        events: list[str] = []
+        real_run_plan = harness.run_plan
+
+        def run_plan(bundle, task):
+            _, recommendations, _ = task
+            events.append("run " + "+".join(rec.kind.value for rec in recommendations))
+            return real_run_plan(bundle, task)
+
+        monkeypatch.setattr(harness, "run_plan", run_plan)
+        run_suite(self.SUITE, jobs=1, cache=None, progress=events.append)
+        assert events == [
+            "executed table3/block_count_1000",
+            "run activity_reordering",
+            "executed fig11_reordering/block_count_1000",
+            "executed fig12_combined/block_count_1000",
+            "run transaction_rate_control",
+            "executed fig10_rate_control/block_count_1000",
+        ]
+
+    def test_group_mates_do_not_share_mutable_records(self, references):
+        outcomes = run_suite(self.SUITE[:3], jobs=1, cache=None).outcomes
+        for row in outcomes[1].rows:
+            row.throughput = -1.0
+        outcomes[1].forensics[0]["cause_counts"]["mutated"] = 1
+        outcomes[1].forensics[1]["buckets"].clear()
+        for outcome, reference in zip(outcomes[::2], references[::2]):
+            assert outcome.rows == reference.rows
+            assert outcome.forensics == reference.forensics
+
+    def test_a_failing_plan_names_its_own_experiment(self, monkeypatch):
+        from repro.bench import executor, harness
+
+        def run_plan(bundle, task):
+            raise RuntimeError("plan failed")
+
+        monkeypatch.setattr(harness, "run_plan", run_plan)
+        with pytest.raises(executor.ExperimentExecutionError) as excinfo:
+            run_suite(self.SUITE[:3], jobs=1, cache=None)
+        assert excinfo.value.exp_id == "fig11_reordering/block_count_1000"
+
+
 class TestFailureAttribution:
     """A crashing cell must surface its exp_id plus the original traceback."""
 
@@ -148,21 +236,26 @@ class TestFailureAttribution:
         error = excinfo.value
         assert error.exp_id == "poison/bad_maker"
         assert "no_such_maker" in str(error)
+        # The worker's traceback text crossed the process boundary.
+        assert "make_bundle" in str(error)
 
     def test_parallel_failure_cancels_the_queued_experiments(self, tmp_path, monkeypatch):
         """A failure raises at once: experiments still queued never start.
 
         Up to five slow cells can start before the cancel (two on the
         workers, three in the pool's call queue), so there are twelve.
+        Each has its own seed, so each is its own bundle group and task.
         """
         from dataclasses import replace
 
         from repro.bench import executor
 
         monkeypatch.setenv("REPRO_TEST_MARKERS", str(tmp_path))
-        monkeypatch.setattr(executor, "run_spec", _marking_run_spec)
+        monkeypatch.setattr(executor, "run_group", _marking_run_group)
         base = get("table3/num_orgs_4")
-        slow = [replace(base, exp_id=f"slow/{index}") for index in range(12)]
+        slow = [
+            replace(base, exp_id=f"slow/{index}", seed=100 + index) for index in range(12)
+        ]
         with pytest.raises(executor.ExperimentExecutionError) as excinfo:
             run_suite([replace(base, exp_id="poison/first"), *slow], jobs=2, cache=None)
         assert excinfo.value.exp_id == "poison/first"
@@ -171,10 +264,12 @@ class TestFailureAttribution:
         assert len(started) - 1 < len(slow) / 2, started
 
 
-def _marking_run_spec(spec):
-    """Pool task stand-in: mark the experiment as started, then fail at
-    once (``poison/``) or take half a second."""
+def _marking_run_group(group):
+    """Pool task stand-in: mark the group's one experiment as started,
+    then fail at once (``poison/``) or take half a second."""
+    [spec] = group
     Path(os.environ["REPRO_TEST_MARKERS"], spec.exp_id.replace("/", "_")).touch()
     if spec.exp_id.startswith("poison/"):
         raise RuntimeError("poisoned cell")
     time.sleep(0.5)
+    return []

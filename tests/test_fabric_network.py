@@ -148,22 +148,22 @@ def test_block_cutting_by_count(counter_contract):
     data_blocks = [b for b in network.ledger if not b.transactions[0].is_config]
     full = [b for b in data_blocks if len(b) == 10]
     assert len(full) >= 9
-    assert network.orderer.cut_reasons["count"] >= 9
+    assert network.stream.cut_reason_counts.get("count", 0) >= 9
 
 
 def test_block_cutting_by_timeout(counter_contract):
     config = small_config(block_count=1000, block_timeout=0.2)
     requests = counter_requests(count=50, rate=100.0)
     network, _ = run_workload(config, [counter_contract], requests)
-    assert network.orderer.cut_reasons["timeout"] >= 1
-    assert network.orderer.cut_reasons["count"] == 0
+    assert network.stream.cut_reason_counts.get("timeout", 0) >= 1
+    assert network.stream.cut_reason_counts.get("count", 0) == 0
 
 
 def test_block_cutting_by_bytes(counter_contract):
     config = small_config(block_count=10_000, block_timeout=60.0, block_bytes=2000)
     requests = counter_requests(count=60, rate=1000.0)
     network, _ = run_workload(config, [counter_contract], requests)
-    assert network.orderer.cut_reasons["bytes"] >= 1
+    assert network.stream.cut_reason_counts.get("bytes", 0) >= 1
 
 
 def test_invoker_org_pinning(counter_contract):
