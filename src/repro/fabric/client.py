@@ -62,12 +62,15 @@ class ClientPool:
         org, _, _ = client_name.rpartition("-client")
         return org
 
-    def propose(self, client: Server, on_done: Callable[[float], None]) -> None:
+    def propose(
+        self, client: Server, on_done: Callable[[], None], delay: float = 0.0
+    ) -> None:
         """Stage 1: build/sign the transaction proposal."""
-        client.submit(self._timing.client_per_tx, on_done)
+        client.submit(self._timing.client_per_tx, on_done, delay=delay)
 
     def package(
-        self, client: Server, num_endorsements: int, on_done: Callable[[float], None]
+        self, client: Server, num_endorsements: int, on_done: Callable[[], None],
+        delay: float = 0.0,
     ) -> None:
         """Stage 2: verify endorsements, pack envelope, submit to ordering.
 
@@ -76,4 +79,4 @@ class ClientPool:
         (Majority needs 3 endorsements) are uniformly slower.
         """
         service = self._timing.package_per_endorsement * (1 + max(1, num_endorsements))
-        client.submit(service, on_done)
+        client.submit(service, on_done, delay=delay)

@@ -15,6 +15,10 @@ order, which is deterministic because interventions and controller ticks
 ride ordered priority lanes.  Every write is appended to :attr:`journal`
 with its ``source`` attribution, so both timelines can prove who set
 what, when, over what previous value.
+
+A network with neither writer builds them ``fixed``: every setter
+raises, so a job may read the next hop's delay when it is booked and
+schedule that stage itself (see :class:`~repro.sim.resources.Server`).
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ class NetworkConditions:
     controller-off runs are byte-identical to builds without it.
     """
 
-    def __init__(self, timing: TimingConfig) -> None:
+    def __init__(self, timing: TimingConfig, fixed: bool = False) -> None:
         self._timing = timing
+        #: No writer may change these conditions (see the module note).
+        self.fixed = fixed
         self._delay_multiplier = 1.0
         self._org_multipliers: dict[str, float] = {}
         self._send_rate_cap: float | None = None
@@ -60,7 +66,7 @@ class NetworkConditions:
         """Inflate (or restore) the one-way delay of subsequent messages."""
         if factor <= 0:
             raise ValueError(f"delay multiplier must be positive, got {factor!r}")
-        self.journal.append((source, "delay_multiplier", self._delay_multiplier, factor))
+        self._record(source, "delay_multiplier", self._delay_multiplier, factor)
         self._delay_multiplier = factor
 
     def set_org_delay_multiplier(
@@ -70,7 +76,7 @@ class NetworkConditions:
         if factor <= 0:
             raise ValueError(f"delay multiplier must be positive, got {factor!r}")
         old = self._org_multipliers.get(org, 1.0)
-        self.journal.append((source, f"org_delay_multiplier[{org}]", old, factor))
+        self._record(source, f"org_delay_multiplier[{org}]", old, factor)
         if factor == 1.0:
             self._org_multipliers.pop(org, None)
         else:
@@ -89,8 +95,13 @@ class NetworkConditions:
         """
         if cap is not None and cap <= 0:
             raise ValueError(f"send rate cap must be positive, got {cap!r}")
-        self.journal.append((source, "send_rate_cap", self._send_rate_cap, cap))
+        self._record(source, "send_rate_cap", self._send_rate_cap, cap)
         self._send_rate_cap = cap
+
+    def _record(self, source: str, field: str, old: object, new: object) -> None:
+        if self.fixed:
+            raise RuntimeError(f"{source} cannot set {field}: the conditions are fixed")
+        self.journal.append((source, field, old, new))
 
     def network_delay(self, org: str | None = None) -> float:
         """One-way delay a message sent *right now* experiences.

@@ -168,11 +168,16 @@ class EndorserPool:
             self._service_time_cache[cache_key] = service_time
 
         round_ = _EndorsementRound(self, tx, len(endorsing), on_done, on_abort)
+        # Fixed conditions: no peer completion event (see Server).
+        fixed = self._conditions.fixed
+        peer_done = None if fixed else round_.peer_done
+        latest = 0.0
         for peer in endorsing:
-            if peer is executor:
-                peer.submit(service_time, round_.peer_done, round_.execute)
-            else:
-                peer.submit(service_time, round_.peer_done)
+            execute = round_.execute if peer is executor else None
+            latest = max(latest, peer.submit(service_time, peer_done, execute))
+        if fixed:
+            delay = self._conditions.network_delay(tx.invoker_org)
+            self._kernel.schedule(latest + delay, round_.back)
 
     def _execute_chaincode(self, tx: Transaction) -> None:
         contract = self._contracts.get(tx.contract)
@@ -192,8 +197,8 @@ class _EndorsementRound:
     """One transaction's endorsement in flight: the peers still working and
     the chaincode's abort reason, if it aborted.
 
-    Its two methods are the ``Server`` callbacks of the endorsing peers;
-    the round is freed once the last peer reports back.
+    Its methods are the kernel callbacks of the endorsement; the round is
+    freed once it is back at the client.
     """
 
     __slots__ = ("pool", "tx", "pending", "abort_reason", "on_done", "on_abort")
@@ -213,20 +218,23 @@ class _EndorsementRound:
         self.on_done = on_done
         self.on_abort = on_abort
 
-    def execute(self, start: float) -> None:
+    def execute(self) -> None:
         """The executor starts service: run the chaincode against state now."""
         try:
             self.pool._execute_chaincode(self.tx)
         except ChaincodeAbort as abort:
             self.abort_reason = str(abort)
 
-    def peer_done(self, finish: float) -> None:
-        """One endorsement is back; the last one schedules the client's turn."""
+    def peer_done(self) -> None:
+        """One endorsement is done; the last reads the delay and sends the round back."""
         self.pending -= 1
         if self.pending:
             return
         pool = self.pool
-        done_at = finish + pool._conditions.network_delay(self.tx.invoker_org)
-        pool._kernel.schedule(
-            done_at, self.on_done if self.abort_reason is None else self.on_abort
+        pool._kernel.schedule_in(
+            pool._conditions.network_delay(self.tx.invoker_org), self.back
         )
+
+    def back(self) -> None:
+        """The endorsements are back at the client."""
+        (self.on_done if self.abort_reason is None else self.on_abort)()

@@ -89,7 +89,8 @@ class FabricNetwork:
         self.config = config
         self.kernel = Kernel()
         self.rng = SimRng(config.seed)
-        self.conditions = NetworkConditions(config.timing)
+        fixed = scenario is None and config.control is None  # no writer
+        self.conditions = NetworkConditions(config.timing, fixed)
         self.policy = parse_policy(config.endorsement_policy)
         unknown = self.policy.organizations() - set(config.org_names())
         if unknown:
@@ -517,9 +518,11 @@ class _Flight:
     its client ride along in two slots.  In order:
     :meth:`start` (admission: the proposal at a client), :meth:`proposed`,
     :meth:`endorse`, then :meth:`endorsed` or :meth:`aborted`,
-    :meth:`packaged` and :meth:`submit` (to ordering).  Only the kernel's
-    heap and the servers' queues refer to a flight, so it is freed once
-    the transaction reaches the orderer or aborts.
+    :meth:`packaged` and :meth:`submit` (to ordering).  With fixed
+    conditions the client's jobs skip :meth:`proposed` and (except under
+    ``early_abort``, checked at the packaging finish) :meth:`packaged`.
+    Only the kernel's heap refers to a flight, so it is freed once the
+    transaction reaches the orderer or aborts.
     """
 
     __slots__ = ("network", "request", "tx", "client")
@@ -549,9 +552,13 @@ class _Flight:
             attempt=request.attempt,
             retry_of=request.retry_of,
         )
-        clients.propose(client, self.proposed)
+        if network.conditions.fixed:
+            hop = network.conditions.network_delay(self.tx.invoker_org)
+            clients.propose(client, self.endorse, hop)
+        else:
+            clients.propose(client, self.proposed)
 
-    def proposed(self, finish: float) -> None:
+    def proposed(self) -> None:
         """The client built the proposal; send it to the endorsers."""
         network = self.network
         network.kernel.schedule_in(
@@ -566,9 +573,14 @@ class _Flight:
 
     def endorsed(self) -> None:
         """The endorsements are back: the client packages the envelope."""
-        self.network.clients.package(self.client, len(self.tx.endorsers), self.packaged)
+        network, tx = self.network, self.tx
+        if network.conditions.fixed and network._mitigation != "early_abort":
+            hop = network.conditions.network_delay(tx.invoker_org)
+            network.clients.package(self.client, len(tx.endorsers), self.submit, hop)
+        else:
+            network.clients.package(self.client, len(tx.endorsers), self.packaged)
 
-    def packaged(self, finish: float) -> None:
+    def packaged(self) -> None:
         """The envelope is packed; send it to ordering unless it is stale."""
         network = self.network
         if network._mitigation == "early_abort" and network._abort_if_stale(self.tx):

@@ -114,8 +114,8 @@ class OrderingService:
 
         service = self._timing.order_per_block + self._timing.order_per_tx * len(ordered)
 
-        def on_done(finish: float) -> None:
-            deliver_at = finish + self._conditions.network_delay()
+        def on_done() -> None:
+            deliver_at = self._kernel.now + self._conditions.network_delay()
             self._kernel.schedule(deliver_at, lambda: self._deliver(ordered, reason))
 
         self._server.submit(service, on_done)

@@ -105,8 +105,7 @@ class ValidationPipeline:
         cost_sum = sum(self._tx_cost_factor(tx) for tx in transactions)
         service = self._timing.commit_per_block + self._timing.validate_per_tx * cost_sum
 
-        def on_done(finish: float) -> None:
-            del finish
+        def on_done() -> None:
             self._validate_and_commit(transactions, cut_reason)
 
         self._server.submit(service, on_done)

@@ -2,14 +2,14 @@
 
 Every pipeline stage of the simulated Fabric network (client, endorsing
 peer, ordering service, validation pipeline) is a :class:`Server`: jobs
-arrive, wait in FIFO order, occupy the server for a service time, and a
-completion callback fires.  The server keeps busy-time and queue-wait
-statistics so experiments can report utilization and locate bottlenecks.
+arrive, wait in FIFO order, occupy the server for a service time, and
+the caller's callbacks fire on the kernel.  The server keeps busy-time
+and queue-wait statistics so experiments can report utilization and
+locate bottlenecks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +23,6 @@ class ServerStats:
     jobs: int = 0
     busy_time: float = 0.0
     total_wait: float = 0.0
-    max_queue: int = 0
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``horizon`` the server spent serving jobs."""
@@ -40,9 +39,13 @@ class ServerStats:
 class Server:
     """A single FIFO server bound to a :class:`Kernel`.
 
-    ``submit`` enqueues a job; when the job *starts* service the optional
-    ``on_start`` callback fires (used to snapshot world state at execution
-    time), and when it *completes* the ``on_done`` callback fires.
+    ``submit`` books a job and schedules the caller's zero-argument
+    callbacks on the kernel itself: ``on_start`` at the job's start (used
+    to snapshot world state at execution time) and ``on_done`` ``delay``
+    seconds after its finish.  A callback that needs the time reads
+    ``kernel.now``.  The server keeps no queue: a job's start is
+    ``max(now, busy_until)`` and its finish is start plus a non-negative
+    service time, so both are known when the job is booked.
 
     Two dynamic control knobs back the scenario engine's interventions
     (:mod:`repro.scenario`): ``enabled`` (a crashed component stops
@@ -50,21 +53,20 @@ class Server:
     (a degraded component serves every *subsequent* job slower — jobs
     already queued keep the service time they were admitted with).
 
-    Jobs allocate no closure.  ``submit`` appends the callbacks to two
-    FIFO queues and schedules the server's own :meth:`_started` and
-    :meth:`_complete`, which pop the oldest callback and hand it
-    ``kernel.now``.  That is exactly what a per-job closure capturing
-    ``start`` and ``finish`` would do:
-
-    * a job's start is ``max(now, previous finish)`` and its finish is
-      start plus a non-negative service time, so across submissions both
-      never decrease (IEEE addition of a non-negative float is monotone);
-    * every server event rides lane 0, and equal-time events on one lane
-      fire in ``seq`` order, which is submission order;
-    * so the completions (and, separately, the starts) fire in
-      submission order, each pops its own job's callback, and
-      ``kernel.now`` is the exact ``start`` or ``finish`` it was
-      scheduled at.
+    Exactness.  With ``delay`` 0, ``submit`` schedules the events a
+    server popping queued callbacks from its own start and completion
+    events did, in the same order (start, then finish, lane 0), so each
+    callback fires at the same ``(time, priority, seq)`` and reads the
+    same ``kernel.now``.  A positive ``delay`` elides a network hop: where
+    the conditions cannot change
+    (:attr:`~repro.fabric.conditions.NetworkConditions.fixed`), the delay
+    read at booking is the one read at the finish, so the next stage
+    fires at the same float time ``finish + delay``.  Only its ``seq`` is
+    allocated earlier, so it can move only against a lane-0 event due at
+    that exact instant whose ``seq`` was allocated between the booking
+    and the finish.  None did on the pinned ``default`` run
+    (``tests/test_kernel_trace_golden.py --diff``), and
+    ``tests/test_elision.py`` checks outcomes against the full chain.
     """
 
     __slots__ = (
@@ -72,8 +74,6 @@ class Server:
         "name",
         "stats",
         "busy_until",
-        "_on_done",
-        "_on_start",
         "enabled",
         "_service_multiplier",
     )
@@ -85,11 +85,6 @@ class Server:
         #: Earliest simulated time at which the server becomes idle; only
         #: :meth:`submit` writes it.
         self.busy_until = 0.0
-        #: ``on_done`` of every submitted, unfinished job, oldest first;
-        #: its length is the server's queue (waiting + in service).
-        self._on_done: deque[Callable[[float], None]] = deque()
-        #: ``on_start`` of every job that gave one and has not started.
-        self._on_start: deque[Callable[[float], None]] = deque()
         self.enabled = True
         self._service_multiplier = 1.0
 
@@ -112,14 +107,15 @@ class Server:
     def submit(
         self,
         service_time: float,
-        on_done: Callable[[float], None],
-        on_start: Callable[[float], None] | None = None,
+        on_done: Callable[[], None] | None = None,
+        on_start: Callable[[], None] | None = None,
+        delay: float = 0.0,
     ) -> float:
-        """Enqueue a job; returns the completion time.
+        """Book a job; returns its finish time.
 
-        Callbacks receive the simulated time at which they fire.  FIFO order
-        is guaranteed because ``busy_until`` advances monotonically with
-        each submission (see the class note).
+        Schedules ``on_start`` at the job's start and ``on_done`` at its
+        finish plus ``delay``; either may be ``None``.  FIFO order holds
+        because ``busy_until`` advances monotonically with each booking.
         """
         if service_time < 0:
             raise ValueError(f"negative service time {service_time!r}")
@@ -135,19 +131,8 @@ class Server:
         stats.jobs += 1
         stats.busy_time += service_time
         stats.total_wait += start - now
-        queue = self._on_done
-        queue.append(on_done)
-        if len(queue) > stats.max_queue:
-            stats.max_queue = len(queue)
-
         if on_start is not None:
-            self._on_start.append(on_start)
-            kernel.schedule(start, self._started)
-        kernel.schedule(finish, self._complete)
+            kernel.schedule(start, on_start)
+        if on_done is not None:
+            kernel.schedule(finish + delay, on_done)
         return finish
-
-    def _started(self) -> None:
-        self._on_start.popleft()(self.kernel.now)
-
-    def _complete(self) -> None:
-        self._on_done.popleft()(self.kernel.now)

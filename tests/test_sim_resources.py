@@ -11,18 +11,31 @@ def test_single_job_completes_after_service_time():
     kernel = Kernel()
     server = Server(kernel, "s")
     done = []
-    kernel.schedule(1.0, lambda: server.submit(0.5, lambda t: done.append(t)))
+    kernel.schedule(1.0, lambda: server.submit(0.5, lambda: done.append(kernel.now)))
     kernel.run()
     assert done == [1.5]
+
+
+def test_on_done_fires_delay_after_finish_and_none_books_only():
+    kernel = Kernel()
+    server = Server(kernel, "s")
+    done = []
+    assert server.submit(1.0) == 1.0
+    assert server.submit(0.5, lambda: done.append(kernel.now), delay=0.25) == 1.5
+    kernel.run()
+    assert done == [1.75]
+    assert kernel.events_processed == 1
+    assert server.stats.jobs == 2
 
 
 def test_fifo_queueing():
     kernel = Kernel()
     server = Server(kernel, "s")
     done = []
-    kernel.schedule(0.0, lambda: server.submit(1.0, lambda t: done.append(("a", t))))
-    kernel.schedule(0.0, lambda: server.submit(1.0, lambda t: done.append(("b", t))))
-    kernel.schedule(0.1, lambda: server.submit(1.0, lambda t: done.append(("c", t))))
+    for at, job in ((0.0, "a"), (0.0, "b"), (0.1, "c")):
+        kernel.schedule(
+            at, lambda job=job: server.submit(1.0, lambda: done.append((job, kernel.now)))
+        )
     kernel.run()
     assert done == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
 
@@ -31,8 +44,12 @@ def test_on_start_fires_at_service_start():
     kernel = Kernel()
     server = Server(kernel, "s")
     starts = []
-    kernel.schedule(0.0, lambda: server.submit(2.0, lambda t: None, on_start=starts.append))
-    kernel.schedule(0.0, lambda: server.submit(1.0, lambda t: None, on_start=starts.append))
+
+    def start() -> None:
+        starts.append(kernel.now)
+
+    kernel.schedule(0.0, lambda: server.submit(2.0, on_start=start))
+    kernel.schedule(0.0, lambda: server.submit(1.0, on_start=start))
     kernel.run()
     assert starts == [0.0, 2.0]
 
@@ -40,8 +57,8 @@ def test_on_start_fires_at_service_start():
 def test_idle_gap_does_not_accumulate_busy_time():
     kernel = Kernel()
     server = Server(kernel, "s")
-    kernel.schedule(0.0, lambda: server.submit(1.0, lambda t: None))
-    kernel.schedule(5.0, lambda: server.submit(1.0, lambda t: None))
+    kernel.schedule(0.0, lambda: server.submit(1.0))
+    kernel.schedule(5.0, lambda: server.submit(1.0))
     kernel.run()
     assert server.stats.busy_time == pytest.approx(2.0)
     assert server.stats.jobs == 2
@@ -54,8 +71,8 @@ def test_queue_delay_reflects_backlog():
     observed = []
 
     def submit_two():
-        server.submit(1.0, lambda t: None)
-        server.submit(1.0, lambda t: None)
+        server.submit(1.0)
+        server.submit(1.0)
         observed.append(server.queue_delay())
 
     kernel.schedule(0.0, submit_two)
@@ -67,7 +84,7 @@ def test_negative_service_time_rejected():
     kernel = Kernel()
     server = Server(kernel, "s")
     with pytest.raises(ValueError):
-        server.submit(-1.0, lambda t: None)
+        server.submit(-1.0)
 
 
 def test_mean_wait_accounts_queueing():
@@ -76,19 +93,18 @@ def test_mean_wait_accounts_queueing():
 
     def submit_three():
         for _ in range(3):
-            server.submit(1.0, lambda t: None)
+            server.submit(1.0)
 
     kernel.schedule(0.0, submit_three)
     kernel.run()
     # Waits: 0, 1, 2 -> mean 1.0
     assert server.stats.mean_wait == pytest.approx(1.0)
-    assert server.stats.max_queue == 3
 
 
 def test_utilization_capped_at_one():
     kernel = Kernel()
     server = Server(kernel, "s")
-    kernel.schedule(0.0, lambda: server.submit(10.0, lambda t: None))
+    kernel.schedule(0.0, lambda: server.submit(10.0))
     kernel.run()
     assert server.stats.utilization(1.0) == 1.0
     assert server.stats.utilization(0.0) == 0.0
@@ -103,7 +119,7 @@ def test_property_completions_ordered_and_spaced(service_times):
 
     def submit_all():
         for s in service_times:
-            server.submit(s, completions.append)
+            server.submit(s, lambda: completions.append(kernel.now))
 
     kernel.schedule(0.0, submit_all)
     kernel.run()
@@ -118,9 +134,9 @@ def test_service_multiplier_inflates_subsequent_jobs():
     kernel = Kernel()
     server = Server(kernel, "s")
     done = []
-    server.submit(1.0, done.append)
+    server.submit(1.0, lambda: done.append(kernel.now))
     server.set_service_multiplier(3.0)
-    server.submit(1.0, done.append)
+    server.submit(1.0, lambda: done.append(kernel.now))
     kernel.run()
     # First job at nominal speed, second 3x slower, queued behind it.
     assert done == [1.0, 4.0]
@@ -132,7 +148,7 @@ def test_service_multiplier_restore_returns_to_nominal():
     server.set_service_multiplier(5.0)
     server.set_service_multiplier(1.0)
     done = []
-    server.submit(2.0, done.append)
+    server.submit(2.0, lambda: done.append(kernel.now))
     kernel.run()
     assert done == [2.0]
 
@@ -152,11 +168,13 @@ def test_servers_start_enabled_at_nominal_speed():
 
 
 class _ClosureServer:
-    """The closure-per-job ``Server`` that the queue-based one replaced.
+    """A closure-per-job server: the reference the property test below
+    checks ``Server`` against.
 
-    Kept verbatim in its logic as the reference the property test below
-    checks the queue-based server against: every job schedules its own
-    closures, which capture ``start`` and ``finish``.
+    Every job schedules its own closures, which capture ``start`` and
+    ``finish`` and hand them to the callbacks.  ``delay`` moves the
+    completion closure ``delay`` seconds past the finish; a ``None``
+    callback schedules nothing.
     """
 
     def __init__(self, kernel: Kernel, name: str) -> None:
@@ -164,13 +182,12 @@ class _ClosureServer:
         self.name = name
         self.stats = ServerStats()
         self._busy_until = 0.0
-        self._queue_len = 0
         self._service_multiplier = 1.0
 
     def set_service_multiplier(self, factor: float) -> None:
         self._service_multiplier = factor
 
-    def submit(self, service_time, on_done, on_start=None) -> float:
+    def submit(self, service_time, on_done, on_start=None, delay=0.0) -> float:
         service_time *= self._service_multiplier
         now = self.kernel.now
         start = max(now, self._busy_until)
@@ -180,17 +197,11 @@ class _ClosureServer:
         self.stats.jobs += 1
         self.stats.busy_time += service_time
         self.stats.total_wait += start - now
-        self._queue_len += 1
-        self.stats.max_queue = max(self.stats.max_queue, self._queue_len)
 
         if on_start is not None:
             self.kernel.schedule(start, lambda: on_start(start))
-
-        def _complete() -> None:
-            self._queue_len -= 1
-            on_done(finish)
-
-        self.kernel.schedule(finish, _complete)
+        if on_done is not None:
+            self.kernel.schedule(finish + delay, lambda: on_done(finish + delay))
         return finish
 
 
@@ -203,6 +214,8 @@ _JOB = st.tuples(
     st.booleans(),
     # a multiplier change just before this submission, or none
     st.one_of(st.none(), st.floats(min_value=0.1, max_value=4.0)),
+    # the completion: none, at the finish, or a hop past it
+    st.one_of(st.none(), st.just(0.0), st.floats(min_value=1e-6, max_value=2.0)),
 )
 
 
@@ -212,17 +225,25 @@ def _drive(server_cls, script):
     server = server_cls(kernel, "s")
     log = []
     finishes = []
+    # ``Server`` callbacks take no argument and read the clock; the
+    # reference hands its callbacks the time it captured.
+    if server_cls is Server:
+        def callback(job, what):
+            return lambda: log.append((job, what, kernel.now))
+    else:
+        def callback(job, what):
+            return lambda t: log.append((job, what, t))
+
     at = 0.0
-    for job, (gap, service, with_start, multiplier) in enumerate(script):
+    for job, (gap, service, with_start, multiplier, delay) in enumerate(script):
         at += gap
 
-        def submit(job=job, service=service, with_start=with_start, multiplier=multiplier):
-            if multiplier is not None:
-                server.set_service_multiplier(multiplier)
-            on_start = (lambda t, job=job: log.append((job, "start", t))) if with_start else None
-            finishes.append(
-                server.submit(service, lambda t, job=job: log.append((job, "done", t)), on_start)
-            )
+        def submit(job=job, service=service, with_start=with_start, m=multiplier, delay=delay):
+            if m is not None:
+                server.set_service_multiplier(m)
+            on_start = callback(job, "start") if with_start else None
+            on_done = None if delay is None else callback(job, "done")
+            finishes.append(server.submit(service, on_done, on_start, delay or 0.0))
 
         kernel.schedule(at, submit)
     kernel.run()
@@ -239,4 +260,6 @@ def test_property_queue_server_matches_the_closure_server(script):
     assert finishes == ref_finishes
     assert stats == ref_stats
     assert trace == ref_trace
-    assert len(log) == len(script) + sum(1 for job in script if job[2])
+    assert len(log) == sum(job[2] for job in script) + sum(
+        job[4] is not None for job in script
+    )
