@@ -144,6 +144,20 @@ def run_group(group: Sequence[ExperimentSpec]) -> list[tuple[ExperimentOutcome, 
 # -- the suite runner ---------------------------------------------------------------
 
 
+def bundle_groups(specs: Sequence[ExperimentSpec]) -> list[list[ExperimentSpec]]:
+    """``specs`` grouped by :meth:`ExperimentSpec.bundle_key`, first seen first."""
+    groups: dict[str, list[ExperimentSpec]] = {}
+    for spec in specs:
+        groups.setdefault(spec.bundle_key(), []).append(spec)
+    return list(groups.values())
+
+
+def cold_run_count(specs: Sequence[ExperimentSpec]) -> int:
+    """Runs :func:`run_suite` simulates for ``specs`` with nothing cached."""
+    groups = bundle_groups(specs)  # a baseline each, then every distinct plan
+    return len(groups) + sum(len({v for s in g for _, v in s.plans}) for g in groups)
+
+
 def run_suite(
     specs: Sequence[ExperimentSpec],
     jobs: int = 1,
@@ -163,7 +177,7 @@ def run_suite(
     note = progress or (lambda message: None)
 
     outcomes: dict[str, ExperimentOutcome] = {}
-    groups: dict[str, list[ExperimentSpec]] = {}
+    uncached: list[ExperimentSpec] = []
     for spec in specs:
         hit = cache.get(spec) if cache is not None else None
         if hit is not None:
@@ -171,7 +185,8 @@ def run_suite(
             report.cached.append(spec.exp_id)
             note(f"cached   {spec.exp_id}")
         else:
-            groups.setdefault(spec.bundle_key(), []).append(spec)
+            uncached.append(spec)
+    groups = bundle_groups(uncached)
 
     def finish(spec: ExperimentSpec, outcome: ExperimentOutcome, runs: int) -> None:
         outcomes[spec.exp_id] = outcome
@@ -182,12 +197,12 @@ def run_suite(
         note(f"executed {spec.exp_id}")
 
     if groups and report.jobs == 1:
-        for group in groups.values():
+        for group in groups:
             for spec, (outcome, runs) in zip(group, _group_outcomes(group)):
                 finish(spec, outcome, runs)
     elif groups:
         with ProcessPoolExecutor(max_workers=report.jobs) as pool:
-            futures = {pool.submit(run_group, group): group for group in groups.values()}
+            futures = {pool.submit(run_group, group): group for group in groups}
             for future in as_completed(futures):
                 group = futures[future]
                 if (error := future.exception()) is not None:

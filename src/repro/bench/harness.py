@@ -264,7 +264,6 @@ def execute_group(
     make: MakeBundle,
     experiments: Sequence[Experiment],
     thresholds: Thresholds | None = None,
-    keep_report: bool = False,
 ) -> Iterator[tuple[ExperimentOutcome, int]]:
     """Run experiments that share one bundle, yielding each outcome in turn.
 
@@ -275,8 +274,7 @@ def execute_group(
     experiment's outcome is yielded as soon as its own runs finish,
     together with the number of runs simulated for it; it holds its own
     copies of the shared records, under its own row labels, so no
-    outcome sees another's mutations.  ``keep_report`` attaches the
-    group's one analysis report to every outcome.
+    outcome sees another's mutations.
     """
     bundle = make()
     # Each distinct plan under one of its labels; every outcome relabels.
@@ -299,10 +297,7 @@ def execute_group(
         records = [_own_copy(baseline, "without")] + [
             _own_copy(done[kinds], label) for label, kinds in plans
         ]
-        outcome = assemble_outcome(
-            name, records, recommended, paper, report if keep_report else None
-        )
-        yield outcome, runs
+        yield assemble_outcome(name, records, recommended, paper), runs
         runs = 0
 
 
@@ -312,7 +307,6 @@ def execute_experiment(
     plans: list[tuple[str, tuple[OptimizationKind, ...]]],
     thresholds: Thresholds | None = None,
     paper: dict[str, tuple[float, float, float]] | None = None,
-    keep_report: bool = False,
 ) -> ExperimentOutcome:
     """Run one experiment: baseline, analysis, then one run per plan.
 
@@ -321,7 +315,7 @@ def execute_experiment(
     The baseline and every plan share one bundle from ``make``: this is
     :func:`execute_group` on a group of one.
     """
-    [(outcome, _)] = execute_group(make, [(name, plans, paper)], thresholds, keep_report)
+    [(outcome, _)] = execute_group(make, [(name, plans, paper)], thresholds)
     return outcome
 
 

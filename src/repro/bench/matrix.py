@@ -204,6 +204,9 @@ def _parse_factors(
             raise MatrixError(
                 f"factor {factor_name!r} must be a list of values (or a scalar)"
             )
+        for value in values:
+            if not isinstance(value, (str, int, float, bool)):
+                raise MatrixError(f"factor {factor_name!r} has a non-scalar value {value!r}")
         if len(values) == 0:
             raise MatrixError(
                 f"factor {factor_name!r} has an empty value list — the "

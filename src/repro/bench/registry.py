@@ -73,7 +73,7 @@ class ExperimentSpec:
         return {label: values for label, values in self.paper}
 
     def run_count(self) -> int:
-        """Simulation runs this experiment performs (baseline + plans)."""
+        """Runs of this experiment alone (baseline + plans); a suite shares a bundle's."""
         return 1 + len(self.plans)
 
     def with_overrides(

@@ -170,7 +170,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.bench.cache import ResultCache
     from repro.bench.claims import check_claims, report_lines
-    from repro.bench.executor import derive_seed, run_suite
+    from repro.bench.executor import cold_run_count, derive_seed, run_suite
     from repro.bench.registry import UnknownSelectionError, all_specs, select
     from repro.bench.tables import format_paper_comparison
 
@@ -184,13 +184,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         # a partial sweep or silently select zero experiments.
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
-    if args.list:
-        for spec in specs:
-            args = " ".join(f"{name}={value}" for name, value in spec.maker_args)
-            print(f"{spec.exp_id:<45} runs={spec.run_count()} {spec.maker} {args}")
-        print(f"{len(specs)} experiments")
-        return 0
-
     specs = [
         spec.with_overrides(
             seed=derive_seed(args.seed, spec.exp_id) if args.seed is not None else None,
@@ -198,6 +191,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         )
         for spec in specs
     ]
+    if args.list:
+        for spec in specs:
+            args = " ".join(f"{name}={value}" for name, value in spec.maker_args)
+            print(f"{spec.exp_id:<45} runs={spec.run_count()} {spec.maker} {args}")
+        print(f"{len(specs)} experiments, {cold_run_count(specs)} simulation runs when cold")
+        return 0
     if args.clear_cache:
         # Honour the clear even under --no-cache: the user asked for the
         # on-disk entries to go away.

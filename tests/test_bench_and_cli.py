@@ -197,6 +197,19 @@ class TestCli:
         assert "fig09_block_size/block_count_50" in out
         assert "4 experiments" in out
 
+    def test_suite_list_total_is_what_a_cold_suite_simulates(self, tmp_path, capsys):
+        """Table 3 and Figures 11 and 12 share the ``block_count_1000``
+        bundle and one plan: three experiments, five listed runs, two
+        simulated."""
+        only = ["--only", "table3/block_count_1000,fig11_reordering/block_count_1000,"
+                "fig12_combined/block_count_1000", "--txs", "200"]
+        assert main(["suite", "--list", *only]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert sum(int(line.split("runs=")[1].split()[0]) for line in listed[:-1]) == 5
+        assert listed[-1] == "3 experiments, 2 simulation runs when cold"
+        assert main(["suite", *only, "--cache-dir", str(tmp_path), "--quiet"]) == 0
+        assert ", 2 simulation runs," in capsys.readouterr().out
+
     def test_suite_runs_and_caches(self, tmp_path, capsys):
         args = [
             "suite",

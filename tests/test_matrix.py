@@ -446,6 +446,22 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["[[10, 20], 30]", "[{a: 1}]", "[null]"])
+    def test_non_scalar_value_exits_2_at_dry_run_naming_the_factor(
+        self, tmp_path, capsys, value
+    ):
+        """A list, mapping or null inside a factor's values is no cell
+        value: the spec is refused before any cell is listed."""
+        path = tmp_path / "nested.yaml"
+        path.write_text(
+            "name: nested\nmaker: synthetic\ntxs: 200\nseeds: [1]\n"
+            f"factors:\n  experiment: default\n  block_count: {value}\n"
+        )
+        assert main(["matrix", "--spec", str(path), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert "factor 'block_count' has a non-scalar value" in captured.err
+        assert "nested/" not in captured.out
+
 
 class TestExampleMatrices:
     def test_examples_expand_to_documented_sizes(self):
