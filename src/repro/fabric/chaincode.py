@@ -41,9 +41,10 @@ class UnknownFunctionError(ChaincodeError):
 MISSING_VERSION = Version(block=-1, tx=-1)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChaincodeContext:
-    """Execution context handed to contract functions during endorsement."""
+    """Execution context handed to contract functions during endorsement
+    (the endorser passes the transaction's own ``rwset`` to record into)."""
 
     state: WorldState
     rwset: ReadWriteSet = field(default_factory=ReadWriteSet)
@@ -80,15 +81,10 @@ class ChaincodeContext:
 
     def get_state_range(self, start: str, end: str) -> list[tuple[str, Any]]:
         """Ordered scan of ``[start, end)``, recorded for phantom detection."""
-        results: list[tuple[str, Any]] = []
-        recorded: list[tuple[str, Version]] = []
-        for key, entry in self.state.range_scan(start, end):
-            results.append((key, entry.value))
-            recorded.append((key, entry.version))
-        self.rwset.range_queries.append(
-            RangeQueryInfo(start=start, end=end, results=tuple(recorded))
-        )
-        return results
+        scan = self.state.range_scan(start, end)
+        recorded = tuple([(key, entry.version) for key, entry in scan])
+        self.rwset.range_queries.append(RangeQueryInfo(start, end, recorded))
+        return [(key, entry.value) for key, entry in scan]
 
 
 def contract_function(func: Callable[..., Any]) -> Callable[..., Any]:
@@ -108,6 +104,13 @@ class Contract:
     #: Contract (chaincode) name; also the state namespace.
     name: str = "contract"
 
+    #: Activity -> transaction function, filled by :meth:`invoke`; one per class.
+    _dispatch: dict[str, Callable[..., Any]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = {}
+
     def functions(self) -> dict[str, Callable[..., Any]]:
         """Map of activity name to bound transaction function."""
         found: dict[str, Callable[..., Any]] = {}
@@ -124,13 +127,18 @@ class Contract:
     def invoke(self, ctx: ChaincodeContext, activity: str, args: tuple[Any, ...]) -> Any:
         """Execute ``activity`` with ``args`` against ``ctx``.
 
-        Raises :class:`UnknownFunctionError` for unknown activities and lets
-        :class:`ChaincodeAbort` propagate to the endorser.
+        Raises :class:`UnknownFunctionError` for unknown activities, on
+        every call, and lets :class:`ChaincodeAbort` propagate to the
+        endorser.  Each activity is resolved once per contract class, as
+        its plain function (bound methods kept on the instance would make
+        every contract a reference cycle).
         """
-        if not self.has_function(activity):
-            raise UnknownFunctionError(f"{self.name} has no function {activity!r}")
-        function = getattr(self, activity)
-        return function(ctx, *args)
+        function = self._dispatch.get(activity)
+        if function is None:
+            if not self.has_function(activity):
+                raise UnknownFunctionError(f"{self.name} has no function {activity!r}")
+            function = self._dispatch[activity] = getattr(type(self), activity)
+        return function(self, ctx, *args)
 
     def setup(self, state: WorldState) -> None:
         """Seed genesis state; default contracts start empty."""

@@ -25,7 +25,7 @@ from repro.fabric.conditions import NetworkConditions
 from repro.fabric.config import NetworkConfig
 from repro.fabric.policy import EndorsementPolicy
 from repro.fabric.state import StateDatabase
-from repro.fabric.transaction import Transaction
+from repro.fabric.transaction import ReadWriteSet, Transaction
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Server
 from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
@@ -174,7 +174,9 @@ class EndorserPool:
         latest = 0.0
         for peer in endorsing:
             execute = round_.execute if peer is executor else None
-            latest = max(latest, peer.submit(service_time, peer_done, execute))
+            finish = peer.submit(service_time, peer_done, execute)
+            if finish > latest:
+                latest = finish
         if fixed:
             delay = self._conditions.network_delay(tx.invoker_org)
             self._kernel.schedule(latest + delay, round_.back)
@@ -184,12 +186,13 @@ class EndorserPool:
         if contract is None:
             raise ChaincodeAbort(f"unknown contract {tx.contract!r}")
         ctx = ChaincodeContext(
-            state=self._state_db.namespace(tx.contract),
-            invoker=tx.invoker_client,
-            nonce=tx.tx_id,
+            self._state_db.namespace(tx.contract), tx.rwset, tx.invoker_client, tx.tx_id
         )
-        contract.invoke(ctx, tx.activity, tx.args)
-        tx.rwset = ctx.rwset
+        try:
+            contract.invoke(ctx, tx.activity, tx.args)
+        except ChaincodeAbort:
+            tx.rwset = ReadWriteSet()
+            raise
         tx.endorse_time = self._kernel.now
 
 

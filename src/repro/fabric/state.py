@@ -9,15 +9,14 @@ no longer conflict.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, NamedTuple
 
 from repro.fabric.transaction import DELETED, Version
 
 
-@dataclass(frozen=True)
-class VersionedValue:
-    """A committed value together with the version that wrote it."""
+class VersionedValue(NamedTuple):
+    """A committed value together with the version that wrote it (an
+    immutable pair, built on every committed write and genesis key)."""
 
     value: Any
     version: Version
@@ -58,7 +57,7 @@ class WorldState:
             return
         if key not in self._data:
             bisect.insort(self._sorted_keys, key)
-        self._data[key] = VersionedValue(value=value, version=version)
+        self._data[key] = VersionedValue(value, version)
 
     def delete(self, key: str) -> None:
         """Remove ``key`` from the namespace (committed deletion)."""
@@ -68,12 +67,13 @@ class WorldState:
             # The key is guaranteed present at `index` by the sorted invariant.
             del self._sorted_keys[index]
 
-    def range_scan(self, start: str, end: str) -> Iterator[tuple[str, VersionedValue]]:
-        """Yield ``(key, entry)`` for keys in ``[start, end)`` in order."""
-        lo = bisect.bisect_left(self._sorted_keys, start)
-        hi = bisect.bisect_left(self._sorted_keys, end)
-        for key in self._sorted_keys[lo:hi]:
-            yield key, self._data[key]
+    def range_scan(self, start: str, end: str) -> list[tuple[str, VersionedValue]]:
+        """A list of ``(key, entry)`` for keys in ``[start, end)`` in order
+        (every caller reads the whole scan, so it is built in one pass)."""
+        keys, data = self._sorted_keys, self._data
+        lo = bisect.bisect_left(keys, start)
+        hi = bisect.bisect_left(keys, end)
+        return [(key, data[key]) for key in keys[lo:hi]]
 
     def keys(self) -> list[str]:
         """All keys in sorted order (copy)."""

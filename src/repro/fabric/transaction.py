@@ -69,7 +69,7 @@ class RangeQueryInfo:
 
     def keys(self) -> tuple[str, ...]:
         """The keys observed by the range query, in scan order."""
-        return tuple(key for key, _ in self.results)
+        return tuple([key for key, _ in self.results])
 
 
 #: Sentinel stored in a write set to mark a key deletion.
@@ -108,7 +108,7 @@ class ReadWriteSet:
         Priority: delete > range read > update (read-modify-write) >
         write > read — matching how the paper derives attribute 8.
         """
-        if any(value == DELETED for value in self.writes.values()):
+        if DELETED in self.writes.values():
             return TxType.DELETE
         if self.range_queries:
             return TxType.RANGE_READ
@@ -120,10 +120,9 @@ class ReadWriteSet:
 
     def estimated_bytes(self) -> int:
         """Rough payload size used by the block-bytes cutting rule."""
-        size = 160  # envelope overhead: signatures, creator, channel header
-        for key, version in self.reads.items():
-            size += len(key) + 16
-            del version
+        # Envelope overhead (signatures, creator, channel header), then
+        # each read key with its version.
+        size = 160 + sum(map(len, self.reads)) + 16 * len(self.reads)
         for key, value in self.writes.items():
             size += len(key) + len(str(value))
         for query in self.range_queries:
@@ -200,11 +199,6 @@ class Transaction:
     missing_reasons: tuple[str, ...] = ()
 
     @property
-    def tx_type(self) -> TxType:
-        """Transaction type derived from the read-write set (attribute 8)."""
-        return self.rwset.derive_type()
-
-    @property
     def latency(self) -> float | None:
         """End-to-end latency: client submission to block commit."""
         if self.commit_time is None:
@@ -213,7 +207,5 @@ class Transaction:
 
     def estimated_bytes(self) -> int:
         """Envelope size including args and endorsement signatures."""
-        size = self.rwset.estimated_bytes()
-        size += sum(len(arg_str) for arg_str in map(str, self.args))
-        size += 64 * max(1, len(self.endorsers))
-        return size
+        size = self.rwset.estimated_bytes() + sum(map(len, map(str, self.args)))
+        return size + 64 * (len(self.endorsers) or 1)

@@ -97,12 +97,14 @@ class ValidationPipeline:
     RANGE_KEY_COST = 0.15
 
     def _tx_cost_factor(self, tx: Transaction) -> float:
-        range_keys = sum(len(query.results) for query in tx.rwset.range_queries)
+        range_keys = 0
+        for query in tx.rwset.range_queries:
+            range_keys += len(query.results)
         return 1.0 + self.RANGE_KEY_COST * range_keys
 
     def receive_block(self, transactions: list[Transaction], cut_reason: str) -> None:
         """An ordered batch arrives from the ordering service."""
-        cost_sum = sum(self._tx_cost_factor(tx) for tx in transactions)
+        cost_sum = sum(map(self._tx_cost_factor, transactions))
         service = self._timing.commit_per_block + self._timing.validate_per_tx * cost_sum
 
         def on_done() -> None:

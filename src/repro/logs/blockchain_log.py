@@ -243,11 +243,11 @@ def record_from_transaction(tx: "Transaction", block_position: int) -> LogRecord
     accepted, and both the live fan-out and the extraction read that
     number.
     """
-    read_versions = {key: (v.block, v.tx) for key, v in tx.rwset.reads.items()}
-    read_keys = set(tx.rwset.reads)
-    for query in tx.rwset.range_queries:
+    rwset = tx.rwset
+    # A point read's version wins over the same key's range-read version.
+    read_versions = {key: (v.block, v.tx) for key, v in rwset.reads.items()}
+    for query in rwset.range_queries:
         for key, version in query.results:
-            read_keys.add(key)
             read_versions.setdefault(key, (version.block, version.tx))
     return LogRecord(
         commit_order=tx.commit_order,
@@ -258,15 +258,13 @@ def record_from_transaction(tx: "Transaction", block_position: int) -> LogRecord
         endorsers=tuple(tx.endorsers),
         invoker=tx.invoker_client,
         invoker_org=tx.invoker_org,
-        read_keys=tuple(sorted(read_keys)),
-        write_keys=tuple(sorted(tx.rwset.write_keys)),
-        writes=dict(tx.rwset.writes),
+        read_keys=tuple(sorted(read_versions)),
+        write_keys=tuple(sorted(rwset.writes)),
+        writes=dict(rwset.writes),
         read_versions=read_versions,
-        range_reads=tuple(
-            (query.start, query.end) for query in tx.rwset.range_queries
-        ),
+        range_reads=tuple([(query.start, query.end) for query in rwset.range_queries]),
         status=tx.status,
-        tx_type=tx.tx_type,
+        tx_type=rwset.derive_type(),
         block_number=tx.block_number if tx.block_number is not None else -1,
         block_position=block_position,
         commit_time=tx.commit_time if tx.commit_time is not None else -1.0,

@@ -10,6 +10,7 @@ perturb the draws of existing ones.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from typing import Sequence, TypeVar
 
 import numpy as np
@@ -40,25 +41,30 @@ class WeightedSampler:
     Draw-stream compatible with ``generator.choice(n, p=weights)``: numpy's
     weighted scalar ``choice`` consumes exactly one ``generator.random()``
     and resolves it with a right-biased ``searchsorted`` over the
-    normalized cumulative weights — this class precomputes that CDF once
-    instead of rebuilding it on every call, which profiling shows dominates
-    per-transaction endorser selection.  Equivalence is pinned by
-    ``tests/test_sim_rng.py`` and, end to end, by the golden-file tests.
+    normalized cumulative weights.  This class builds that float64 CDF
+    once, as a Python list, and ``bisect_right`` finds the same index (the
+    first CDF value above the draw) with no numpy call per draw.  Weights
+    must be finite and non-negative with a positive total, as for
+    ``choice``.  Equivalence is pinned by ``tests/test_sim_rng.py`` and,
+    end to end, by the golden-file tests.
     """
 
     __slots__ = ("_generator", "_cdf")
 
-    def __init__(self, generator: np.random.Generator, weights: np.ndarray) -> None:
-        cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    def __init__(self, generator: np.random.Generator, weights: Sequence[float]) -> None:
+        weights = np.asarray(weights, dtype=np.float64)
+        cdf = weights.cumsum()
         if cdf.size == 0:
             raise ValueError("need at least one weight")
+        if (weights < 0).any() or not 0 < cdf[-1] < np.inf:
+            raise ValueError(f"need finite weights >= 0 with a sum > 0, got {weights.tolist()}")
         cdf /= cdf[-1]
         self._generator = generator
-        self._cdf = cdf
+        self._cdf: list[float] = cdf.tolist()
 
     def draw(self) -> int:
         """One weighted index in ``0..len(weights)-1``."""
-        return int(self._cdf.searchsorted(self._generator.random(), side="right"))
+        return bisect_right(self._cdf, self._generator.random())
 
 
 class SimRng:

@@ -103,13 +103,33 @@ def test_functions_discovered():
 
 
 def test_helper_not_invocable(ctx):
-    with pytest.raises(UnknownFunctionError):
-        Demo().invoke(ctx, "helper", ())
+    contract = Demo()
+    for _ in range(2):
+        with pytest.raises(UnknownFunctionError):
+            contract.invoke(ctx, "helper", ())
 
 
 def test_unknown_activity_raises(ctx):
+    """On every call: only known activities are resolved once and kept."""
+    contract = Demo()
+    for _ in range(2):
+        with pytest.raises(UnknownFunctionError):
+            contract.invoke(ctx, "nope", ())
+
+
+def test_activity_resolution_is_per_contract_class(ctx):
+    """A subclass that overrides a function without the marker refuses it,
+    even after its base class ran it (and the base still runs it after)."""
+
+    class Unmarked(Demo):
+        def bump(self, ctx, key):
+            raise AssertionError("not a contract function")
+
+    Demo().invoke(ctx, "bump", ("k",))
     with pytest.raises(UnknownFunctionError):
-        Demo().invoke(ctx, "nope", ())
+        Unmarked().invoke(ctx, "bump", ("k",))
+    Demo().invoke(ctx, "bump", ("k",))
+    assert ctx.rwset.writes == {"k": 12}
 
 
 def test_abort_propagates(ctx):

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.fabric.chaincode import ChaincodeAbort, ChaincodeContext, contract_function
 from repro.fabric.config import TimingConfig
 from repro.fabric.network import run_workload
-from repro.fabric.transaction import TxRequest, TxStatus
+from repro.fabric.transaction import ReadWriteSet, TxRequest, TxStatus, TxType
 
 from tests.conftest import CounterContract, small_config
 
@@ -178,3 +179,31 @@ def test_fabricsharp_early_aborts_counted():
         assert all(tx.abort_stage == "ordering" for tx in network.aborted)
         # Ordering-stage aborts stay in the success-rate denominator.
         assert result.failure_counts.get(TxStatus.EARLY_ABORT.value, 0) == result.early_aborts
+
+
+class _AbortsAfterRecording(CounterContract):
+    """Reads, writes and scans, then early-aborts every ``doomed`` call."""
+
+    @contract_function
+    def doomed(self, ctx: ChaincodeContext, key: str) -> None:
+        ctx.get_state(key)
+        ctx.put_state(key, 1)
+        ctx.get_state_range("ctr:0000", "ctr:0009")
+        raise ChaincodeAbort("anomalous")
+
+
+def test_chaincode_abort_leaves_the_transaction_rwset_empty():
+    """The chaincode records into the transaction's own read-write set; an
+    abort must not leave the partial reads, writes and scans behind."""
+    requests = [
+        TxRequest(submit_time=i / 50.0, activity=activity, args=("ctr:0003",), contract="counter")
+        for i, activity in enumerate(["doomed", "bump"] * 10)
+    ]
+    network, result = run_workload(small_config(), [_AbortsAfterRecording()], requests)
+    aborted = [tx for tx in network.aborted if tx.abort_stage == "endorsement"]
+    assert len(aborted) == 10 and result.total_issued == 20
+    for tx in aborted:
+        assert tx.rwset == ReadWriteSet() and tx.rwset.derive_type() is TxType.READ
+        assert tx.endorse_time is None
+    committed = list(network.ledger.transactions(include_config=False))
+    assert committed and all(tx.rwset.writes for tx in committed)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.rng import SimRng, zipf_weights
 
@@ -104,18 +104,47 @@ def test_property_stream_determinism_across_instances(seed):
 # -- WeightedSampler ---------------------------------------------------------------
 
 
-def test_weighted_sampler_matches_numpy_choice_draw_stream():
+class _FixedDraws:
+    """A generator stand-in whose ``random()`` returns the given values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+_WEIGHT_VECTORS = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)), min_size=1, max_size=12
+).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), weights=_WEIGHT_VECTORS)
+@example(seed=99, weights=list(zipf_weights(2, 0.0)))
+@example(seed=99, weights=list(zipf_weights(3, 1.0)))
+@example(seed=99, weights=list(zipf_weights(5, 2.5)))
+@example(seed=99, weights=list(zipf_weights(8, 0.3)))
+@example(seed=1, weights=[0.0, 0.25, 0.0, 0.25, 0.5, 0.0])
+def test_weighted_sampler_matches_numpy_choice_draw_stream(seed, weights):
     """The precomputed-CDF sampler must be bit-identical to
-    ``Generator.choice(n, p=weights)`` — the goldens depend on it."""
+    ``Generator.choice(n, p=weights)`` — the goldens depend on it.  Zero
+    weights repeat CDF values, so a draw equal to one of them must take
+    the same right-biased index as numpy's ``searchsorted``."""
     from repro.sim.rng import WeightedSampler
 
-    for n, skew in [(2, 0.0), (3, 1.0), (5, 2.5), (8, 0.3)]:
-        weights = zipf_weights(n, skew)
-        reference = np.random.default_rng(99)
-        sampler = WeightedSampler(np.random.default_rng(99), weights)
-        expected = [int(reference.choice(n, p=weights)) for _ in range(2000)]
-        actual = [sampler.draw() for _ in range(2000)]
-        assert actual == expected
+    n = len(weights)
+    p = np.asarray(weights) / np.sum(weights)
+    reference = np.random.default_rng(seed)
+    sampler = WeightedSampler(np.random.default_rng(seed), p)
+    expected = [int(reference.choice(n, p=p)) for _ in range(300)]
+    assert [sampler.draw() for _ in range(300)] == expected
+
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    ties = [0.0, *cdf[:-1].tolist()]
+    tied = WeightedSampler(_FixedDraws(ties), p)
+    assert [tied.draw() for _ in ties] == [int(cdf.searchsorted(u, side="right")) for u in ties]
 
 
 def test_weighted_sampler_accepts_plain_lists_and_rejects_empty():
@@ -123,8 +152,17 @@ def test_weighted_sampler_accepts_plain_lists_and_rejects_empty():
 
     sampler = WeightedSampler(np.random.default_rng(1), [1.0, 1.0])
     assert sampler.draw() in (0, 1)
+    zeros_allowed = WeightedSampler(np.random.default_rng(1), [0, 2, 0])
+    assert {zeros_allowed.draw() for _ in range(50)} == {1}
     with pytest.raises(ValueError):
         WeightedSampler(np.random.default_rng(1), [])
+    # All-zero, negative, NaN and infinite weights: ``choice`` refuses each,
+    # so the sampler that claims its draw stream must refuse them too.
+    for weights in ([0, 0, 0], [1, -1, 1], [float("nan"), 1], [float("inf"), 1]):
+        with pytest.raises(ValueError):
+            np.random.default_rng(1).choice(len(weights), p=weights)
+        with pytest.raises(ValueError, match="weights"):
+            WeightedSampler(np.random.default_rng(1), weights)
 
 
 def test_zipf_index_sampler_cache_matches_fresh_instance():

@@ -682,12 +682,14 @@ def test_streamed_run_never_holds_more_than_one_block_of_records():
 
 
 def test_finished_streamed_network_is_freed_by_reference_counting():
-    """A finished network, world state included, leaves no reference cycle.
+    """A finished network, world state and contracts included, leaves no
+    reference cycle.
 
     With the cyclic collector off, dropping the last reference to a
     streamed channel's network must free it at once: the arrival pump,
     the flights and the stages' callbacks back into the network are all
-    released by the time ``run_streamed`` returns.
+    released by the time ``run_streamed`` returns, and no contract refers
+    to itself (its dispatch table holds plain functions, per class).
     """
     spec = synthetic_spec("default", seed=7)
     spec.total_transactions = 2_000
@@ -698,9 +700,12 @@ def test_finished_streamed_network_is_freed_by_reference_counting():
         assert stats.committed + stats.aborted == stats.issued
         network_ref = weakref.ref(network)
         state_ref = weakref.ref(network.state_db)
+        contract_refs = [weakref.ref(c) for c in network.contracts.values()]
+        assert contract_refs
         del network
         assert network_ref() is None
         assert state_ref() is None
+        assert [ref() for ref in contract_refs] == [None] * len(contract_refs)
     finally:
         gc.enable()
 
@@ -847,8 +852,9 @@ def test_run_streamed_refuses_workload_transforms():
 
 def test_finished_run_network_is_freed_by_reference_counting():
     """A finished run() network keeps its chain and its run summary as
-    consumers of its stream; neither refers back to the network, so with
-    the cyclic collector off dropping the network frees it at once."""
+    consumers of its stream; neither refers back to the network, and no
+    contract refers to itself, so with the cyclic collector off dropping
+    the network frees it, its contracts included, at once."""
     from repro.fabric.ledger import KeptChain
     from repro.fabric.results import RunFold
 
@@ -861,8 +867,11 @@ def test_finished_run_network_is_freed_by_reference_counting():
         assert [type(c) for c in network.stream.tx_consumers] == [RunFold]
         network_ref = weakref.ref(network)
         state_ref = weakref.ref(network.state_db)
+        contract_refs = [weakref.ref(c) for c in network.contracts.values()]
+        assert contract_refs
         del network
         assert network_ref() is None
         assert state_ref() is None
+        assert [ref() for ref in contract_refs] == [None] * len(contract_refs)
     finally:
         gc.enable()
