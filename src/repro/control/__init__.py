@@ -1,13 +1,12 @@
 """Live SLO-guardian control: closed-loop in-run adaptation (docs/CONTROL.md).
 
 The paper leaves "a self-adaptive system with a feedback loop" to future
-work; :mod:`repro.core.feedback` closes that loop *between* runs.  This
-package closes it *inside* a run: a deterministic, kernel-scheduled
-controller watches windowed observables (abort causes, retry traffic,
-endorsement gaps, latency quantiles) and applies bounded actuations —
-block re-sizing, rate throttling, mitigation toggles, retry tightening —
-while the faults of a scenario are being injected.  Every actuation is
-recorded in a JSON-round-trippable, digestable
+work.  This package closes that loop *inside* a run: a deterministic,
+kernel-scheduled controller watches windowed observables (abort causes,
+retry traffic, endorsement gaps, latency quantiles) and applies bounded
+actuations — block re-sizing, rate throttling, mitigation toggles, retry
+tightening — while the faults of a scenario are being injected.  Every
+actuation is recorded in a JSON-round-trippable, digestable
 :class:`~repro.control.timeline.ControlTimeline`.
 
 Attach a :class:`~repro.control.spec.ControlSpec` to

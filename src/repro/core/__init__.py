@@ -9,7 +9,6 @@ optimization settings (:mod:`~repro.core.apply`).
 """
 
 from repro.core.apply import ApplyResult, apply_recommendations
-from repro.core.feedback import FeedbackLoop, FeedbackOutcome, approve_all, technical_only
 from repro.core.insights import LogInsights, derive_insights, render_insights
 from repro.core.metrics import (
     ConflictPair,
@@ -25,13 +24,9 @@ from repro.core.thresholds import Thresholds
 
 __all__ = [
     "ALL_RULES",
-    "FeedbackLoop",
-    "FeedbackOutcome",
     "LogInsights",
-    "approve_all",
     "derive_insights",
     "render_insights",
-    "technical_only",
     "AnalysisReport",
     "ApplyResult",
     "BlockOptR",

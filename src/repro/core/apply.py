@@ -54,15 +54,11 @@ def apply_recommendations(
     config: NetworkConfig,
     family: ContractFamily,
     requests: list[TxRequest],
-    only: set[OptimizationKind] | None = None,
-    rate_cap: float = 100.0,
 ) -> ApplyResult:
-    """Apply ``recommendations`` (optionally restricted to ``only``).
+    """Apply ``recommendations``.
 
     Contract-variant swaps conflict with one another (one deployment),
     so at most one swap is applied per call — the first in Table 1 order.
-    Use ``only`` to study a single optimization, as the paper's per-figure
-    experiments do.
     """
     new_config = config.copy()
     deployment = family.deploy()
@@ -70,13 +66,8 @@ def apply_recommendations(
     applied: list[OptimizationKind] = []
     skipped: list[OptimizationKind] = []
 
-    selected = [
-        rec
-        for rec in recommendations
-        if only is None or rec.kind in only
-    ]
     swap_done = False
-    for rec in selected:
+    for rec in recommendations:
         kind = rec.kind
         if kind is OptimizationKind.ACTIVITY_REORDERING:
             new_requests = reorder_requests(
@@ -86,8 +77,7 @@ def apply_recommendations(
             )
             applied.append(kind)
         elif kind is OptimizationKind.TRANSACTION_RATE_CONTROL:
-            target = float(rec.actions.get("target_rate", rate_cap))
-            new_requests = cap_rate(new_requests, target)
+            new_requests = cap_rate(new_requests, float(rec.actions["target_rate"]))
             applied.append(kind)
         elif kind in _CONTRACT_SWAPS:
             if swap_done or not family.supports(kind.value):

@@ -3,8 +3,8 @@
 ``Fabric network -> blockchain data preprocessing -> metrics derivation /
 event log generation -> process model generation -> optimization
 recommendation``.  :class:`BlockOptR` runs the whole pipeline over a
-ledger, an exported log file, or a live :class:`~repro.fabric.FabricNetwork`
-and returns a single :class:`AnalysisReport`.
+live :class:`~repro.fabric.FabricNetwork`, an exported log file, or a
+blockchain log, and returns a single :class:`AnalysisReport`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.core.metrics import LogMetrics, MetricsAccumulator
 from repro.core.recommendations import Level, OptimizationKind, Recommendation
 from repro.core.rules import evaluate_rules
 from repro.core.thresholds import Thresholds
-from repro.fabric.ledger import Ledger
 from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import BlockchainLog
 from repro.logs.eventlog import EventLog
@@ -77,12 +76,6 @@ class BlockOptR:
         """Analyze a just-run simulated network (reads its ledger)."""
         log = extract_blockchain_log(
             network, interval_seconds=self.thresholds.interval_seconds
-        )
-        return self.analyze_log(log)
-
-    def analyze_ledger(self, ledger: Ledger) -> AnalysisReport:
-        log = extract_blockchain_log(
-            ledger, interval_seconds=self.thresholds.interval_seconds
         )
         return self.analyze_log(log)
 

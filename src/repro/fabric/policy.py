@@ -100,21 +100,6 @@ class EndorsementPolicy:
         """
         return _minimal_sets_cached(self)
 
-    def mandatory_orgs(self) -> frozenset[str]:
-        """Orgs present in *every* satisfying alternative.
-
-        A mandatory org (e.g. Org1 under ``And(Org1, Or(...))``) is the
-        structural cause of the endorsement bottlenecks the paper's
-        *endorser restructuring* recommendation targets.
-        """
-        sets = self.minimal_satisfying_sets()
-        if not sets:
-            return frozenset()
-        common = set(sets[0])
-        for alternative in sets[1:]:
-            common &= alternative
-        return frozenset(common)
-
     def min_endorsements(self) -> int:
         """Size of the smallest satisfying set."""
         sets = self.minimal_satisfying_sets()

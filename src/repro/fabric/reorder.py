@@ -25,16 +25,17 @@ from repro.fabric.transaction import Transaction
 
 
 class Scheduler(Protocol):
-    """Rewrites a cut batch into (ordered transactions, early aborts)."""
+    """Rewrites a cut batch into (ordered transactions, early aborts).
+
+    The orderer calls :meth:`schedule` once per cut batch and nothing else,
+    so a scheduler keeps any cross-block state (FabricSharp's window of
+    ordered writes) from the batches it schedules; it never sees a commit.
+    """
 
     def schedule(
         self, batch: list[Transaction]
     ) -> tuple[list[Transaction], list[Transaction]]:
         """Return the batch to include in the block and the aborted txs."""
-        ...
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """Called after a transaction commits (for window bookkeeping)."""
         ...
 
 
@@ -46,10 +47,6 @@ class FifoScheduler:
     ) -> tuple[list[Transaction], list[Transaction]]:
         """Pass the batch through unchanged."""
         return list(batch), []
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """No bookkeeping needed."""
-        del tx, block
 
 
 def _reads_of(tx: Transaction) -> frozenset[str]:
@@ -116,10 +113,6 @@ class FabricPlusPlusScheduler:
         aborted_txs = [batch[i] for i in sorted(aborted)]
         return ordered_txs, aborted_txs
 
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """No cross-block state to maintain."""
-        del tx, block
-
 
 class ConflictAwareScheduler:
     """Intra-block conflict-aware reordering *without* aborts.
@@ -171,10 +164,6 @@ class ConflictAwareScheduler:
                 if succ in alive:
                     indegree[succ] -= 1
         return [batch[i] for i in order], []
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """No cross-block state to maintain."""
-        del tx, block
 
 
 class FabricSharpScheduler:
@@ -249,10 +238,6 @@ class FabricSharpScheduler:
             if self._write_times[key] >= endorsed_at:
                 return True
         return False
-
-    def observe_commit(self, tx: Transaction, block: int) -> None:
-        """Window bookkeeping happens in :meth:`schedule`; nothing here."""
-        del tx, block
 
 
 #: The scheduler names :func:`make_scheduler` builds.

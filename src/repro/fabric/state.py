@@ -79,10 +79,6 @@ class WorldState:
         """All keys in sorted order (copy)."""
         return list(self._sorted_keys)
 
-    def snapshot_versions(self) -> dict[str, Version]:
-        """Map of every key to its current version (for test assertions)."""
-        return {key: entry.version for key, entry in self._data.items()}
-
 
 class StateDatabase:
     """All namespaces of one peer / channel.
@@ -103,7 +99,3 @@ class StateDatabase:
     def namespaces(self) -> list[str]:
         """All contract namespaces created so far."""
         return sorted(self._namespaces)
-
-    def total_keys(self) -> int:
-        """Keys committed across every namespace."""
-        return sum(len(ws) for ws in self._namespaces.values())

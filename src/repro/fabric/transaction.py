@@ -97,11 +97,6 @@ class ReadWriteSet:
         """All keys written (deletions included)."""
         return frozenset(self.writes)
 
-    @property
-    def all_keys(self) -> frozenset[str]:
-        """RWS(x): every key the transaction read or wrote."""
-        return self.read_keys | self.write_keys
-
     def derive_type(self) -> TxType:
         """Classify the transaction from its read-write set.
 

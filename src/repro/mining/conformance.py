@@ -4,43 +4,16 @@ Used by the paper in two places: confirming that a redesigned workload
 *adheres to the new process model* (Figure 4), and detecting deviations
 (illogical paths) as evidence for process-model pruning.
 
-Two complementary measures:
-
-* :func:`token_replay_fitness` — replay traces on a Petri net; fitness is
-  the classical combination of missing/consumed and remaining/produced
-  token ratios (1.0 = every trace fits the model exactly).
-* :func:`footprint_conformance` — fraction of footprint-matrix cells on
-  which two behaviours agree; cheap, works model-free between two logs.
+:func:`footprint_conformance` is the fraction of footprint-matrix cells
+on which two behaviours agree; it is cheap and works model-free between
+two logs.  :func:`model_diff` names the cells that changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.mining.footprint import FootprintMatrix
-from repro.mining.petrinet import PetriNet
-
-
-def token_replay_fitness(net: PetriNet, traces: Iterable[tuple[str, ...]]) -> float:
-    """Aggregate token-replay fitness of ``traces`` on ``net``.
-
-    fitness = 1/2 (1 - missing/consumed) + 1/2 (1 - remaining/produced)
-    """
-    produced = consumed = missing = remaining = 0
-    count = 0
-    for trace in traces:
-        p, c, m, r = net.replay_trace(trace)
-        produced += p
-        consumed += c
-        missing += m
-        remaining += r
-        count += 1
-    if count == 0:
-        raise ValueError("fitness needs at least one trace")
-    missing_part = 1.0 - (missing / consumed if consumed else 0.0)
-    remaining_part = 1.0 - (remaining / produced if produced else 0.0)
-    return 0.5 * missing_part + 0.5 * remaining_part
 
 
 def footprint_conformance(
@@ -75,13 +48,6 @@ class ModelDiff:
     removed_activities: tuple[str, ...]
     changed_relations: tuple[tuple[str, str, str, str], ...]
     conformance: float
-
-    def is_identical(self) -> bool:
-        return (
-            not self.added_activities
-            and not self.removed_activities
-            and not self.changed_relations
-        )
 
 
 def model_diff(reference: FootprintMatrix, observed: FootprintMatrix) -> ModelDiff:

@@ -2,7 +2,7 @@
 
 The basic artifact every miner builds on: how often activity ``b``
 directly follows activity ``a`` within a trace, plus the start/end
-activity sets.  Backed by :mod:`networkx` for graph algorithms and export.
+activity sets.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import networkx as nx
 
 
 @dataclass
@@ -41,23 +39,6 @@ class DirectlyFollowsGraph:
     def follows(self, a: str, b: str) -> int:
         """How often ``b`` directly follows ``a``."""
         return self.counts.get((a, b), 0)
-
-    def edges(self, min_count: int = 1) -> list[tuple[str, str, int]]:
-        """All directly-follows edges at or above ``min_count``, sorted."""
-        return sorted(
-            (a, b, count)
-            for (a, b), count in self.counts.items()
-            if count >= min_count
-        )
-
-    def to_networkx(self, min_count: int = 1) -> nx.DiGraph:
-        """The DFG as a weighted networkx digraph."""
-        graph = nx.DiGraph()
-        for activity, count in self.activity_counts.items():
-            graph.add_node(activity, count=count)
-        for a, b, count in self.edges(min_count=min_count):
-            graph.add_edge(a, b, weight=count)
-        return graph
 
     def most_frequent_path(self) -> list[str]:
         """Greedy walk along heaviest edges from the top start activity.

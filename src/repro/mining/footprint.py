@@ -8,8 +8,9 @@ classical relations derived from directly-follows observations:
 * ``a || b`` (parallel): both directions observed;
 * ``a # b`` (choice): neither direction observed.
 
-Footprints drive the alpha miner and give a cheap conformance measure —
-the fraction of matching cells between two logs' footprints.
+Every BlockOptR analysis report carries its log's footprint, and
+footprints give a cheap conformance measure — the fraction of matching
+cells between two logs' footprints.
 """
 
 from __future__ import annotations
@@ -62,27 +63,3 @@ class FootprintMatrix:
 
     def relation(self, a: str, b: str) -> Relation:
         return self.relations[(a, b)]
-
-    def causal_pairs(self) -> list[tuple[str, str]]:
-        """All (a, b) with ``a -> b``, sorted."""
-        return sorted(
-            pair
-            for pair, relation in self.relations.items()
-            if relation is Relation.CAUSALITY
-        )
-
-    def independent(self, a: str, b: str) -> bool:
-        """True when ``a # b`` (never adjacent in either order)."""
-        return self.relations[(a, b)] is Relation.CHOICE
-
-    def render(self) -> str:
-        """Text table of the footprint (for reports and debugging)."""
-        width = max((len(a) for a in self.activities), default=1)
-        header = " " * (width + 1) + " ".join(f"{b:>{width}}" for b in self.activities)
-        lines = [header]
-        for a in self.activities:
-            cells = " ".join(
-                f"{self.relations[(a, b)].value:>{width}}" for b in self.activities
-            )
-            lines.append(f"{a:>{width}} {cells}")
-        return "\n".join(lines)

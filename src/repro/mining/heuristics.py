@@ -13,7 +13,6 @@ filtering for rare behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import networkx as nx
 
 from repro.mining.dfg import DirectlyFollowsGraph
 
@@ -27,26 +26,6 @@ class DependencyGraph:
     edges: set[tuple[str, str]] = field(default_factory=set)
     start_activities: tuple[str, ...] = ()
     end_activities: tuple[str, ...] = ()
-
-    def measure(self, a: str, b: str) -> float:
-        return self.dependency.get((a, b), 0.0)
-
-    def successors(self, a: str) -> list[str]:
-        return sorted(b for (x, b) in self.edges if x == a)
-
-    def predecessors(self, b: str) -> list[str]:
-        return sorted(a for (a, x) in self.edges if x == b)
-
-    def to_networkx(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.activities)
-        for a, b in self.edges:
-            graph.add_edge(a, b, dependency=self.dependency[(a, b)])
-        return graph
-
-    def has_loop(self) -> bool:
-        """True when the dependency graph contains a cycle."""
-        return not nx.is_directed_acyclic_graph(self.to_networkx())
 
 
 def heuristics_miner(

@@ -30,11 +30,6 @@ class ServerStats:
             return 0.0
         return min(1.0, self.busy_time / horizon)
 
-    @property
-    def mean_wait(self) -> float:
-        """Average queue wait per job in seconds."""
-        return self.total_wait / self.jobs if self.jobs else 0.0
-
 
 class Server:
     """A single FIFO server bound to a :class:`Kernel`.

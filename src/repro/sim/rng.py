@@ -121,9 +121,3 @@ class SimRng:
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean!r}")
         return float(self.stream(name).exponential(mean))
-
-    def shuffled(self, name: str, items: Sequence[T]) -> list[T]:
-        """A shuffled copy of ``items``."""
-        out = list(items)
-        self.stream(name).shuffle(out)  # type: ignore[arg-type]
-        return out

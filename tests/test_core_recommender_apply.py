@@ -60,11 +60,6 @@ class TestWorkflow:
         with pytest.raises(ValueError):
             BlockOptR().analyze_file(tmp_path / "log.xml")
 
-    def test_analyze_ledger_direct(self, finished_network):
-        network, _ = finished_network
-        report = BlockOptR().analyze_ledger(network.ledger)
-        assert report.metrics.total_transactions == 200
-
     def test_custom_thresholds_respected(self, finished_network):
         network, _ = finished_network
         strict = Thresholds(rate_high=1.0, failure_fraction=0.0)
@@ -173,18 +168,6 @@ class TestApply:
         result = apply_recommendations([rec], config, family, requests)
         contracts = {r.activity: r.contract for r in result.requests}
         assert contracts == {"play": "drm_play", "viewMetaData": "drm_meta"}
-
-    def test_only_filter_restricts(self):
-        config, family, requests = self._base()
-        recs = [
-            Recommendation(kind=K.BLOCK_SIZE_ADAPTATION, rationale="", actions={"block_count": 5}),
-            Recommendation(kind=K.TRANSACTION_RATE_CONTROL, rationale="", actions={"target_rate": 10.0}),
-        ]
-        result = apply_recommendations(
-            recs, config, family, requests, only={K.BLOCK_SIZE_ADAPTATION}
-        )
-        assert result.applied == [K.BLOCK_SIZE_ADAPTATION]
-        assert result.config.block_count == 5
 
     def test_voting_alteration_end_to_end(self):
         """Applying data model alteration to the DV contract removes conflicts."""

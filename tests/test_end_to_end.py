@@ -14,7 +14,7 @@ from repro.core import BlockOptR, OptimizationKind as K, apply_recommendations
 from repro.core.thresholds import Thresholds
 from repro.fabric import run_workload
 from repro.fabric.transaction import TxStatus
-from repro.mining import Relation, alpha_miner, model_diff, token_replay_fitness
+from repro.mining import Relation, model_diff
 from repro.workloads import synthetic_workload
 
 SMALL = 1500
@@ -224,21 +224,13 @@ class TestProcessModelReproduction:
         reordered activities no longer interleave with the main flow."""
         report = scm_setup[-1]
         diff = model_diff(report.footprint, scm_reordered.footprint)
-        assert not diff.is_identical()
+        assert diff.added_activities == diff.removed_activities == ()
+        assert diff.changed_relations
         moved = set(report.get(K.ACTIVITY_REORDERING).actions["front"])
         changed_activities = {a for a, b, *_ in diff.changed_relations} | {
             b for a, b, *_ in diff.changed_relations
         }
         assert moved & changed_activities
-
-    def test_mined_nets_replay_their_logs(self, scm_setup, scm_reordered):
-        """The nets mined (from the frequent variants) before and after
-        reordering replay their own logs with fitness above 0.6."""
-        for report in (scm_setup[-1], scm_reordered):
-            variants = report.event_log.trace_variants()
-            frequent = [trace for trace, count in variants.items() if count >= 3]
-            net = alpha_miner(frequent or list(variants))
-            assert token_replay_fitness(net, report.event_log.traces()) > 0.6
 
 
 def _synthetic_800(experiment="default", **overrides):

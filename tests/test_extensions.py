@@ -1,21 +1,11 @@
-"""Tests for the extension modules: serializability verification, the
-feedback loop and insights."""
+"""Tests for the extension modules: serializability verification and
+insights."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.experiments import make_usecase
-from repro.contracts.registry import scm_family, voting_family
-from repro.core import (
-    BlockOptR,
-    FeedbackLoop,
-    OptimizationKind as K,
-    derive_insights,
-    render_insights,
-    technical_only,
-)
-from repro.core.feedback import approve_all
-from repro.core.recommendations import Recommendation
+from repro.core import BlockOptR, derive_insights, render_insights
 from repro.fabric import run_workload, verify_serializability
 from repro.fabric.transaction import TxRequest
 
@@ -55,62 +45,6 @@ class TestSerializability:
             deployment = family.deploy()
             network, _ = run_workload(config, deployment.contracts, requests)
             assert verify_serializability(network).ok, usecase
-
-
-# -- feedback loop -------------------------------------------------------------------
-
-
-class TestFeedbackLoop:
-    def test_voting_loop_reaches_high_success(self):
-        config, family, requests = make_usecase("voting", total_transactions=800)()
-        loop = FeedbackLoop(voting_family(), max_iterations=3)
-        outcome = loop.run(config, requests)
-        assert outcome.final.success_rate > outcome.baseline.success_rate
-        assert outcome.improvement() > 10.0
-        assert len(outcome.rounds) >= 2
-
-    def test_loop_converges_when_nothing_recommended(self):
-        config = small_config()
-        from repro.contracts.registry import genchain_family
-
-        requests = [
-            TxRequest(submit_time=i / 10.0, activity="get", args=(f"ctr:{i % 5:04d}",), contract="counter")
-            for i in range(50)
-        ]
-        # Healthy low-rate workload on the counter contract: use a family
-        # whose baseline is the counter contract itself.
-        from repro.contracts.registry import ContractDeployment, ContractFamily
-
-        family = ContractFamily(
-            family="counter",
-            baseline=lambda: ContractDeployment(contracts=[CounterContract()]),
-        )
-        loop = FeedbackLoop(family, max_iterations=3)
-        outcome = loop.run(config, requests)
-        assert outcome.converged
-        assert len(outcome.rounds) == 1
-        assert outcome.rounds[0].applied == []
-
-    def test_approval_policy_vetoes(self):
-        config, family, requests = make_usecase("scm", total_transactions=1200)()
-        loop = FeedbackLoop(scm_family(), approval=technical_only, max_iterations=2)
-        outcome = loop.run(config, requests)
-        vetoed = {kind for round_ in outcome.rounds for kind in round_.vetoed}
-        applied = {kind for round_ in outcome.rounds for kind in round_.applied}
-        assert K.ACTIVITY_REORDERING in vetoed
-        assert K.ACTIVITY_REORDERING not in applied
-
-    def test_approve_all_passes_everything(self):
-        rec = Recommendation(kind=K.DELTA_WRITES, rationale="")
-        assert approve_all(rec)
-        assert not technical_only(
-            Recommendation(kind=K.ENDORSER_RESTRUCTURING, rationale="")
-        )
-        assert technical_only(rec)
-
-    def test_bad_iteration_budget(self):
-        with pytest.raises(ValueError):
-            FeedbackLoop(voting_family(), max_iterations=0)
 
 
 # -- insights ------------------------------------------------------------------------

@@ -109,7 +109,6 @@ class TestReadWriteSet:
             ],
         )
         assert rwset.read_keys == {"a", "b", "c"}
-        assert rwset.all_keys == {"a", "b", "c"}
 
     def test_estimated_bytes_grows_with_content(self):
         small = ReadWriteSet(writes={"k": 1}).estimated_bytes()

@@ -107,12 +107,6 @@ class TestMinimalSets:
         # OutOf(2, 4 orgs) -> C(4,2) = 6 pairs.
         assert len(standard_policy("P4").minimal_satisfying_sets()) == 6
 
-    def test_mandatory_orgs_p1(self):
-        assert standard_policy("P1").mandatory_orgs() == {"Org1"}
-
-    def test_mandatory_orgs_p4_none(self):
-        assert standard_policy("P4").mandatory_orgs() == frozenset()
-
     def test_min_endorsements(self):
         assert standard_policy("P1").min_endorsements() == 2
         assert standard_policy("P3").min_endorsements() == 3

@@ -67,13 +67,6 @@ def test_range_scan_empty_range():
     assert list(ws.range_scan("m", "m")) == []
 
 
-def test_snapshot_versions():
-    ws = WorldState()
-    ws.put("a", 1, Version(1, 0))
-    ws.put("b", 2, Version(2, 5))
-    assert ws.snapshot_versions() == {"a": Version(1, 0), "b": Version(2, 5)}
-
-
 def test_state_database_namespace_isolation():
     db = StateDatabase()
     db.namespace("c1").put("k", 1, Version(1, 0))
@@ -81,7 +74,6 @@ def test_state_database_namespace_isolation():
     assert db.namespace("c1").get("k").value == 1
     assert db.namespace("c2").get("k").value == 2
     assert db.namespaces() == ["c1", "c2"]
-    assert db.total_keys() == 2
 
 
 @given(
@@ -96,14 +88,17 @@ def test_state_database_namespace_isolation():
 def test_property_sorted_index_matches_dict(ops):
     """The incremental sorted-key index always equals sorted(dict keys)."""
     ws = WorldState()
+    model: dict[str, int] = {}
     version = 0
     for op, key in ops:
         if op == "put":
             ws.put(key, version, Version(1, version))
+            model[key] = version
         else:
             ws.delete(key)
+            model.pop(key, None)
         version += 1
-    assert ws.keys() == sorted(set(ws.snapshot_versions()))
+    assert ws.keys() == sorted(model)
 
 
 @given(

@@ -1,0 +1,149 @@
+"""No dead code: every public definition under ``src/repro`` has a user.
+
+Rule: every public function, class and method defined under
+``src/repro`` (a name with no leading underscore, at module level or in
+a class body) must be used in some module of ``src/``, ``examples/``,
+``scripts/`` or ``perfbench/``.  ``tests/`` do not count, and neither
+does a package ``__init__``'s re-export (its imports and its
+``__all__``).  A definition that only tests call is dead code: it goes,
+or it gains a caller.
+
+A use is any of:
+
+* a name (``foo``) or an attribute (``x.foo``);
+* an imported name (``from m import foo``);
+* an identifier inside a string constant that is not a docstring, because
+  perfbench names its span boundaries as strings and contracts dispatch
+  activities by name.  A string that stands alone as a statement (a
+  docstring) does not count.
+
+Limit: uses are matched by name only, so a definition that shares its
+name with a used one passes: a ``render`` method no caller reaches passes
+while another ``render`` is called.  Methods with common names, such as
+``edges``, ``measure``, ``render`` or ``to_networkx``, are checked by
+hand.
+
+``KEEP`` lists the names kept without a caller, each with its reason.  A
+kept name that gains a caller, or is no longer defined, fails too, like a
+strict xfail, so no entry outlives its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SOURCE = REPO_ROOT / "src" / "repro"
+USER_DIRS = ("src", "examples", "scripts", "perfbench")
+
+KEEP = {
+    "verify_chain": (
+        "Ledger.verify_chain: the hash-chain integrity oracle the tests hold "
+        "the simulator to; safety code, not dead code"
+    ),
+    "verify_serializability": (
+        "repro.fabric.verify: the serial replay of committed writes the tests "
+        "hold the validator to; safety code, not dead code"
+    ),
+    "derive_case_attribute": (
+        "the per-record CaseID derivation that test_streaming holds the "
+        "column-table derivation to"
+    ),
+    "service_multiplier": (
+        "Server's read side of the validated set_service_multiplier; the "
+        "scenario tests check restores through it"
+    ),
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _definitions(path: Path) -> list[tuple[str, str]]:
+    """``(name, qualified name)`` of each public definition in ``path``."""
+    module = ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
+    found: list[tuple[str, str]] = []
+
+    def walk(body: list[ast.stmt], prefix: str) -> None:
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.append((node.name, f"{module}.{prefix}{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                walk(node.body, f"{prefix}{node.name}.")
+
+    walk(ast.parse(path.read_text(), filename=str(path)).body, "")
+    return found
+
+
+def _uses(path: Path) -> set[str]:
+    """Every name ``path`` uses, by the module docstring's rule."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    skipped: set[int] = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    }
+    if path.name == "__init__.py":
+        for statement in tree.body:
+            exports = isinstance(statement, (ast.Import, ast.ImportFrom)) or (
+                isinstance(statement, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in statement.targets)
+            )
+            if exports:
+                skipped.update(id(node) for node in ast.walk(statement))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(_IDENTIFIER.findall(node.value))
+    return names
+
+
+@pytest.fixture(scope="module")
+def unused() -> dict[str, list[str]]:
+    """Each public name defined under ``src/repro`` that nothing uses."""
+    used: set[str] = set()
+    for directory in USER_DIRS:
+        for path in (REPO_ROOT / directory).rglob("*.py"):
+            used |= _uses(path)
+    found: dict[str, list[str]] = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        for name, qualname in _definitions(path):
+            if name not in used:
+                found.setdefault(name, []).append(qualname)
+    return found
+
+
+def test_every_public_definition_has_a_user(unused):
+    dead = sorted(
+        qualname
+        for name, qualnames in unused.items()
+        if name not in KEEP
+        for qualname in qualnames
+    )
+    assert not dead, (
+        f"{len(dead)} definitions under src/repro are used nowhere outside "
+        "tests/; give each a caller or delete it:\n  " + "\n  ".join(dead)
+    )
+
+
+def test_kept_names_are_still_unused(unused):
+    stale = sorted(set(KEEP) - set(unused))
+    assert not stale, (
+        "kept names now used or no longer defined; drop them from KEEP: "
+        + ", ".join(stale)
+    )

@@ -224,4 +224,3 @@ class TestConflictAwareScheduler:
         ordered, aborts = scheduler.schedule([u1, u2])
         assert [t.tx_id for t in ordered] == ["u1", "u2"]
         assert aborts == []
-        scheduler.observe_commit(u1, 1)  # no-op, part of the protocol

@@ -46,14 +46,6 @@ def test_exponential_requires_positive_mean():
         SimRng(1).exponential("e", 0.0)
 
 
-def test_shuffled_preserves_multiset():
-    rng = SimRng(5)
-    items = list(range(50))
-    shuffled = rng.shuffled("s", items)
-    assert sorted(shuffled) == items
-    assert items == list(range(50))  # original untouched
-
-
 def test_zipf_weights_uniform_at_zero_skew():
     weights = zipf_weights(10, 0.0)
     assert np.allclose(weights, 0.1)
