@@ -11,7 +11,6 @@ from repro.bench.cache import ResultCache
 from repro.bench.executor import (
     ExperimentExecutionError,
     SuiteReport,
-    derive_seed,
     run_spec,
     run_suite,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "SuiteReport",
     "UnknownSelectionError",
     "default_recommendation",
-    "derive_seed",
     "execute_experiment",
     "expand",
     "format_outcome",

@@ -19,7 +19,6 @@ re-run performs zero simulation runs.
 
 from __future__ import annotations
 
-import hashlib
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -65,17 +64,6 @@ class ExperimentExecutionError(RuntimeError):
         # traceback's text crosses the process boundary, the traceback
         # object cannot.
         return type(self), (self.exp_id, self.original, self.detail)
-
-
-def derive_seed(base_seed: int, name: str) -> int:
-    """Deterministic per-experiment seed from a base seed and a run name.
-
-    Stable across processes and Python versions (unlike ``hash()``), so a
-    suite run with ``--seed N`` gives every experiment its own
-    reproducible stream.
-    """
-    digest = hashlib.sha256(f"{base_seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") % (2**31 - 1)
 
 
 @dataclass

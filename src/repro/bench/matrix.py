@@ -49,11 +49,11 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.bench.experiments import MAKERS, TUNABLE_FIELDS
 from repro.bench.harness import ExperimentOutcome
-from repro.bench.registry import ExperimentSpec, UnknownSelectionError
+from repro.bench.registry import ExperimentSpec
 
 #: Bootstrap resamples per (cell, metric) — enough for stable 2.5/97.5
 #: percentiles at these replication counts while keeping aggregation
@@ -340,37 +340,6 @@ def _slug(value: object) -> str:
     for bad, good in (("/", "-"), ("@", "-"), (" ", "-"), (",", "-")):
         text = text.replace(bad, good)
     return text
-
-
-def select_runs(runs: list[MatrixRun], tokens: Iterable[str]) -> list[MatrixRun]:
-    """Filter expanded runs by ``--only`` tokens (cell/run ids or prefixes).
-
-    Mirrors :func:`repro.bench.registry.select`: every token must match
-    at least one run or the whole selection fails with
-    :class:`~repro.bench.registry.UnknownSelectionError` naming each
-    unmatched token — a typo must not quietly shrink a sweep.
-    """
-    matched: set[str] = set()
-    unmatched: list[str] = []
-    cleaned = [token.strip() for token in tokens if token.strip()]
-    if not cleaned:
-        raise UnknownSelectionError(list(tokens), "the selection is empty")
-    for token in cleaned:
-        hits = [
-            run
-            for run in runs
-            if run.exp_id == token
-            or run.cell_id == token
-            or run.cell_id.startswith(token)
-        ]
-        if not hits:
-            unmatched.append(token)
-        matched.update(run.exp_id for run in hits)
-    if unmatched:
-        raise UnknownSelectionError(
-            unmatched, "use --dry-run to list the expanded cell ids"
-        )
-    return [run for run in runs if run.exp_id in matched]
 
 
 # -- statistics ---------------------------------------------------------------------

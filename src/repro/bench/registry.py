@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.bench import experiments as defs
 from repro.bench.harness import MakeBundle
@@ -27,6 +28,9 @@ from repro.core.recommendations import OptimizationKind as K
 #: (label, (OptimizationKind values, ...)) — kinds stored by value so the
 #: spec stays declarative; resolve with :meth:`ExperimentSpec.resolved_plans`.
 PlanTable = tuple[tuple[str, tuple[str, ...]], ...]
+
+#: A selectable item: an :class:`ExperimentSpec` or a matrix run.
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -481,37 +485,46 @@ class UnknownSelectionError(KeyError):
         )
 
 
-def select(tokens: Iterable[str]) -> list[ExperimentSpec]:
-    """Resolve ``--only`` tokens: group names, prefixes, or full exp ids.
+def select(
+    tokens: Iterable[str],
+    candidates: Sequence[T] | None = None,
+    group: Callable[[T], str] = attrgetter("group"),
+    hint: str | None = None,
+) -> list[T]:
+    """Resolve ``--only`` tokens: ids, groups or group prefixes.
 
-    ``fig09`` matches the ``fig09_block_size`` group; ``fig09_block_size/
-    block_count_50`` matches a single experiment.  Order follows the
-    registry, deduplicated.  Tokens that match nothing — including a
-    selection that is entirely blank — raise
-    :class:`UnknownSelectionError` listing every unmatched token, so a
-    typo can never silently select zero experiments.
+    A candidate matches a token equal to its ``exp_id`` or a prefix of
+    its ``group``.  By default the candidates are the registry's
+    experiments: ``fig09`` matches the ``fig09_block_size`` group and
+    ``fig09_block_size/block_count_50`` one experiment.  ``repro matrix``
+    passes its expanded runs with their cell ids as groups, so a cell id
+    selects every seed of the cell.  Order follows the candidates.
+    Tokens that match nothing, including a selection that is entirely
+    blank, raise :class:`UnknownSelectionError` listing every unmatched
+    token with ``hint`` (default: the registry's groups), so a typo can
+    never silently select zero experiments.
     """
-    matched: set[str] = set()
-    unmatched: list[str] = []
-    candidates = all_specs()
+    tokens = list(tokens)
+    if candidates is None:
+        candidates = all_specs()
+    if hint is None:
+        hint = f"known groups: {', '.join(REGISTRY)}"
     cleaned = [token.strip() for token in tokens if token.strip()]
     if not cleaned:
-        raise UnknownSelectionError(
-            [token for token in tokens], "the selection is empty"
-        )
-    for token in cleaned:
-        matches = [
-            spec
-            for spec in candidates
-            if spec.exp_id == token
-            or spec.group == token
-            or spec.group.startswith(token)
-        ]
-        if not matches:
-            unmatched.append(token)
-        matched.update(spec.exp_id for spec in matches)
+        raise UnknownSelectionError(tokens, "the selection is empty")
+
+    def matches(candidate: T, token: str) -> bool:
+        return candidate.exp_id == token or group(candidate).startswith(token)
+
+    unmatched = [
+        token
+        for token in cleaned
+        if not any(matches(candidate, token) for candidate in candidates)
+    ]
     if unmatched:
-        raise UnknownSelectionError(
-            unmatched, f"known groups: {', '.join(REGISTRY)}"
-        )
-    return [spec for spec in candidates if spec.exp_id in matched]
+        raise UnknownSelectionError(unmatched, hint)
+    return [
+        candidate
+        for candidate in candidates
+        if any(matches(candidate, token) for token in cleaned)
+    ]

@@ -167,36 +167,32 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
-    from repro.bench.cache import ResultCache
-    from repro.bench.claims import check_claims, report_lines
-    from repro.bench.executor import cold_run_count, derive_seed, run_suite
-    from repro.bench.registry import UnknownSelectionError, all_specs, select
-    from repro.bench.tables import format_paper_comparison
+def _select(args: argparse.Namespace, candidates: list, **how) -> list | None:
+    """``--only`` applied to ``candidates`` by :func:`repro.bench.registry.select`
+    (``how``: its ``group`` and ``hint``); ``None`` after an error line.
 
-    if args.txs is not None and args.txs < 1:
-        print(f"error: --txs must be >= 1, got {args.txs}", file=sys.stderr)
-        return 2
+    The command then exits 1 before anything runs: a typo must never
+    launch a partial sweep or silently select zero experiments.
+    """
+    from repro.bench.registry import UnknownSelectionError, select
+
+    if not args.only:
+        return candidates
     try:
-        specs = select(args.only.split(",")) if args.only else all_specs()
+        return select(args.only.split(","), candidates, **how)
     except UnknownSelectionError as exc:
-        # Exit 1, naming every unmatched token: a typo must never launch
-        # a partial sweep or silently select zero experiments.
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    specs = [
-        spec.with_overrides(
-            seed=derive_seed(args.seed, spec.exp_id) if args.seed is not None else None,
-            total_transactions=args.txs,
-        )
-        for spec in specs
-    ]
-    if args.list:
-        for spec in specs:
-            args = " ".join(f"{name}={value}" for name, value in spec.maker_args)
-            print(f"{spec.exp_id:<45} runs={spec.run_count()} {spec.maker} {args}")
-        print(f"{len(specs)} experiments, {cold_run_count(specs)} simulation runs when cold")
-        return 0
+        return None
+
+
+def _run_and_report(args: argparse.Namespace, specs, show) -> int:
+    """The run-and-report body of ``suite`` and ``matrix``: run ``specs``
+    with the cache the flags ask for, let ``show(report)`` print the
+    command's own lines and return the exit status, then print the
+    summary and ``cache:`` lines."""
+    from repro.bench.cache import ResultCache
+    from repro.bench.executor import run_suite
+
     if args.clear_cache:
         # Honour the clear even under --no-cache: the user asked for the
         # on-disk entries to go away.
@@ -204,54 +200,76 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print(f"cleared {store.clear()} cache entries under {store.root}")
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     report = run_suite(
-        specs,
-        jobs=args.jobs,
-        cache=cache,
-        progress=None if args.quiet else print,
+        specs, jobs=args.jobs, cache=cache, progress=None if args.quiet else print
     )
-    if not args.quiet:
-        for outcome in report.outcomes:
-            print()
-            print(format_paper_comparison(outcome))
-        print()
-    verdicts = check_claims(specs, report.outcomes)
-    for line in report_lines(verdicts):
-        print(line)
+    status = show(report)
     print(report.summary())
     if cache is not None:
         print(f"cache: {cache.root}")
-    return 1 if any(verdict.status == "fails" for verdict in verdicts) else 0
+    return status
+
+
+def _cmd_suite(args: argparse.Namespace) -> int:
+    from repro.bench.claims import check_claims, report_lines
+    from repro.bench.executor import cold_run_count
+    from repro.bench.registry import all_specs
+    from repro.bench.tables import format_paper_comparison
+
+    if args.txs is not None and args.txs < 1:
+        print(f"error: --txs must be >= 1, got {args.txs}", file=sys.stderr)
+        return 2
+    specs = [
+        spec.with_overrides(seed=args.seed, total_transactions=args.txs)
+        for spec in all_specs()
+    ]
+    specs = _select(args, specs)
+    if specs is None:
+        return 1
+    if args.list:
+        for spec in specs:
+            rendered = " ".join(f"{name}={value}" for name, value in spec.maker_args)
+            print(f"{spec.exp_id:<45} runs={spec.run_count()} {spec.maker} {rendered}")
+        print(f"{len(specs)} experiments, {cold_run_count(specs)} simulation runs when cold")
+        return 0
+
+    def show(report) -> int:
+        if not args.quiet:
+            for outcome in report.outcomes:
+                print()
+                print(format_paper_comparison(outcome))
+            print()
+        verdicts = check_claims(specs, report.outcomes)
+        for line in report_lines(verdicts):
+            print(line)
+        return 1 if any(verdict.status == "fails" for verdict in verdicts) else 0
+
+    return _run_and_report(args, specs, show)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.bench.cache import ResultCache
-    from repro.bench.executor import run_suite
     from repro.bench.matrix import (
         MatrixError,
         aggregate,
         expand,
         load_matrix,
-        select_runs,
         summary_markdown,
         write_outputs,
     )
-    from repro.bench.registry import UnknownSelectionError
 
     try:
         matrix = load_matrix(args.spec)
         runs = expand(matrix)
-    except OSError as exc:
+    except (OSError, MatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MatrixError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.only:
-        try:
-            runs = select_runs(runs, args.only.split(","))
-        except UnknownSelectionError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
+    runs = _select(
+        args,
+        runs,
+        group=lambda run: run.cell_id,
+        hint="use --dry-run to list the expanded cell ids",
+    )
+    if runs is None:
+        return 1
 
     header = (
         f"matrix {matrix.name}: {matrix.cell_count()} cells × "
@@ -266,31 +284,19 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             print(f"{run.exp_id:<58} {rendered} txs={budget}")
         print(f"{len(runs)} runs")
         return 0
-
     if not args.quiet:
         print(header)
-    if args.clear_cache:
-        store = ResultCache(args.cache_dir)
-        print(f"cleared {store.clear()} cache entries under {store.root}")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    report = run_suite(
-        [run.spec for run in runs],
-        jobs=args.jobs,
-        cache=cache,
-        progress=None if args.quiet else print,
-    )
-    outcomes = {
-        run.exp_id: outcome for run, outcome in zip(runs, report.outcomes)
-    }
-    table_path, summary_path = write_outputs(args.out, matrix, runs, outcomes)
-    if not args.quiet:
-        print()
-        print(summary_markdown(matrix, aggregate(runs, outcomes)))
-    print(report.summary())
-    if cache is not None:
-        print(f"cache: {cache.root}")
-    print(f"wrote {table_path} and {summary_path}")
-    return 0
+
+    def show(report) -> int:
+        outcomes = {run.exp_id: outcome for run, outcome in zip(runs, report.outcomes)}
+        table_path, summary_path = write_outputs(args.out, matrix, runs, outcomes)
+        if not args.quiet:
+            print()
+            print(summary_markdown(matrix, aggregate(runs, outcomes)))
+        print(f"wrote {table_path} and {summary_path}")
+        return 0
+
+    return _run_and_report(args, [run.spec for run in runs], show)
 
 
 def _slo_targets(items: list[str]):
@@ -715,8 +721,26 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=7)
     demo.set_defaults(func=_cmd_demo)
 
+    # The executor and cache flags of the two commands that call run_suite.
+    executor = argparse.ArgumentParser(add_help=False)
+    executor.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (default 1 = serial)"
+    )
+    executor.add_argument(
+        "--no-cache", action="store_true", help="disable the result cache"
+    )
+    executor.add_argument(
+        "--cache-dir",
+        default=None,
+        help="cache directory (default $REPRO_CACHE_DIR or .repro_cache)",
+    )
+    executor.add_argument(
+        "--clear-cache", action="store_true", help="drop cached results first"
+    )
+
     suite = sub.add_parser(
         "suite",
+        parents=[executor],
         help="run the paper's experiment suite (parallel, cached)",
         description=(
             "Run every registered figure/table experiment through the "
@@ -726,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
             "paper's claims (repro.bench.claims) that the selection covers "
             "and exits 1 when one fails."
         ),
-    )
-    suite.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1 = serial)"
     )
     suite.add_argument(
         "--only",
@@ -747,19 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="base seed; each experiment derives its own seed from it "
-        "(default: the registry's pinned seeds)",
-    )
-    suite.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    suite.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default $REPRO_CACHE_DIR or .repro_cache)",
-    )
-    suite.add_argument(
-        "--clear-cache", action="store_true", help="drop cached results first"
+        help="run every selected experiment at this seed, as a matrix cell "
+        "does (default: the registry's pinned seeds)",
     )
     suite.add_argument(
         "--list", action="store_true", help="list the selected experiments and exit"
@@ -771,6 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     matrix = sub.add_parser(
         "matrix",
+        parents=[executor],
         help="run a declarative experiment matrix (factors × seeds)",
         description=(
             "Expand a YAML/JSON matrix spec — the cross-product of "
@@ -792,9 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix spec file (.yaml/.yml/.json; see docs/MATRICES.md)",
     )
     matrix.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1 = serial)"
-    )
-    matrix.add_argument(
         "--only",
         default=None,
         metavar="TOKENS",
@@ -812,17 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=".",
         metavar="DIR",
         help="directory for run_table.csv and summary.md (default .)",
-    )
-    matrix.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    matrix.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default $REPRO_CACHE_DIR or .repro_cache)",
-    )
-    matrix.add_argument(
-        "--clear-cache", action="store_true", help="drop cached results first"
     )
     matrix.add_argument(
         "--quiet", action="store_true", help="only print the summary/output lines"

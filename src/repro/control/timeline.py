@@ -112,11 +112,6 @@ class ControlTimeline:
         """Canonical JSON (sorted keys, stable separators)."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ControlTimeline":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
     def digest(self) -> str:
         """sha256 over the canonical JSON — the timeline's fingerprint."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()

@@ -57,20 +57,6 @@ class TimingConfig:
     #: How long a client waits for an endorser before giving up on it.
     endorse_timeout: float = 8.0
 
-    def scaled(self, factor: float) -> "TimingConfig":
-        """A copy with every service time multiplied by ``factor``."""
-        return TimingConfig(
-            client_per_tx=self.client_per_tx * factor,
-            package_per_endorsement=self.package_per_endorsement * factor,
-            endorse_per_tx=self.endorse_per_tx * factor,
-            network_delay=self.network_delay * factor,
-            order_per_block=self.order_per_block * factor,
-            order_per_tx=self.order_per_tx * factor,
-            validate_per_tx=self.validate_per_tx * factor,
-            commit_per_block=self.commit_per_block * factor,
-            endorse_timeout=self.endorse_timeout,
-        )
-
 
 @dataclass
 class OrgConfig:

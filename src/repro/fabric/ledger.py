@@ -78,10 +78,6 @@ class Ledger:
             raise ValueError("block does not chain from current tip")
         self._blocks.append(block)
 
-    def block(self, number: int) -> Block:
-        """The block at height ``number``."""
-        return self._blocks[number]
-
     def transactions(self, include_config: bool = True) -> Iterator[Transaction]:
         """All transactions in commit order."""
         for block in self._blocks:

@@ -57,9 +57,6 @@ class StreamedRunStats:
     aborted: int
     blocks: int
     data_blocks: int
-    retries_issued: int
-    retries_recovered: int
-    retries_exhausted: int
     first_submit: float
     last_commit: float
 
@@ -418,9 +415,6 @@ class FabricNetwork:
             aborted=stream.aborts,
             blocks=stream.height,
             data_blocks=stream.data_blocks,
-            retries_issued=self.retries_issued,
-            retries_recovered=self.retries_recovered,
-            retries_exhausted=self.retries_exhausted,
             first_submit=first.submit_time,
             last_commit=(
                 stream.last_commit_time
@@ -443,7 +437,7 @@ class FabricNetwork:
         fold = RunFold()
         self.stream.add_transaction_consumer(fold)
         stats = self._pump_arrivals(sorted(requests, key=lambda r: r.submit_time))
-        return fold.result(stats, self._utilization(stats.last_commit))
+        return fold.result(stats)
 
     def run_streamed(self, requests: Iterable[TxRequest]) -> StreamedRunStats:
         """Execute a submit-time-ordered request *stream* to completion.
@@ -464,14 +458,6 @@ class FabricNetwork:
                 "request iterable up front and pass a network-only scenario)"
             )
         return self._pump_arrivals(requests)
-
-    def _utilization(self, horizon: float) -> dict[str, float]:
-        stats: dict[str, float] = {}
-        for server in self.clients.servers() + self.endorsers.servers():
-            stats[server.name] = server.stats.utilization(horizon)
-        stats["orderer"] = self.orderer.server.stats.utilization(horizon)
-        stats["validator"] = self.validator.server.stats.utilization(horizon)
-        return stats
 
 
 class _ArrivalPump:

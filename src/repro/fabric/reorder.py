@@ -49,22 +49,34 @@ class FifoScheduler:
         return list(batch), []
 
 
-def _reads_of(tx: Transaction) -> frozenset[str]:
-    return tx.rwset.read_keys
+def _precedence(batch: list[Transaction]) -> tuple[list[set[int]], list[int]]:
+    """The batch's reader-before-writer graph: ``(successors, indegree)``.
 
-
-def _writes_of(tx: Transaction) -> frozenset[str]:
-    return tx.rwset.write_keys
+    ``j`` is a successor of ``i`` whenever ``j`` writes a key ``i`` reads,
+    so ``i`` must come first (otherwise ``j``'s in-block commit bumps the
+    version and invalidates ``i``); ``indegree[j]`` counts ``j``'s
+    predecessors.
+    """
+    reads = [tx.rwset.read_keys for tx in batch]
+    writes = [tx.rwset.write_keys for tx in batch]
+    successors: list[set[int]] = [set() for _ in batch]
+    indegree = [0] * len(batch)
+    for i, read in enumerate(reads):
+        for j, write in enumerate(writes):
+            if i != j and write & read:
+                successors[i].add(j)
+                indegree[j] += 1
+    return successors, indegree
 
 
 class FabricPlusPlusScheduler:
     """Intra-block conflict-graph reordering with cycle aborts.
 
     Within a batch, transaction ``r`` must precede ``w`` whenever ``w``
-    writes a key ``r`` reads (otherwise ``w``'s in-block commit bumps the
-    version and invalidates ``r``).  We build that precedence graph, break
-    cycles greedily by aborting the transaction with the highest conflict
-    degree, and emit a topological order of the survivors.
+    writes a key ``r`` reads (:func:`_precedence`).  We build that
+    precedence graph, break cycles greedily by aborting the transaction
+    with the highest conflict degree, and emit a topological order of the
+    survivors.
     """
 
     def schedule(
@@ -74,25 +86,12 @@ class FabricPlusPlusScheduler:
         if len(batch) <= 1:
             return list(batch), []
 
-        # Precedence edges: reader -> writer (reader must come first).
-        successors: dict[int, set[int]] = {i: set() for i in range(len(batch))}
-        predecessors: dict[int, set[int]] = {i: set() for i in range(len(batch))}
-        reads = [_reads_of(tx) for tx in batch]
-        writes = [_writes_of(tx) for tx in batch]
-        for i in range(len(batch)):
-            for j in range(len(batch)):
-                if i == j:
-                    continue
-                if writes[j] & reads[i]:
-                    successors[i].add(j)
-                    predecessors[j].add(i)
-
+        successors, indegree = _precedence(batch)
         alive = set(range(len(batch)))
         aborted: list[int] = []
         order: list[int] = []
         # Kahn's algorithm with greedy cycle-breaking: when no source node
         # exists, abort the most conflicted remaining transaction.
-        indegree = {i: len(predecessors[i] & alive) for i in alive}
         while alive:
             sources = sorted(i for i in alive if indegree[i] == 0)
             if sources:
@@ -136,19 +135,7 @@ class ConflictAwareScheduler:
         if len(batch) <= 1:
             return list(batch), []
 
-        successors: dict[int, set[int]] = {i: set() for i in range(len(batch))}
-        reads = [_reads_of(tx) for tx in batch]
-        writes = [_writes_of(tx) for tx in batch]
-        indegree = {i: 0 for i in range(len(batch))}
-        for i in range(len(batch)):
-            for j in range(len(batch)):
-                if i == j:
-                    continue
-                if writes[j] & reads[i]:
-                    # Reader i must precede writer j.
-                    successors[i].add(j)
-                    indegree[j] += 1
-
+        successors, indegree = _precedence(batch)
         alive = set(range(len(batch)))
         order: list[int] = []
         while alive:

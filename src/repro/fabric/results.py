@@ -8,7 +8,7 @@ and *success rate* (successful / all issued, early aborts included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.fabric.transaction import Transaction, TxStatus
@@ -28,14 +28,10 @@ class RunResult:
     total_issued: int
     success_count: int
     failure_counts: dict[str, int]
-    makespan: float
     success_throughput: float
     avg_latency: float
-    p95_latency: float
     success_rate: float
     blocks: int
-    avg_block_size: float
-    utilization: dict[str, float] = field(default_factory=dict)
     early_aborts: int = 0
 
     def summary_row(self) -> dict[str, float]:
@@ -85,26 +81,20 @@ class RunFold:
             counts = self.failure_counts
             counts[status.value] = counts.get(status.value, 0) + 1
 
-    def result(
-        self, stats: "StreamedRunStats", utilization: dict[str, float]
-    ) -> RunResult:
+    def result(self, stats: "StreamedRunStats") -> RunResult:
         """The :class:`RunResult` of the run ``stats`` describes."""
         makespan = max(stats.last_commit - stats.first_submit, MIN_MAKESPAN)
+        # Summed in ascending order: the pinned results depend on this
+        # order of float additions.
         latencies = sorted(self.latencies)
         success = self.successes
         return RunResult(
             total_issued=stats.committed + stats.aborted,
             success_count=success,
             failure_counts=self.failure_counts,
-            makespan=makespan,
             success_throughput=success / makespan,
             avg_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-            p95_latency=latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
             success_rate=success / self.submitted if self.submitted else 0.0,
             blocks=stats.data_blocks,
-            avg_block_size=(
-                stats.committed / stats.data_blocks if stats.data_blocks else 0.0
-            ),
-            utilization=utilization,
             early_aborts=stats.aborted,
         )

@@ -131,16 +131,10 @@ class BlockchainLog:
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self.records)
 
-    def validate(self) -> None:
-        """Sanity-check invariants; raises ``ValueError`` on violation."""
-        last_order = -1
-        for record in self.records:
-            validate_record(record, last_order)
-            last_order = record.commit_order
-
 
 def validate_record(record: LogRecord, last_order: int = -1) -> None:
-    """Check one record's invariants (shared by batch and streaming paths).
+    """Check one record's invariants (:class:`~repro.logs.stream.RunStream`
+    checks every record it builds).
 
     ``last_order`` is the previous record's commit order; pass the default
     to skip the monotonicity check for an isolated record.

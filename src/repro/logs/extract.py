@@ -10,38 +10,32 @@ block count/timeout from the log) and are then dropped from the records.
 
 from __future__ import annotations
 
-from repro.fabric.ledger import Ledger
+from types import SimpleNamespace
+
 from repro.fabric.network import FabricNetwork
-from repro.logs.blockchain_log import BlockchainLog, record_from_transaction
+from repro.logs.blockchain_log import BlockchainLog, LogRecord
 from repro.logs.stream import RunStream
 
 
 def extract_blockchain_log(
-    source: FabricNetwork | Ledger, interval_seconds: float = 1.0
+    network: FabricNetwork, interval_seconds: float = 1.0
 ) -> BlockchainLog:
-    """Extract the nine-attribute blockchain log from a ledger or network.
+    """Extract the nine-attribute blockchain log of a network's kept chain.
 
-    The chain is replayed through a fresh :class:`RunStream`, which
-    numbers its transactions and folds its config transactions exactly
-    as a run's stream does (the last one to set a key wins); the
-    network's own stream and its counters are left alone.  Transactions
-    that never reached the chain are not in the log, as in a real Fabric
-    ledger.  A ledger without a config transaction raises ``ValueError``.
+    The chain is replayed once through a fresh :class:`RunStream` with a
+    record consumer on it, so each record is numbered, built and checked
+    exactly as a run's stream does it, and the config transactions are
+    folded the same way (the last one to set a key wins); the network's
+    own stream and its counters are left alone.  Transactions that never
+    reached the chain are not in the log, as in a real Fabric ledger.  A
+    chain without a config transaction raises ``ValueError``.
     """
-    ledger = source.ledger if isinstance(source, FabricNetwork) else source
-    numbering = RunStream()
-    for block in ledger:
-        numbering.accept_block(block)
-    if numbering.config is None:
+    records: list[LogRecord] = []
+    replay = RunStream().add_record_consumer(SimpleNamespace(consume=records.append))
+    for block in network.ledger:
+        replay.accept_block(block)
+    if replay.config is None:
         raise ValueError("ledger contains no configuration transaction")
-    records = [
-        record_from_transaction(tx, position)
-        for block in ledger
-        for position, tx in enumerate(block.transactions)
-        if not tx.is_config
-    ]
-    log = BlockchainLog(
-        records=records, config=numbering.config, interval_seconds=interval_seconds
+    return BlockchainLog(
+        records=records, config=replay.config, interval_seconds=interval_seconds
     )
-    log.validate()
-    return log

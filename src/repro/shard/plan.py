@@ -9,8 +9,7 @@ across channels and a transaction lives entirely inside one of them.
   front, so channel order — not floating point — decides who gets one
   more);
 * every channel derives its own seed from the plan seed and the channel
-  name via SHA-256, the same scheme :func:`repro.bench.executor.derive_seed`
-  uses for suite runs, so channels are statistically independent but
+  name via SHA-256, so channels are statistically independent but
   bit-reproducible;
 * the *global* client population — ``clients_per_org × channels``
   clients per organization — is partitioned over channels by hashing

@@ -111,7 +111,7 @@ class ChannelSummary:
 
     @property
     def makespan(self) -> float:
-        """First submission to last commit, floored like ``RunResult.makespan``."""
+        """First submission to last commit, floored at ``MIN_MAKESPAN`` like a run's."""
         return max(self.last_commit - self.first_submit, MIN_MAKESPAN)
 
     @property

@@ -3,9 +3,8 @@
 Every pipeline stage of the simulated Fabric network (client, endorsing
 peer, ordering service, validation pipeline) is a :class:`Server`: jobs
 arrive, wait in FIFO order, occupy the server for a service time, and
-the caller's callbacks fire on the kernel.  The server keeps busy-time
-and queue-wait statistics so experiments can report utilization and
-locate bottlenecks.
+the caller's callbacks fire on the kernel.  The server counts its jobs
+and their queue wait so experiments can locate bottlenecks.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ class ServerStats:
     """Aggregate counters for one :class:`Server`."""
 
     jobs: int = 0
-    busy_time: float = 0.0
     total_wait: float = 0.0
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``horizon`` the server spent serving jobs."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
 
 
 class Server:
@@ -124,7 +116,6 @@ class Server:
 
         stats = self.stats
         stats.jobs += 1
-        stats.busy_time += service_time
         stats.total_wait += start - now
         if on_start is not None:
             kernel.schedule(start, on_start)

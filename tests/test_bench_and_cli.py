@@ -210,6 +210,31 @@ class TestCli:
         assert main(["suite", *only, "--cache-dir", str(tmp_path), "--quiet"]) == 0
         assert ", 2 simulation runs," in capsys.readouterr().out
 
+    def test_suite_seed_runs_every_experiment_at_that_seed(self, capsys):
+        """``--seed N`` runs every experiment at seed N, as a matrix cell
+        does: at the registry's seed it lists what no ``--seed`` lists,
+        and at another seed the experiments that build one bundle still
+        share it."""
+        assert main(["suite", "--list"]) == 0
+        pinned = capsys.readouterr().out
+        assert main(["suite", "--list", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == pinned
+        assert main(["suite", "--list", "--seed", "3"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert listed[-1] == "106 experiments, 149 simulation runs when cold"
+
+    def test_suite_and_matrix_share_the_executor_flags(self):
+        """The four executor flags: the same names and defaults on both."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        shared = ("jobs", "no_cache", "cache_dir", "clear_cache")
+        flags = ["--jobs", "2", "--no-cache", "--cache-dir", "d", "--clear-cache"]
+        for extra, expected in (([], [1, False, None, False]), (flags, [2, True, "d", True])):
+            for argv in (["suite", *extra], ["matrix", "--spec", "m.yaml", *extra]):
+                parsed = parser.parse_args(argv)
+                assert [getattr(parsed, name) for name in shared] == expected
+
     def test_suite_runs_and_caches(self, tmp_path, capsys):
         args = [
             "suite",

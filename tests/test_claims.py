@@ -5,7 +5,7 @@ hand-built outcomes and ``suite`` on a stubbed executor."""
 import pytest
 
 from repro.bench.claims import CLAIMS, OPS, PRIMARY, check_claims, jaccard, report_lines
-from repro.bench.executor import SuiteReport, derive_seed
+from repro.bench.executor import SuiteReport
 from repro.bench.experiments import TABLE3_EXPECTED
 from repro.bench.harness import ExperimentOutcome, RunRow
 from repro.bench.registry import select
@@ -105,7 +105,7 @@ class TestEvaluator:
         assert verdicts["fig08 boost cuts latency"].status == "holds"
 
     def test_not_checked_at_a_derived_seed(self):
-        spec = VOTING.with_overrides(seed=derive_seed(3, VOTING.exp_id))
+        spec = VOTING.with_overrides(seed=3)
         verdicts = _verdicts([spec], [_voting(alteration_success=50.0)])
         assert {v.status for v in verdicts.values()} == {"not checked"}
 

@@ -119,7 +119,7 @@ def test_timeline_json_roundtrip_and_digest_stability():
     timeline = ControlTimeline(policy="guardian")
     timeline.ticks = 4
     timeline.record(_decision())
-    clone = ControlTimeline.from_json(timeline.to_json())
+    clone = ControlTimeline.from_dict(json.loads(timeline.to_json()))
     assert clone.to_dict() == timeline.to_dict()
     assert clone.digest() == timeline.digest()
     other = ControlTimeline(policy="guardian")

@@ -60,7 +60,7 @@ class TestLedger:
         ledger = Ledger()
         ledger.append(Block(number=0, transactions=[_tx(1)], previous_hash=Ledger.GENESIS_HASH))
         ledger.append(Block(number=1, transactions=[_tx(2)], previous_hash=ledger.tip_hash))
-        ledger.block(0).transactions.append(_tx(99))
+        next(iter(ledger)).transactions.append(_tx(99))
         assert not ledger.verify_chain()
 
     def test_config_filtering(self):

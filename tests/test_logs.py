@@ -1,5 +1,7 @@
 """Tests for blockchain-log extraction, export round trips, event logs."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from repro.logs import (
     log_to_csv,
     log_to_json,
 )
-from repro.logs.blockchain_log import interval_index
+from repro.logs.blockchain_log import interval_index, validate_record
 
 
 def make_record(order, activity="act", args=(), keys=(), writes=None, status=TxStatus.SUCCESS, ts=None):
@@ -80,18 +82,34 @@ class TestExtraction:
     def test_commit_order_strictly_increasing(self, finished_network):
         network, _ = finished_network
         log = extract_blockchain_log(network)
-        log.validate()
+        assert [record.commit_order for record in log] == list(range(len(log)))
+
+    def test_extraction_replays_the_live_records(self, counter_contract):
+        """One replay of the kept chain gives the records the run's own
+        stream built live, and leaves that stream's counters alone."""
+        from repro.fabric.network import FabricNetwork
+        from tests.conftest import counter_requests, small_config
+
+        live: list[LogRecord] = []
+        network = FabricNetwork(small_config(), [counter_contract])
+        network.stream.add_record_consumer(SimpleNamespace(consume=live.append))
+        network.run(counter_requests(count=200, rate=200.0))
+        streamed = network.stream.records_streamed
+        log = extract_blockchain_log(network)
+        assert log.records == live and len(live) == streamed > 0
+        assert network.stream.records_streamed == streamed
+        assert log.config == network.stream.config
 
     def test_ledger_without_config_rejected(self):
         from repro.fabric.ledger import Ledger
 
         with pytest.raises(ValueError):
-            extract_blockchain_log(Ledger())
+            extract_blockchain_log(SimpleNamespace(ledger=Ledger()))
         ledger = Ledger()
         for block in _chain([_data_tx("tx-1")]):
             ledger.append(block)
         with pytest.raises(ValueError, match="no configuration transaction"):
-            extract_blockchain_log(ledger)
+            extract_blockchain_log(SimpleNamespace(ledger=ledger))
 
     def test_last_config_wins_in_extraction_and_stream(self):
         """A later config transaction overrides only the keys it sets, and
@@ -118,7 +136,7 @@ class TestExtraction:
             block_bytes=4096,
             endorsement_policy="OutOf(1,Org1,Org2)",
         )
-        log = extract_blockchain_log(ledger)
+        log = extract_blockchain_log(SimpleNamespace(ledger=ledger))
         assert log.config == expected
         assert stream.config == expected
         assert [record.tx_id for record in log] == ["tx-1", "tx-2"]
@@ -206,13 +224,13 @@ class TestValidation:
         record = make_record(0, keys=["a"])
         record.read_versions["ghost"] = (1, 0)
         with pytest.raises(ValueError, match="read versions without keys"):
-            make_log([record]).validate()
+            validate_record(record)
 
     def test_validate_rejects_writes_without_keys(self):
         record = make_record(0, writes={"k": 1})
         record.writes["ghost"] = 2
         with pytest.raises(ValueError, match="write values without keys"):
-            make_log([record]).validate()
+            validate_record(record)
 
     def test_validate_accepts_partial_read_versions(self):
         # A version map covering only some read keys is fine (range reads
@@ -220,7 +238,7 @@ class TestValidation:
         # other way around.
         record = make_record(0, keys=["a", "b"])
         del record.read_versions["b"]
-        make_log([record]).validate()
+        validate_record(record)
 
 
 class TestExport:

@@ -15,11 +15,10 @@ from repro.bench.matrix import (
     load_matrix,
     matrix_from_dict,
     run_table_csv,
-    select_runs,
     summary_markdown,
     write_outputs,
 )
-from repro.bench.registry import UnknownSelectionError
+from repro.bench.registry import UnknownSelectionError, select
 from repro.cli import main
 
 SMALL = {
@@ -35,6 +34,12 @@ def small_matrix(**overrides) -> MatrixSpec:
     data = dict(SMALL)
     data.update(overrides)
     return matrix_from_dict(data)
+
+
+def only_runs(runs, tokens):
+    """``repro matrix --only``: the registry's matcher over expanded runs,
+    with each run's cell id as its group."""
+    return select(tokens, runs, group=lambda run: run.cell_id)
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -240,22 +245,22 @@ class TestExpansion:
 
     def test_select_runs_matches_cells_runs_and_prefixes(self):
         runs = expand(small_matrix())
-        assert [r.exp_id for r in select_runs(runs, ["tiny/default"])] == [
+        assert [r.exp_id for r in only_runs(runs, ["tiny/default"])] == [
             "tiny/default@s7",
             "tiny/default@s11",
         ]
-        assert [r.exp_id for r in select_runs(runs, ["tiny/default@s11"])] == [
+        assert [r.exp_id for r in only_runs(runs, ["tiny/default@s11"])] == [
             "tiny/default@s11"
         ]
-        assert len(select_runs(runs, ["tiny/"])) == 4
+        assert len(only_runs(runs, ["tiny/"])) == 4
 
     def test_select_runs_lists_every_unmatched_token(self):
         runs = expand(small_matrix())
         with pytest.raises(UnknownSelectionError) as excinfo:
-            select_runs(runs, ["tiny/default", "nope", "also_nope"])
+            only_runs(runs, ["tiny/default", "nope", "also_nope"])
         assert excinfo.value.unmatched == ["nope", "also_nope"]
         with pytest.raises(UnknownSelectionError, match="empty"):
-            select_runs(runs, ["", "  "])
+            only_runs(runs, ["", "  "])
 
 
 class TestStatistics:

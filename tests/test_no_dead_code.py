@@ -17,11 +17,15 @@ A use is any of:
   activities by name.  A string that stands alone as a statement (a
   docstring) does not count.
 
-Limit: uses are matched by name only, so a definition that shares its
-name with a used one passes: a ``render`` method no caller reaches passes
-while another ``render`` is called.  Methods with common names, such as
-``edges``, ``measure``, ``render`` or ``to_networkx``, are checked by
-hand.
+A method (a ``def`` in a class body) is only ever reached through an
+attribute, so a bare name does not count as its use: a ``scaled`` method
+does not pass because a module-level ``scaled`` function is called.
+
+Limit: uses are matched by name only, so a method that shares its name
+with a used attribute passes: a ``render`` method no caller reaches
+passes while another ``render`` is called.  Methods with common names,
+such as ``edges``, ``measure``, ``render`` or ``to_networkx``, are
+checked by hand.
 
 ``KEEP`` lists the names kept without a caller, each with its reason.  A
 kept name that gains a caller, or is no longer defined, fails too, like a
@@ -62,17 +66,18 @@ KEEP = {
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _definitions(path: Path) -> list[tuple[str, str]]:
-    """``(name, qualified name)`` of each public definition in ``path``."""
+def _definitions(path: Path) -> list[tuple[str, str, bool]]:
+    """``(name, qualified name, is a method)`` of each public definition in ``path``."""
     module = ".".join(path.relative_to(SOURCE.parent).with_suffix("").parts)
-    found: list[tuple[str, str]] = []
+    found: list[tuple[str, str, bool]] = []
 
     def walk(body: list[ast.stmt], prefix: str) -> None:
         for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
-                found.append((node.name, f"{module}.{prefix}{node.name}"))
+                method = bool(prefix) and not isinstance(node, ast.ClassDef)
+                found.append((node.name, f"{module}.{prefix}{node.name}", method))
             if isinstance(node, ast.ClassDef):
                 walk(node.body, f"{prefix}{node.name}.")
 
@@ -80,8 +85,9 @@ def _definitions(path: Path) -> list[tuple[str, str]]:
     return found
 
 
-def _uses(path: Path) -> set[str]:
-    """Every name ``path`` uses, by the module docstring's rule."""
+def _uses(path: Path) -> tuple[set[str], set[str]]:
+    """The names ``path`` uses, by the module docstring's rule: those used
+    as bare names, and those used as attributes, imports or in strings."""
     tree = ast.parse(path.read_text(), filename=str(path))
     skipped: set[int] = {
         id(node.value)
@@ -98,32 +104,36 @@ def _uses(path: Path) -> set[str]:
             )
             if exports:
                 skipped.update(id(node) for node in ast.walk(statement))
+    bare: set[str] = set()
     names: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(_IDENTIFIER.findall(node.value))
-    return names
+    return bare, names
 
 
 @pytest.fixture(scope="module")
 def unused() -> dict[str, list[str]]:
     """Each public name defined under ``src/repro`` that nothing uses."""
+    bare: set[str] = set()
     used: set[str] = set()
     for directory in USER_DIRS:
         for path in (REPO_ROOT / directory).rglob("*.py"):
-            used |= _uses(path)
+            path_bare, path_used = _uses(path)
+            bare |= path_bare
+            used |= path_used
     found: dict[str, list[str]] = {}
     for path in sorted(SOURCE.rglob("*.py")):
-        for name, qualname in _definitions(path):
-            if name not in used:
+        for name, qualname, method in _definitions(path):
+            if name not in used and (method or name not in bare):
                 found.setdefault(name, []).append(qualname)
     return found
 

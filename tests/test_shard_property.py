@@ -120,7 +120,7 @@ def test_merged_mean_latency_matches_brute_force(channel_data):
 @given(_channels)
 def test_makespan_spans_earliest_submit_to_latest_commit(channel_data):
     # Channels run concurrently: the stitched span is min-to-max across
-    # channels (floored like RunResult.makespan), never the per-channel sum.
+    # channels (floored at MIN_MAKESPAN), never the per-channel sum.
     stitched = _stitched(channel_data)
     first = min(data["first_submit"] for data in channel_data)
     last = max(data["first_submit"] + data["span"] for data in channel_data)

@@ -60,9 +60,9 @@ def test_idle_gap_does_not_accumulate_busy_time():
     kernel.schedule(0.0, lambda: server.submit(1.0))
     kernel.schedule(5.0, lambda: server.submit(1.0))
     kernel.run()
-    assert server.stats.busy_time == pytest.approx(2.0)
+    assert server.busy_until == 6.0
     assert server.stats.jobs == 2
-    assert server.stats.utilization(10.0) == pytest.approx(0.2)
+    assert server.stats.total_wait == 0.0
 
 
 def test_queue_delay_reflects_backlog():
@@ -100,15 +100,6 @@ def test_mean_wait_accounts_queueing():
     # Waits: 0, 1, 2
     assert server.stats.total_wait == 3.0
     assert server.stats.jobs == 3
-
-
-def test_utilization_capped_at_one():
-    kernel = Kernel()
-    server = Server(kernel, "s")
-    kernel.schedule(0.0, lambda: server.submit(10.0))
-    kernel.run()
-    assert server.stats.utilization(1.0) == 1.0
-    assert server.stats.utilization(0.0) == 0.0
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=5.0), min_size=1, max_size=30))
@@ -196,7 +187,6 @@ class _ClosureServer:
         self._busy_until = finish
 
         self.stats.jobs += 1
-        self.stats.busy_time += service_time
         self.stats.total_wait += start - now
 
         if on_start is not None:

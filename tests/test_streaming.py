@@ -733,15 +733,10 @@ def _reference_summary(network, first_submit):
         "total_issued": len(every),
         "success_count": successes,
         "failure_counts": dict(failures),
-        "makespan": makespan,
         "success_throughput": successes / makespan,
         "avg_latency": sum(latencies) / len(latencies) if latencies else 0.0,
-        "p95_latency": latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
         "success_rate": successes / submitted if submitted else 0.0,
         "blocks": len(data_blocks),
-        "avg_block_size": (
-            sum(len(block) for block in data_blocks) / len(data_blocks) if data_blocks else 0.0
-        ),
         "early_aborts": len(network.aborted),
     }
 
