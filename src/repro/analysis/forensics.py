@@ -16,8 +16,9 @@ much* failed; this module says *why*, *where* and *when*:
 * retry-traffic accounting when a
   :class:`~repro.fabric.retry.RetryPolicy` is active.
 
-Everything is a pure function of the finished
-:class:`~repro.fabric.network.FabricNetwork`, deterministic per seed;
+Every report is deterministic per seed.  ``FabricNetwork.run`` folds
+its run live into a :class:`ForensicsAccumulator` (``network.outcomes``);
+:func:`forensics_report` is the reference that walks a kept chain instead.
 :func:`report_digest` fingerprints a report for the determinism tests and
 the golden forensics file.
 """
@@ -142,7 +143,7 @@ class ForensicsReport:
     #: Transactions issued, client retries included.
     total_issued: int
     #: Denominator of failure rates: issued minus chaincode-stage aborts
-    #: (consistent with :class:`repro.fabric.results.RunFold`).
+    #: (the success rate's denominator, see :class:`OutcomeTally`).
     submitted: int
     successes: int
     failures: int
@@ -232,8 +233,10 @@ class OutcomeTally:
 
     Implements the transaction-consumer protocol (``consume``): committed
     and aborted transactions are folded in as a run surfaces them, in any
-    order.  It is the one place a finished transaction is classified —
-    :class:`ForensicsAccumulator`, the shard channel summaries and the
+    order.  It is the one place a finished transaction is classified and
+    the one place the success count and the success-rate denominator
+    (``submitted``) are kept — :class:`ForensicsAccumulator` (and through
+    it every ``RunResult``), the shard channel summaries and the
     controller's windowed monitor all count through it.  State is bounded
     by the key space and org count, never by the transaction count.
     """
@@ -286,11 +289,13 @@ class ForensicsAccumulator(OutcomeTally):
 
     An :class:`OutcomeTally` that also keeps, per transaction, one
     timestamp double and one cause byte — the bucket series needs the
-    global span before it can bin.  Every structure is insensitive to
-    consumption order (counts, sorted tops, fixed-order cause maps), so
-    feeding committed and aborted transactions interleaved — the way a
-    live run surfaces them — yields the same :class:`ForensicsReport` as
-    the historical committed-then-aborted batch pass.
+    global span before it can bin — and, per success, its latency double
+    (``RunResult.avg_latency`` sums them in ascending order).  Every
+    structure is insensitive to consumption order (counts, sorted tops,
+    fixed-order cause maps), so feeding committed and aborted
+    transactions interleaved — the way a live run surfaces them — yields
+    the same :class:`ForensicsReport` as the committed-then-aborted walk
+    of :func:`forensics_report`.
     """
 
     def __init__(self, buckets: int = DEFAULT_BUCKETS) -> None:
@@ -301,6 +306,8 @@ class ForensicsAccumulator(OutcomeTally):
         self._cause_index = {cause: i for i, cause in enumerate(CAUSES)}
         self._stamps = array("d")
         self._stamp_causes = array("b")
+        #: Latency of each successful transaction, in consumption order.
+        self.latencies = array("d")
 
     def consume(self, tx: Transaction) -> str | None:
         """Fold one finished (committed or aborted) transaction in."""
@@ -308,7 +315,11 @@ class ForensicsAccumulator(OutcomeTally):
         # this per-transaction path.
         cause = OutcomeTally.consume(self, tx)
         self._stamps.append(tx.client_timestamp)
-        self._stamp_causes.append(-1 if cause is None else self._cause_index[cause])
+        if cause is None:
+            self._stamp_causes.append(-1)
+            self.latencies.append(tx.latency)
+        else:
+            self._stamp_causes.append(self._cause_index[cause])
         return cause
 
     def finish(
@@ -420,10 +431,12 @@ def forensics_report(
 ) -> ForensicsReport:
     """Post-process a finished network into a :class:`ForensicsReport`.
 
-    Thin batch wrapper over :class:`ForensicsAccumulator` — pure and
-    deterministic: reads the ledger, the aborted set and the scenario
-    timeline; mutates nothing.  ``buckets`` controls the resolution of
-    the failure-rate series.
+    The reference walk: a fresh :class:`ForensicsAccumulator` over the
+    kept chain (the ledger, then the aborted set) and the scenario
+    timeline; mutates nothing.  A run's live ``network.outcomes`` gives
+    the same report without a chain, and the fuzzer's ``stream_batch``
+    oracle holds the two to each other.  ``buckets`` controls the
+    resolution of the failure-rate series.
     """
     accumulator = ForensicsAccumulator(buckets=buckets)
     for tx in network.ledger.transactions(include_config=False):

@@ -22,12 +22,12 @@ from repro.contracts.registry import ContractFamily
 from repro.core.apply import apply_recommendations
 from repro.core.recommendations import OptimizationKind, Recommendation
 from repro.core.recommender import AnalysisReport, BlockOptR
-from repro.core.thresholds import Thresholds
 from repro.fabric.config import NetworkConfig
-from repro.fabric.network import run_workload
+from repro.fabric.network import FabricNetwork, run_workload
 from repro.fabric.policy import parse_policy
 from repro.fabric.results import RunResult
 from repro.fabric.transaction import TxRequest
+from repro.logs.stream import RunStream
 from repro.scenario.spec import ScenarioSpec
 
 #: A factory producing one experiment's ingredients: ``(config, family,
@@ -89,7 +89,7 @@ class ExperimentOutcome:
     paper: dict[str, tuple[float, float, float]] = field(default_factory=dict)
     report: AnalysisReport | None = None
     #: One failure-forensics report (dict form, see
-    #: :func:`repro.analysis.forensics.forensics_report`) per row, in row
+    #: :class:`repro.analysis.forensics.ForensicsReport`) per row, in row
     #: order; ``None`` on outcomes hydrated from pre-forensics caches.
     forensics: list[dict] | None = None
     #: One control timeline (dict form, see
@@ -172,29 +172,28 @@ RunRecord = tuple[RunRow, dict, dict | None]
 PlanTask = tuple[str, tuple[Recommendation, ...], bool]
 
 
-def _record(row: RunRow, network) -> RunRecord:
-    from repro.analysis.forensics import forensics_report
-
-    return row, forensics_report(network).to_dict(), control_timeline_dict(network)
+def _record(row: RunRow, network: FabricNetwork) -> RunRecord:
+    """A run's record; its forensics report comes from the live outcome fold."""
+    report = network.outcomes.finish_run(network)
+    return row, report.to_dict(), control_timeline_dict(network)
 
 
 def run_baseline(
-    bundle: tuple,
-    plans: list[tuple[str, tuple[OptimizationKind, ...]]],
-    thresholds: Thresholds | None = None,
+    bundle: tuple, plans: list[tuple[str, tuple[OptimizationKind, ...]]]
 ) -> tuple[RunRecord, AnalysisReport, list[PlanTask]]:
     """Run the unoptimized workload, analyze it, and resolve every plan.
 
     Returns the baseline's record, BlockOptR's analysis report, and one
     :data:`PlanTask` per plan: each plan kind maps to the report's
     recommendation, or to :func:`default_recommendation` (and the task is
-    marked forced) when the rule did not fire.
+    marked forced) when the rule did not fire.  The baseline keeps its
+    chain: BlockOptR replays it.
     """
     config, family, requests, scenario = unpack_bundle(bundle)
     network, baseline = run_workload(
         config, family.deploy().contracts, requests, scenario=scenario
     )
-    report = BlockOptR(thresholds).analyze_network(network)
+    report = BlockOptR().analyze_network(network)
     recommended = report.recommended_kinds()
     tasks = []
     for label, kinds in plans:
@@ -211,16 +210,19 @@ def run_plan(bundle: tuple, task: PlanTask) -> RunRecord:
 
     Scenario bundles re-run under the same scenario as the baseline: the
     recommendations are evaluated under the faults they were derived from.
+    Nothing reads a plan run's chain, so its network runs on a stream of
+    its own and keeps none.
     """
     label, recs, forced = task
     config, family, requests, scenario = unpack_bundle(bundle)
     applied = apply_recommendations(list(recs), config, family, requests)
-    network, optimized = run_workload(
+    network = FabricNetwork(
         applied.config,
         applied.deployment.contracts,
-        applied.requests,
         scenario=scenario,
+        stream=RunStream(),
     )
+    optimized = network.run(applied.requests)
     row = RunRow.from_result(label, optimized, applied=applied.applied, forced=forced)
     return _record(row, network)
 
@@ -261,9 +263,7 @@ def _own_copy(record: RunRecord, label: str) -> RunRecord:
 
 
 def execute_group(
-    make: MakeBundle,
-    experiments: Sequence[Experiment],
-    thresholds: Thresholds | None = None,
+    make: MakeBundle, experiments: Sequence[Experiment]
 ) -> Iterator[tuple[ExperimentOutcome, int]]:
     """Run experiments that share one bundle, yielding each outcome in turn.
 
@@ -279,11 +279,11 @@ def execute_group(
     bundle = make()
     # Each distinct plan under one of its labels; every outcome relabels.
     distinct = {kinds: label for _, plans, _ in experiments for label, kinds in plans}
-    # One function per run, not one body: each run's network (and the
-    # chain it keeps) is freed when its step returns, so the baseline's
+    # One function per run, not one body: each run's network is freed
+    # when its step returns, so the baseline's (and the chain it keeps)
     # does not stay alive across the plan runs.
     baseline, report, tasks = run_baseline(
-        bundle, [(label, kinds) for kinds, label in distinct.items()], thresholds
+        bundle, [(label, kinds) for kinds, label in distinct.items()]
     )
     task_of = dict(zip(distinct, tasks))
     recommended = report.recommended_kinds()
@@ -305,7 +305,6 @@ def execute_experiment(
     name: str,
     make: MakeBundle,
     plans: list[tuple[str, tuple[OptimizationKind, ...]]],
-    thresholds: Thresholds | None = None,
     paper: dict[str, tuple[float, float, float]] | None = None,
 ) -> ExperimentOutcome:
     """Run one experiment: baseline, analysis, then one run per plan.
@@ -315,7 +314,7 @@ def execute_experiment(
     The baseline and every plan share one bundle from ``make``: this is
     :func:`execute_group` on a group of one.
     """
-    [(outcome, _)] = execute_group(make, [(name, plans, paper)], thresholds)
+    [(outcome, _)] = execute_group(make, [(name, plans, paper)])
     return outcome
 
 

@@ -401,7 +401,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             f"{row['avg_latency_s']:>8}{row['success_rate_pct']:>10}"
         )
     mitigated = runs.get("with mitigation")
-    if faulted.result.failure_counts:
+    if faulted.report.failures:
         summary = render_cause_summary(faulted.report.to_dict())
         print(f"failures under scenario: {summary}")
         if mitigated is not None:

@@ -3,18 +3,15 @@
 The paper's metrics section hints at analyses the rules only partially
 consume — proximity-correlation versus block size (inter- vs intra-block
 failures, which "helps to choose between inter- or intra-block transaction
-reordering strategies"), conflict-graph structure, and per-activity
-failure profiles.  This module computes those as a structured
-:class:`LogInsights` object, used by the extended report and the
-scheduler-choice ablation.
+reordering strategies") and per-activity failure profiles.  This module
+computes those as a structured :class:`LogInsights` object, used by the
+extended report and the scheduler-choice ablation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.core.metrics import LogMetrics
 
@@ -43,9 +40,6 @@ class LogInsights:
     #: FabricSharp-style windowed early abort.
     suggested_scheduler: str
     activity_profiles: dict[str, ActivityProfile]
-    #: Conflict graph: activities as nodes, culprit -> victim edges
-    #: weighted by pair counts.
-    conflict_graph: nx.DiGraph = field(repr=False, default_factory=nx.DiGraph)
 
     def top_victims(self, n: int = 3) -> list[str]:
         """Activities that fail the most as conflict victims."""
@@ -85,13 +79,6 @@ def derive_insights(metrics: LogMetrics) -> LogInsights:
     victims: Counter = Counter(pair.failed_activity for pair in pairs)
     culprits: Counter = Counter(pair.culprit_activity for pair in pairs)
 
-    graph = nx.DiGraph()
-    edge_weights: Counter = Counter(
-        (pair.culprit_activity, pair.failed_activity) for pair in pairs
-    )
-    for (culprit, victim), weight in edge_weights.items():
-        graph.add_edge(culprit, victim, weight=weight)
-
     profiles = {}
     for activity, stats in metrics.activity_stats.items():
         profiles[activity] = ActivityProfile(
@@ -117,7 +104,6 @@ def derive_insights(metrics: LogMetrics) -> LogInsights:
         distance_histogram=dict(histogram),
         suggested_scheduler=suggestion,
         activity_profiles=profiles,
-        conflict_graph=graph,
     )
 
 

@@ -36,7 +36,7 @@ from repro.fabric.ledger import Block, KeptChain, Ledger
 from repro.fabric.orderer import OrderingService
 from repro.fabric.policy import parse_policy
 from repro.fabric.reorder import make_scheduler
-from repro.fabric.results import RunFold, RunResult
+from repro.fabric.results import RunResult
 from repro.fabric.state import StateDatabase
 from repro.fabric.transaction import Transaction, TxRequest, TxStatus
 from repro.fabric.validator import ValidationPipeline, rwset_conflict
@@ -44,6 +44,7 @@ from repro.sim.kernel import ARRIVAL_PRIORITY, Kernel
 from repro.sim.rng import SimRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.forensics import ForensicsAccumulator
     from repro.logs.stream import RunStream
     from repro.scenario.spec import ScenarioSpec
 
@@ -95,6 +96,8 @@ class FabricNetwork:
                 f"policy references organizations missing from the network: {sorted(unknown)}"
             )
         self.state_db = StateDatabase()
+        #: The outcome fold :meth:`run` registers (``None`` until then).
+        self.outcomes: ForensicsAccumulator | None = None
         self._chain: KeptChain | None = None
         if stream is None:
             from repro.logs.stream import RunStream
@@ -428,16 +431,22 @@ class FabricNetwork:
 
         Applies the scenario's workload transforms, sorts the requests by
         submit time (stably) and runs them like :meth:`run_streamed`,
-        with a :class:`~repro.fabric.results.RunFold` on the stream.
+        with a :class:`~repro.analysis.forensics.ForensicsAccumulator` on
+        the stream.  It stays on the network as :attr:`outcomes`, the
+        run's one outcome fold: the :class:`RunResult` is read off it,
+        and ``outcomes.finish_run(network)`` is the run's forensics
+        report.
         """
+        from repro.analysis.forensics import ForensicsAccumulator
+
         if not requests:
             raise ValueError("empty workload")
         if self.scenario_engine is not None:
             requests = self.scenario_engine.transform_requests(requests)
-        fold = RunFold()
-        self.stream.add_transaction_consumer(fold)
+        self.outcomes = ForensicsAccumulator()
+        self.stream.add_transaction_consumer(self.outcomes)
         stats = self._pump_arrivals(sorted(requests, key=lambda r: r.submit_time))
-        return fold.result(stats)
+        return RunResult.from_outcomes(self.outcomes, stats)
 
     def run_streamed(self, requests: Iterable[TxRequest]) -> StreamedRunStats:
         """Execute a submit-time-ordered request *stream* to completion.

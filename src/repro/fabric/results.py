@@ -3,7 +3,8 @@
 Mirrors what the paper reports for every experiment: *success throughput*
 (committed successful transactions per second of run makespan), *average
 latency* of successful transactions (client submission to block commit),
-and *success rate* (successful / all issued, early aborts included).
+and *success rate* (successful / submitted: every issued transaction but
+the chaincode-stage aborts, which never reached ordering).
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fabric.transaction import Transaction, TxStatus
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.analysis.forensics import ForensicsAccumulator
     from repro.fabric.network import StreamedRunStats
 
 #: Makespan floor when computing throughput, so an empty or instant run
@@ -27,12 +27,40 @@ class RunResult:
 
     total_issued: int
     success_count: int
-    failure_counts: dict[str, int]
     success_throughput: float
     avg_latency: float
     success_rate: float
     blocks: int
     early_aborts: int = 0
+
+    @staticmethod
+    def from_outcomes(
+        outcomes: "ForensicsAccumulator", stats: "StreamedRunStats"
+    ) -> "RunResult":
+        """The result of the run ``stats`` describes, read off its outcome fold.
+
+        ``FabricNetwork.run`` keeps the fold as ``network.outcomes``; the
+        transaction and block counts and the last commit come from the
+        run's ``StreamedRunStats``.  Like Caliper, the success rate's
+        denominator (``outcomes.submitted``) excludes endorsement-stage
+        aborts, which never reached ordering (they still count in
+        ``early_aborts``).
+        """
+        makespan = max(stats.last_commit - stats.first_submit, MIN_MAKESPAN)
+        # Summed in ascending order: the pinned results depend on this
+        # order of float additions.
+        latencies = sorted(outcomes.latencies)
+        success = outcomes.successes
+        submitted = outcomes.submitted
+        return RunResult(
+            total_issued=stats.committed + stats.aborted,
+            success_count=success,
+            success_throughput=success / makespan,
+            avg_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+            success_rate=success / submitted if submitted else 0.0,
+            blocks=stats.data_blocks,
+            early_aborts=stats.aborted,
+        )
 
     def summary_row(self) -> dict[str, float]:
         """The three headline numbers, as the paper's figures report them."""
@@ -48,53 +76,4 @@ class RunResult:
             f"tput={row['success_throughput_tps']} tps "
             f"lat={row['avg_latency_s']} s "
             f"success={row['success_rate_pct']}%"
-        )
-
-
-class RunFold:
-    """Transaction consumer that folds a run into its :class:`RunResult`.
-
-    ``FabricNetwork.run`` registers one on the network's stream; the
-    transaction and block counts and the last commit come from the run's
-    ``StreamedRunStats``.  Like Caliper, the success rate's denominator
-    excludes endorsement-stage aborts, which never reached ordering
-    (they still count in ``early_aborts``).
-    """
-
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.successes = 0
-        self.latencies: list[float] = []
-        self.failure_counts: dict[str, int] = {}
-
-    def consume(self, tx: Transaction) -> None:
-        """Fold one finished transaction in, committed or aborted."""
-        if tx.abort_stage != "endorsement":
-            self.submitted += 1
-        status = tx.status
-        if status is TxStatus.SUCCESS:
-            self.successes += 1
-            latency = tx.latency
-            if latency is not None:
-                self.latencies.append(latency)
-        else:
-            counts = self.failure_counts
-            counts[status.value] = counts.get(status.value, 0) + 1
-
-    def result(self, stats: "StreamedRunStats") -> RunResult:
-        """The :class:`RunResult` of the run ``stats`` describes."""
-        makespan = max(stats.last_commit - stats.first_submit, MIN_MAKESPAN)
-        # Summed in ascending order: the pinned results depend on this
-        # order of float additions.
-        latencies = sorted(self.latencies)
-        success = self.successes
-        return RunResult(
-            total_issued=stats.committed + stats.aborted,
-            success_count=success,
-            failure_counts=self.failure_counts,
-            success_throughput=success / makespan,
-            avg_latency=sum(latencies) / len(latencies) if latencies else 0.0,
-            success_rate=success / self.submitted if self.submitted else 0.0,
-            blocks=stats.data_blocks,
-            early_aborts=stats.aborted,
         )

@@ -21,9 +21,9 @@ registered before the run:
 
 ``finish()`` semantics are left to each accumulator — the stream never
 calls it, the harvesting caller does.  The accumulators in
-:mod:`repro.core.metrics`, :mod:`repro.analysis.forensics`,
-:mod:`repro.control.monitor` and :mod:`repro.fabric.results` implement
-these protocols; see docs/SCALING.md for the full contract.
+:mod:`repro.core.metrics`, :mod:`repro.analysis.forensics` and
+:mod:`repro.control.monitor` implement these protocols; see
+docs/SCALING.md for the full contract.
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ Oracles (each returns a list of violation strings, empty = pass):
     --check-determinism`` applies the same check to its last row.
 ``stream_batch``
     Within one run, the live stream consumers must agree with the
-    post-run readers: a :class:`~repro.analysis.forensics
-    .ForensicsAccumulator` registered on the network's stream produces
+    post-run readers: the run's outcome fold (``network.outcomes``, the
+    :class:`~repro.analysis.forensics.ForensicsAccumulator` that
+    :meth:`~repro.fabric.network.FabricNetwork.run` registers) produces
     the :class:`~repro.analysis.forensics.ForensicsReport` digest of
-    :func:`~repro.analysis.forensics.forensics_report`, and a live
-    :class:`~repro.core.metrics.MetricsAccumulator` produces the
-    :class:`~repro.core.metrics.LogMetrics` BlockOptR reads back from the
-    run's exported CSV log.
+    :func:`~repro.analysis.forensics.forensics_report`, the walk of the
+    kept chain, and a live :class:`~repro.core.metrics.MetricsAccumulator`
+    produces the :class:`~repro.core.metrics.LogMetrics` BlockOptR reads
+    back from the run's exported CSV log.
 ``conservation``
     Transaction counts must balance: every issued transaction (original
     or retry) ends exactly once — committed or aborted — and the
@@ -60,7 +61,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.forensics import (
     CAUSES,
-    ForensicsAccumulator,
     ForensicsReport,
     forensics_report,
     report_digest,
@@ -303,12 +303,13 @@ def execute(
 
     The arguments are a run bundle (see
     :data:`repro.bench.harness.MakeBundle`), so ``execute(*make())``
-    runs any bundle factory's output.
+    runs any bundle factory's output.  The forensics report comes from
+    the run's live outcome fold (``network.outcomes``).
     """
     network = FabricNetwork(config, family.deploy().contracts, scenario=scenario)
     trace = network.kernel.enable_trace()
     result = network.run(list(requests))
-    report = forensics_report(network)
+    report = network.outcomes.finish_run(network)
     return Execution(
         network=network,
         result=result,
@@ -401,13 +402,12 @@ class FuzzHarness:
         network = FabricNetwork(
             self.network_config, self._family.deploy().contracts, scenario=spec
         )
-        forensics = ForensicsAccumulator()
         metrics = MetricsAccumulator()
-        network.stream.add_transaction_consumer(forensics).add_record_consumer(metrics)
+        network.stream.add_record_consumer(metrics)
         network.run(list(self.requests))
 
         violations = []
-        live = report_digest(forensics.finish_run(network))
+        live = report_digest(network.outcomes.finish_run(network))
         if live != report_digest(forensics_report(network)):
             violations.append("live forensics digest != forensics_report digest")
         metrics.config = network.stream.config

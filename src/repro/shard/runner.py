@@ -80,10 +80,6 @@ def _split_send_rate(spec, channels: int) -> None:
         spec.send_rate_phases = [
             (count, rate / channels) for count, rate in spec.send_rate_phases
         ]
-    if spec.send_rate_profile is not None:
-        spec.send_rate_profile = [
-            (start, rate / channels) for start, rate in spec.send_rate_profile
-        ]
 
 
 def run_sharded(plan: ShardPlan, progress: Progress | None = None) -> StitchedSummary:

@@ -58,8 +58,6 @@ CONTROL_PRIORITY = -2
 #: ``t``, and still after the interventions and controller ticks at ``t``.
 ARRIVAL_PRIORITY = -1
 
-_INF = float("inf")
-
 
 class Event:
     """The cancellation handle :meth:`Kernel.schedule_cancellable` returns.
@@ -209,34 +207,19 @@ class Kernel:
             self._trace = []
         return self._trace
 
-    def run(self, until: float | None = None) -> None:
+    def run(self) -> None:
         """Drain the event heap.
-
-        ``until`` stops the clock once the next event would fire strictly
-        after that time (the event stays queued); an ``until`` before
-        ``now`` raises ``ValueError``, since the clock never runs
-        backwards.
 
         The loop body is the hottest code in the simulator: a fired event
         costs one ``heappop``, one lookup among the cancellable handles,
         the clock store and the callback itself.  A cancelled event is
-        dropped before it is counted or traced.  The event past ``until``
-        is popped and pushed back, which leaves the heap's order intact
-        (keys are unique) and keeps a peek out of the loop.
+        dropped before it is counted or traced.
         """
-        if until is not None and until < self.now:
-            raise ValueError(
-                f"cannot run until {until:.6f} before now={self.now:.6f}"
-            )
-        limit = _INF if until is None else until
         heap = self._heap
         handles = self._handles
         pop = heappop
         while heap:
             time, priority, seq, action = pop(heap)
-            if time > limit:
-                heappush(heap, (time, priority, seq, action))
-                break
             if seq in handles and handles.pop(seq).cancelled:
                 self._cancelled_queued -= 1
                 self._dropped += 1
@@ -245,8 +228,6 @@ class Kernel:
             if self._trace is not None:
                 self._trace.append((time, priority, seq))
             action()
-        if until is not None and until > self.now:
-            self.now = until
 
     def pending(self) -> int:
         """Number of queued, non-cancelled events (O(1))."""

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def zipf_weights(n: int, skew: float) -> np.ndarray:
@@ -74,7 +72,6 @@ class SimRng:
         self.seed = seed
         self._root = np.random.SeedSequence(seed)
         self._streams: dict[str, np.random.Generator] = {}
-        self._samplers: dict[tuple[str, int, float], WeightedSampler] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``.
@@ -89,35 +86,3 @@ class SimRng:
             )
             self._streams[name] = np.random.default_rng(child)
         return self._streams[name]
-
-    def choice(self, name: str, items: Sequence[T], weights: np.ndarray | None = None) -> T:
-        """Draw one item from ``items`` on stream ``name``."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        gen = self.stream(name)
-        index = int(gen.choice(len(items), p=weights))
-        return items[index]
-
-    def zipf_index(self, name: str, n: int, skew: float) -> int:
-        """Draw an index in ``0..n-1`` with Zipf(skew) weights.
-
-        The Zipf CDF for each ``(name, n, skew)`` triple is built once and
-        reused (see :class:`WeightedSampler`); the draws are identical to
-        the original per-call ``choice(n, p=zipf_weights(n, skew))``.
-        """
-        key = (name, n, skew)
-        sampler = self._samplers.get(key)
-        if sampler is None:
-            sampler = WeightedSampler(self.stream(name), zipf_weights(n, skew))
-            self._samplers[key] = sampler
-        return sampler.draw()
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """Uniform float on ``[low, high)`` from stream ``name``."""
-        return float(self.stream(name).uniform(low, high))
-
-    def exponential(self, name: str, mean: float) -> float:
-        """Exponential variate with the given mean."""
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean!r}")
-        return float(self.stream(name).exponential(mean))

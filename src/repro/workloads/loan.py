@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.contracts.registry import ContractDeployment, loan_family
 from repro.fabric.config import NetworkConfig
 from repro.fabric.transaction import TxRequest
-from repro.sim.rng import SimRng
+from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
 from repro.workloads.schedule import constant_rate_times
 from repro.workloads.usecases import UseCaseSpec
 
@@ -68,11 +68,14 @@ def generate_loan_event_log(
     rng = SimRng(seed)
     outcome_stream = rng.stream("loan-outcome")
     handoff_stream = rng.stream("loan-handoff")
+    employees = WeightedSampler(
+        rng.stream("loan-employee"), zipf_weights(num_employees, employee_skew)
+    )
 
     per_application: list[list[tuple[str, str, str, float]]] = []
     for app_index in range(num_applications):
         app_id = f"APP{app_index:06d}"
-        main_employee = f"EMP{rng.zipf_index('loan-employee', num_employees, employee_skew) + 1:03d}"
+        main_employee = f"EMP{employees.draw() + 1:03d}"
         loan_type = LOAN_TYPES[int(outcome_stream.integers(0, len(LOAN_TYPES)))]
         amount = float(outcome_stream.integers(1, 500)) * 1000.0
 

@@ -76,10 +76,6 @@ class ControlVariables:
     send_rate: float = 300.0
     #: Optional phased schedule [(tx_count, rate), ...]; overrides send_rate.
     send_rate_phases: list[tuple[int, float]] | None = None
-    #: Optional duration-based rate profile [(seconds, rate), ...]; the last
-    #: segment extends indefinitely.  Overrides both send_rate and
-    #: send_rate_phases — the scenario engine's native schedule form.
-    send_rate_profile: list[tuple[float, float]] | None = None
     #: Fraction of transactions pinned to Org1's clients (0.7 = "70%").
     tx_dist_skew: float = 0.0
     total_transactions: int = 10_000

@@ -12,12 +12,8 @@ from __future__ import annotations
 from repro.contracts.registry import ContractDeployment, genchain_family
 from repro.fabric.config import NetworkConfig
 from repro.fabric.transaction import TxRequest
-from repro.sim.rng import SimRng, WeightedSampler
-from repro.workloads.schedule import (
-    constant_rate_times,
-    phased_times,
-    piecewise_rate_times,
-)
+from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
+from repro.workloads.schedule import phased_times
 from repro.workloads.spec import ControlVariables, GENCHAIN_ACTIVITIES, type_mix
 
 #: Width (in key ranks) of each range_read window.
@@ -38,9 +34,13 @@ def zipf_exponent(key_dist_skew: float) -> float:
     return key_dist_skew - 1.0
 
 
-def _submit_times(spec: ControlVariables) -> list[float]:
-    if spec.send_rate_profile is not None:
-        return piecewise_rate_times(spec.total_transactions, spec.send_rate_profile)
+def _submit_time_stream(spec: ControlVariables):
+    """Submit times one at a time.
+
+    A phased schedule is precomputed (its closed form needs the whole
+    phase table); the constant-rate default — the only schedule that
+    matters at million-transaction scale — is O(1).
+    """
     if spec.send_rate_phases is not None:
         times = phased_times(spec.send_rate_phases)
         if len(times) != spec.total_transactions:
@@ -48,19 +48,7 @@ def _submit_times(spec: ControlVariables) -> list[float]:
                 f"phases cover {len(times)} transactions, "
                 f"spec expects {spec.total_transactions}"
             )
-        return times
-    return constant_rate_times(spec.total_transactions, spec.send_rate)
-
-
-def _submit_time_stream(spec: ControlVariables):
-    """Submit times one at a time, identical to ``_submit_times``.
-
-    Phased/profiled schedules are inherently precomputed (their closed
-    forms need the whole phase table); the constant-rate default — the
-    only schedule that matters at million-transaction scale — is O(1).
-    """
-    if spec.send_rate_profile is not None or spec.send_rate_phases is not None:
-        yield from _submit_times(spec)
+        yield from times
         return
     rate = spec.send_rate
     for index in range(spec.total_transactions):
@@ -105,26 +93,32 @@ def iter_synthetic_requests(spec: ControlVariables, contract_name: str):
     times = _submit_time_stream(spec)
     invokers = _invoker_org_stream(spec, rng)
     activity_sampler = WeightedSampler(rng.stream("activity-mix"), weights)
-    exponent = zipf_exponent(spec.key_dist_skew)
+    # One Zipf key sampler per named stream, each drawing only when its
+    # activity comes up.
+    key_weights = zipf_weights(spec.num_keys, zipf_exponent(spec.key_dist_skew))
+    insert_rank, range_start, read_key, update_key, delete_key = (
+        WeightedSampler(rng.stream(name), key_weights)
+        for name in ("insert-rank", "range-start", "key-read", "key-update", "key-delete")
+    )
     insert_counter = 0
     for index in range(spec.total_transactions):
         activity = activities[activity_sampler.draw()]
         if activity == "write":
             # Inserts: fresh keys interleaved into the existing key space so
             # range windows see new members (phantoms).
-            rank = rng.zipf_index("insert-rank", spec.num_keys, exponent)
+            rank = insert_rank.draw()
             args: tuple = (f"key{rank:06d}x{insert_counter:06d}", index)
             insert_counter += 1
         elif activity == "range_read":
-            start = rng.zipf_index("range-start", spec.num_keys, exponent)
+            start = range_start.draw()
             end = min(start + RANGE_WINDOW, spec.num_keys)
             args = (f"key{start:06d}", f"key{end:06d}")
         elif activity == "update":
-            rank = rng.zipf_index(f"key-{activity}", spec.num_keys, exponent)
-            args = (f"key{rank:06d}", index)
+            args = (f"key{update_key.draw():06d}", index)
+        elif activity == "read":
+            args = (f"key{read_key.draw():06d}",)
         else:
-            rank = rng.zipf_index(f"key-{activity}", spec.num_keys, exponent)
-            args = (f"key{rank:06d}",)
+            args = (f"key{delete_key.draw():06d}",)
         yield TxRequest(
             submit_time=next(times),
             activity=activity,

@@ -26,7 +26,7 @@ from repro.contracts.registry import (
 )
 from repro.fabric.config import NetworkConfig, TimingConfig, default_orgs
 from repro.fabric.transaction import TxRequest
-from repro.sim.rng import SimRng
+from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
 from repro.workloads.schedule import constant_rate_times, phased_times
 
 
@@ -190,6 +190,7 @@ def drm_workload(
     contract_name = contract.name
 
     mix_stream = rng.stream("drm-mix")
+    tracks = WeightedSampler(rng.stream("drm-track"), zipf_weights(num_tracks, track_skew))
     times = constant_rate_times(spec.total_transactions, spec.send_rate)
     requests: list[TxRequest] = []
     created = 0
@@ -204,8 +205,7 @@ def drm_workload(
             args: tuple = (f"M9{created:04d}",)
             created += 1
         else:
-            track = rng.zipf_index("drm-track", num_tracks, track_skew)
-            args = (f"M{track:05d}",)
+            args = (f"M{tracks.draw():05d}",)
         requests.append(
             TxRequest(
                 submit_time=times[index],
@@ -240,10 +240,13 @@ def ehr_workload(
     contract_name = deployment.contracts[0].name
 
     mix_stream = rng.stream("ehr-mix")
+    patients = WeightedSampler(
+        rng.stream("ehr-patient"), zipf_weights(num_patients, patient_skew)
+    )
     times = constant_rate_times(spec.total_transactions, spec.send_rate)
     requests: list[TxRequest] = []
     for index in range(spec.total_transactions):
-        patient = f"PT{rng.zipf_index('ehr-patient', num_patients, patient_skew):05d}"
+        patient = f"PT{patients.draw():05d}"
         institute = EHR_INSTITUTES[int(mix_stream.integers(0, len(EHR_INSTITUTES)))]
         roll = mix_stream.random()
         if roll < update_fraction:

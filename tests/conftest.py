@@ -49,6 +49,17 @@ class CounterContract(Contract):
         ctx.delete_state(key)
 
 
+def caused(network: FabricNetwork, prefix: str) -> int:
+    """Failures of ``network``'s run whose taxonomy cause starts with ``prefix``
+    (``"policy_"``: endorsement-policy failures; ``"early_abort_"``: early
+    aborts), read off the run's outcome fold."""
+    return sum(
+        count
+        for cause, count in network.outcomes.cause_counts.items()
+        if cause.startswith(prefix)
+    )
+
+
 def small_config(**overrides) -> NetworkConfig:
     """A 2-org network with fast timing for unit tests."""
     defaults = dict(

@@ -13,7 +13,6 @@ from repro.bench.experiments import make_loan, make_synthetic, make_usecase, syn
 from repro.core import BlockOptR, OptimizationKind as K, apply_recommendations
 from repro.core.thresholds import Thresholds
 from repro.fabric import run_workload
-from repro.fabric.transaction import TxStatus
 from repro.mining import Relation, model_diff
 from repro.workloads import synthetic_workload
 
@@ -275,8 +274,8 @@ class TestAblations:
             make = _synthetic_800("key_dist_skew_2", scheduler="fabricsharp", block_count=10)
             config, family, requests = make()
             config.scheduler_window = window
-            _, result = run_workload(config, family.deploy().contracts, requests)
-            mvcc = result.failure_counts.get(TxStatus.MVCC_CONFLICT.value, 0)
+            network, result = run_workload(config, family.deploy().contracts, requests)
+            mvcc = network.outcomes.cause_counts["mvcc_conflict"]
             by_window[window] = (result.early_aborts, mvcc)
         assert by_window[20][0] > by_window[1][0]
         assert by_window[20][1] < by_window[1][1]

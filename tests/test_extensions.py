@@ -69,11 +69,6 @@ class TestInsights:
     def test_scheduler_suggestion_valid(self, drm_insights):
         assert drm_insights.suggested_scheduler in ("fabricpp", "fabricsharp", "none")
 
-    def test_conflict_graph_edges_weighted(self, drm_insights):
-        graph = drm_insights.conflict_graph
-        assert graph.number_of_edges() > 0
-        assert all("weight" in data for _, _, data in graph.edges(data=True))
-
     def test_render_insights_readable(self, drm_insights):
         text = render_insights(drm_insights)
         assert "intra-block failure share" in text

@@ -12,7 +12,7 @@ from tests.conftest import CounterContract, counter_requests, small_config
 def test_all_transactions_accounted(finished_network):
     network, result = finished_network
     assert result.total_issued == 200
-    assert result.success_count + sum(result.failure_counts.values()) == 200
+    assert result.success_count + sum(network.outcomes.cause_counts.values()) == 200
 
 
 def test_ledger_chain_valid(finished_network):
@@ -67,7 +67,7 @@ def test_concurrent_bumps_conflict(counter_contract):
     final = network.state_db.namespace("counter").get("ctr:0000").value
     # State must equal the number of SUCCESSFUL increments (serializability).
     assert final == result.success_count
-    assert result.failure_counts.get(TxStatus.MVCC_CONFLICT.value, 0) > 0
+    assert network.outcomes.cause_counts["mvcc_conflict"] > 0
 
 
 def test_phantom_conflict_on_insert_during_scan(counter_contract):
@@ -134,11 +134,11 @@ def test_unknown_mitigation_rejected(counter_contract):
 
 def test_determinism_same_seed(counter_contract):
     requests = counter_requests(count=150, rate=300.0)
-    _, r1 = run_workload(small_config(), [CounterContract()], list(requests))
-    _, r2 = run_workload(small_config(), [CounterContract()], list(requests))
+    n1, r1 = run_workload(small_config(), [CounterContract()], list(requests))
+    n2, r2 = run_workload(small_config(), [CounterContract()], list(requests))
     assert r1.success_count == r2.success_count
     assert r1.avg_latency == r2.avg_latency
-    assert r1.failure_counts == r2.failure_counts
+    assert n1.outcomes.cause_counts == n2.outcomes.cause_counts
 
 
 def test_block_cutting_by_count(counter_contract):

@@ -7,7 +7,7 @@ from repro.fabric.config import TimingConfig
 from repro.fabric.network import run_workload
 from repro.fabric.transaction import ReadWriteSet, TxRequest, TxStatus, TxType
 
-from tests.conftest import CounterContract, small_config
+from tests.conftest import CounterContract, caused, small_config
 
 
 def _statuses(network):
@@ -94,7 +94,7 @@ def test_endorsement_timeout_produces_policy_failure():
         for i in range(10)
     ]
     network, result = run_workload(config, [CounterContract()], requests)
-    assert result.failure_counts.get(TxStatus.ENDORSEMENT_FAILURE.value, 0) > 0
+    assert caused(network, "policy_") > 0
 
 
 def test_missing_endorsements_recorded():
@@ -178,7 +178,7 @@ def test_fabricsharp_early_aborts_counted():
     if result.early_aborts:
         assert all(tx.abort_stage == "ordering" for tx in network.aborted)
         # Ordering-stage aborts stay in the success-rate denominator.
-        assert result.failure_counts.get(TxStatus.EARLY_ABORT.value, 0) == result.early_aborts
+        assert caused(network, "early_abort_") == result.early_aborts
 
 
 class _AbortsAfterRecording(CounterContract):

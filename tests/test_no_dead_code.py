@@ -19,13 +19,16 @@ A use is any of:
 
 A method (a ``def`` in a class body) is only ever reached through an
 attribute, so a bare name does not count as its use: a ``scaled`` method
-does not pass because a module-level ``scaled`` function is called.
+does not pass because a module-level ``scaled`` function is called.  A
+use inside a definition of the same name does not count either: a method
+that calls ``.exponential`` on a generator is not a use of itself, and a
+recursive function does not keep itself alive.
 
 Limit: uses are matched by name only, so a method that shares its name
 with a used attribute passes: a ``render`` method no caller reaches
 passes while another ``render`` is called.  Methods with common names,
-such as ``edges``, ``measure``, ``render`` or ``to_networkx``, are
-checked by hand.
+such as ``edges``, ``measure``, ``render`` or ``choice``, are checked by
+hand.
 
 ``KEEP`` lists the names kept without a caller, each with its reason.  A
 kept name that gains a caller, or is no longer defined, fails too, like a
@@ -87,7 +90,8 @@ def _definitions(path: Path) -> list[tuple[str, str, bool]]:
 
 def _uses(path: Path) -> tuple[set[str], set[str]]:
     """The names ``path`` uses, by the module docstring's rule: those used
-    as bare names, and those used as attributes, imports or in strings."""
+    as bare names, and those used as attributes, imports or in strings,
+    each outside every definition of that name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     skipped: set[int] = {
         id(node.value)
@@ -106,17 +110,25 @@ def _uses(path: Path) -> tuple[set[str], set[str]]:
                 skipped.update(id(node) for node in ast.walk(statement))
     bare: set[str] = set()
     names: set[str] = set()
-    for node in ast.walk(tree):
+
+    def walk(node: ast.AST, inside: frozenset[str]) -> None:
+        """Collect the uses under ``node``, within the definitions ``inside``."""
         if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Name):
-            bare.add(node.id)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            bare.update({node.id} - inside)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names.update({node.attr} - inside)
         elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
+            names.update(set(node.name.split(".")) - inside)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(_IDENTIFIER.findall(node.value))
+            names.update(set(_IDENTIFIER.findall(node.value)) - inside)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
     return bare, names
 
 

@@ -12,7 +12,7 @@ from repro.fabric.network import FabricNetwork, run_workload
 from repro.scenario import Intervention, ScenarioSpec, get_scenario, scenario_names
 from repro.workloads.schedule import compress_window, piecewise_rate_times
 
-from tests.conftest import CounterContract, counter_requests, small_config
+from tests.conftest import CounterContract, caused, counter_requests, small_config
 
 
 def _bundle(total=400, experiment="default"):
@@ -230,7 +230,7 @@ class TestSpecValidationHardening:
 
 class TestNetworkInterventions:
     def test_crash_causes_endorsement_failures_until_recovery(self):
-        _, baseline = _run()
+        base_network, _ = _run()
         crash = ScenarioSpec(
             name="crash",
             interventions=(
@@ -238,8 +238,8 @@ class TestNetworkInterventions:
             ),
         )
         network, result = _run(crash)
-        assert "endorsement_policy_failure" not in baseline.failure_counts
-        assert result.failure_counts.get("endorsement_policy_failure", 0) > 0
+        assert caused(base_network, "policy_") == 0
+        assert caused(network, "policy_") > 0
         # Recovery happened: transactions after the window still succeed.
         assert result.success_count > 0
         kinds = [kind for _, kind, _ in network.scenario_engine.timeline]
@@ -259,10 +259,10 @@ class TestNetworkInterventions:
                 Intervention(kind="peer_recover", at=0.7, target="Org2-peer0"),
             ),
         )
-        _, a = _run(auto)
-        _, b = _run(explicit)
+        net_a, a = _run(auto)
+        net_b, b = _run(explicit)
         assert a.summary_row() == b.summary_row()
-        assert a.failure_counts == b.failure_counts
+        assert net_a.outcomes.cause_counts == net_b.outcomes.cause_counts
 
     def test_endorser_slowdown_raises_latency_and_restores(self):
         _, baseline = _run()
@@ -309,9 +309,9 @@ class TestNetworkInterventions:
             name="dead",
             interventions=(Intervention(kind="peer_crash", at=0.0),),
         )
-        _, result = _run(dead)
+        network, result = _run(dead)
         assert result.success_count == 0
-        assert result.failure_counts.get("endorsement_policy_failure", 0) > 0
+        assert caused(network, "policy_") > 0
 
     def test_unknown_target_raises_at_install_time(self):
         config, contracts, requests = _bundle()
@@ -340,7 +340,7 @@ class TestNetworkInterventions:
         result = network.run(counter_requests(count=60, rate=200.0))
         assert crashed.stats.jobs == 0
         assert healthy.stats.jobs > 0
-        assert "endorsement_policy_failure" not in result.failure_counts
+        assert caused(network, "policy_") == 0
         assert result.success_count > 0
 
 
@@ -382,7 +382,7 @@ class TestWorkloadTransforms:
         assert result.avg_latency >= baseline.avg_latency
 
     def test_conflict_storm_inflates_mvcc_conflicts(self):
-        _, baseline = _run(experiment="workload_update_heavy")
+        base_network, _ = _run(experiment="workload_update_heavy")
         storm = ScenarioSpec(
             name="storm",
             interventions=(
@@ -395,10 +395,11 @@ class TestWorkloadTransforms:
                 ),
             ),
         )
-        _, result = _run(storm, experiment="workload_update_heavy")
-        assert result.failure_counts.get(
-            "mvcc_read_conflict", 0
-        ) > baseline.failure_counts.get("mvcc_read_conflict", 0)
+        network, _ = _run(storm, experiment="workload_update_heavy")
+        assert (
+            network.outcomes.cause_counts["mvcc_conflict"]
+            > base_network.outcomes.cause_counts["mvcc_conflict"]
+        )
 
     def test_conflict_storm_retargets_requested_fraction(self):
         from repro.scenario.engine import _conflict_storm
@@ -435,19 +436,6 @@ class TestWorkloadTransforms:
             piecewise_rate_times(5, [(0.0, 10.0)])
         with pytest.raises(ValueError, match="rate"):
             piecewise_rate_times(5, [(1.0, 0.0)])
-
-    def test_control_variables_send_rate_profile(self):
-        from repro.workloads.spec import ControlVariables
-        from repro.workloads.synthetic import synthetic_workload
-
-        spec = ControlVariables(
-            total_transactions=20, send_rate_profile=[(0.05, 100.0), (1.0, 400.0)]
-        )
-        _, _, requests = synthetic_workload(spec)
-        times = [r.submit_time for r in requests]
-        assert len(times) == 20
-        assert times[:5] == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04])
-        assert times[6] - times[5] == pytest.approx(1 / 400.0)
 
 
 # -- bench and CLI integration ---------------------------------------------------------

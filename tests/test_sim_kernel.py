@@ -66,41 +66,6 @@ def test_cancelled_event_does_not_fire():
     assert kernel.events_processed == 0
 
 
-def test_run_until_stops_clock():
-    kernel = Kernel()
-    fired = []
-    kernel.schedule(1.0, lambda: fired.append(1))
-    kernel.schedule(10.0, lambda: fired.append(10))
-    kernel.run(until=5.0)
-    assert fired == [1]
-    assert kernel.now == 5.0
-    kernel.run()
-    assert fired == [1, 10]
-
-
-def test_run_until_past_all_events_advances_clock():
-    kernel = Kernel()
-    kernel.schedule(1.0, lambda: None)
-    kernel.run(until=7.0)
-    assert kernel.now == 7.0
-
-
-def test_run_until_before_now_raises_instead_of_rewinding_the_clock():
-    kernel = Kernel()
-    fired = []
-    kernel.schedule(10.0, lambda: fired.append(10))
-    kernel.schedule(20.0, lambda: fired.append(20))
-    kernel.run(until=15.0)
-    with pytest.raises(ValueError, match="before now"):
-        kernel.run(until=5.0)
-    assert kernel.now == 15.0
-    # The clock did not move back, so 7.0 is still in the past.
-    with pytest.raises(ValueError):
-        kernel.schedule(7.0, lambda: fired.append(7))
-    kernel.run()
-    assert fired == [10, 20]
-
-
 def test_events_scheduled_during_run_are_processed():
     kernel = Kernel()
     fired = []
@@ -164,15 +129,16 @@ def test_pending_tracks_cancel_then_pop():
     not decrement again.
     """
     kernel = Kernel()
+    seen = []
     cancelled = kernel.schedule_cancellable(1.0, lambda: None)
-    kernel.schedule(2.0, lambda: None)
+    kernel.schedule(2.0, lambda: seen.append(kernel.pending()))
     kernel.schedule(3.0, lambda: None)
     assert kernel.pending() == 3
     cancelled.cancel()
     assert kernel.pending() == 2
-    kernel.run(until=2.0)  # pops the cancelled event and fires the 2.0 one
-    assert kernel.pending() == 1
     kernel.run()
+    # By 2.0 the cancelled event was popped and dropped, and the 2.0 one fired.
+    assert seen == [1]
     assert kernel.pending() == 0
 
 
@@ -189,12 +155,19 @@ def test_cancel_after_fire_is_a_noop():
     """Cancelling a fired timeout (the orderer does this) must not corrupt
     the live count of still-queued events."""
     kernel = Kernel()
+    seen = []
     fired = kernel.schedule_cancellable(1.0, lambda: None)
+
+    def after_fire():
+        seen.append(kernel.pending())
+        fired.cancel()
+        seen.append(kernel.pending())
+
+    kernel.schedule(2.0, after_fire)
     kernel.schedule(5.0, lambda: None)
-    kernel.run(until=2.0)
-    assert kernel.pending() == 1
-    fired.cancel()
-    assert kernel.pending() == 1
+    kernel.run()
+    assert seen == [1, 1]
+    assert kernel.pending() == 0
 
 
 def test_cancel_from_inside_its_own_callback_is_a_noop():
@@ -210,12 +183,10 @@ def test_cancel_from_inside_its_own_callback_is_a_noop():
         seen.append((handle.cancelled, kernel.pending(), kernel.events_processed))
 
     handle = kernel.schedule_cancellable(1.0, on_fire)
-    kernel.schedule(2.0, lambda: None)
+    kernel.schedule(2.0, lambda: seen.append(kernel.pending()))
     kernel.schedule(3.0, lambda: None)
-    kernel.run(until=1.5)
-    assert seen == [(False, 2, 1)]
-    assert kernel.pending() == 2
     kernel.run()
+    assert seen == [(False, 2, 1), 1]
     assert kernel.pending() == 0
     assert kernel.events_processed == 3
 

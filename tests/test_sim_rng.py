@@ -4,46 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.rng import SimRng, zipf_weights
+from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
+
+
+def _draws(rng: SimRng, name: str, count: int = 5) -> list[float]:
+    return [rng.stream(name).random() for _ in range(count)]
 
 
 def test_same_seed_same_draws():
-    a, b = SimRng(42), SimRng(42)
-    assert [a.uniform("x", 0, 1) for _ in range(5)] == [
-        b.uniform("x", 0, 1) for _ in range(5)
-    ]
+    assert _draws(SimRng(42), "x") == _draws(SimRng(42), "x")
 
 
 def test_different_seeds_differ():
-    a, b = SimRng(1), SimRng(2)
-    assert [a.uniform("x", 0, 1) for _ in range(5)] != [
-        b.uniform("x", 0, 1) for _ in range(5)
-    ]
+    assert _draws(SimRng(1), "x") != _draws(SimRng(2), "x")
 
 
 def test_streams_are_independent():
-    """Drawing extra values from one stream must not shift another."""
+    """Drawing extra values from one stream must not shift another, and a
+    stream created first draws what it draws when created last."""
     a, b = SimRng(7), SimRng(7)
-    for _ in range(10):
-        a.uniform("noise", 0, 1)  # extra draws on a different stream
-    assert a.uniform("target", 0, 1) == b.uniform("target", 0, 1)
-
-
-def test_choice_respects_items():
-    rng = SimRng(3)
-    items = ["x", "y", "z"]
-    for _ in range(20):
-        assert rng.choice("c", items) in items
-
-
-def test_choice_empty_raises():
-    with pytest.raises(ValueError):
-        SimRng(1).choice("c", [])
-
-
-def test_exponential_requires_positive_mean():
-    with pytest.raises(ValueError):
-        SimRng(1).exponential("e", 0.0)
+    _draws(a, "noise", 10)  # extra draws on a different stream
+    assert _draws(a, "target") == _draws(b, "target")
+    _draws(b, "noise", 10)  # created after "target" on this instance
+    assert _draws(a, "noise") == _draws(b, "noise")
 
 
 def test_zipf_weights_uniform_at_zero_skew():
@@ -69,14 +52,14 @@ def test_zipf_rejects_bad_args():
 
 
 def test_zipf_index_in_range():
-    rng = SimRng(9)
+    sampler = WeightedSampler(SimRng(9).stream("z"), zipf_weights(20, 1.0))
     for _ in range(100):
-        assert 0 <= rng.zipf_index("z", 20, 1.0) < 20
+        assert 0 <= sampler.draw() < 20
 
 
 def test_high_skew_concentrates_on_rank_zero():
-    rng = SimRng(11)
-    draws = [rng.zipf_index("z", 10, 6.0) for _ in range(200)]
+    sampler = WeightedSampler(SimRng(11).stream("z"), zipf_weights(10, 6.0))
+    draws = [sampler.draw() for _ in range(200)]
     assert draws.count(0) > 150
 
 
@@ -90,7 +73,7 @@ def test_property_zipf_weights_valid_distribution(n, skew):
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_property_stream_determinism_across_instances(seed):
-    assert SimRng(seed).uniform("s", 0, 1) == SimRng(seed).uniform("s", 0, 1)
+    assert _draws(SimRng(seed), "s", 1) == _draws(SimRng(seed), "s", 1)
 
 
 # -- WeightedSampler ---------------------------------------------------------------
@@ -123,8 +106,6 @@ def test_weighted_sampler_matches_numpy_choice_draw_stream(seed, weights):
     ``Generator.choice(n, p=weights)`` — the goldens depend on it.  Zero
     weights repeat CDF values, so a draw equal to one of them must take
     the same right-biased index as numpy's ``searchsorted``."""
-    from repro.sim.rng import WeightedSampler
-
     n = len(weights)
     p = np.asarray(weights) / np.sum(weights)
     reference = np.random.default_rng(seed)
@@ -140,8 +121,6 @@ def test_weighted_sampler_matches_numpy_choice_draw_stream(seed, weights):
 
 
 def test_weighted_sampler_accepts_plain_lists_and_rejects_empty():
-    from repro.sim.rng import WeightedSampler
-
     sampler = WeightedSampler(np.random.default_rng(1), [1.0, 1.0])
     assert sampler.draw() in (0, 1)
     zeros_allowed = WeightedSampler(np.random.default_rng(1), [0, 2, 0])
@@ -155,18 +134,3 @@ def test_weighted_sampler_accepts_plain_lists_and_rejects_empty():
             np.random.default_rng(1).choice(len(weights), p=weights)
         with pytest.raises(ValueError, match="weights"):
             WeightedSampler(np.random.default_rng(1), weights)
-
-
-def test_zipf_index_sampler_cache_matches_fresh_instance():
-    """Cached CDFs must not perturb the stream vs a cold SimRng."""
-    warm = SimRng(42)
-    draws_warm = [warm.zipf_index("k", 10, 1.5) for _ in range(50)]
-    draws_warm += [warm.zipf_index("k", 7, 0.5) for _ in range(50)]
-    draws_warm += [warm.zipf_index("k", 10, 1.5) for _ in range(50)]
-
-    cold = SimRng(42)
-    gen = cold.stream("k")
-    expected = [int(gen.choice(10, p=zipf_weights(10, 1.5))) for _ in range(50)]
-    expected += [int(gen.choice(7, p=zipf_weights(7, 0.5))) for _ in range(50)]
-    expected += [int(gen.choice(10, p=zipf_weights(10, 1.5))) for _ in range(50)]
-    assert draws_warm == expected

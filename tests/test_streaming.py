@@ -723,7 +723,6 @@ def _reference_summary(network, first_submit):
     )
     submitted = sum(1 for tx in every if tx.abort_stage != "endorsement")
     successes = sum(1 for tx in every if tx.status is TxStatus.SUCCESS)
-    failures = Counter(tx.status.value for tx in every if tx.status is not TxStatus.SUCCESS)
     data_blocks = [
         block for block in network.ledger if any(not tx.is_config for tx in block.transactions)
     ]
@@ -732,7 +731,6 @@ def _reference_summary(network, first_submit):
     return {
         "total_issued": len(every),
         "success_count": successes,
-        "failure_counts": dict(failures),
         "success_throughput": successes / makespan,
         "avg_latency": sum(latencies) / len(latencies) if latencies else 0.0,
         "success_rate": successes / submitted if submitted else 0.0,
@@ -774,11 +772,42 @@ def _fold_case(case):
     [("none", None), ("early_abort", "stale_read"), ("pruned_scm", "endorsement")],
 )
 def test_run_result_fold_matches_a_walk_of_the_kept_chain(case, abort_stage):
+    """The run's one outcome fold gives both the RunResult and the
+    forensics report that walks of the kept chain give."""
     network, result, first_submit = _fold_case(case)
     if abort_stage is not None:
         assert any(tx.abort_stage == abort_stage for tx in network.aborted)
     reference = _reference_summary(network, first_submit)
     assert {name: getattr(result, name) for name in reference} == reference
+    assert report_digest(network.outcomes.finish_run(network)) == report_digest(
+        forensics_report(network)
+    )
+
+
+def test_a_plan_run_keeps_no_chain(monkeypatch):
+    """Of an experiment's runs only the baseline keeps its chain, which
+    BlockOptR replays; a plan run's forensics report comes from its
+    network's live outcome fold."""
+    import repro.fabric.network as network_module
+    from repro.bench.harness import execute_experiment
+    from repro.core.recommendations import OptimizationKind
+    from repro.fabric.ledger import KeptChain
+
+    built = []
+
+    class CountedChain(KeptChain):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(network_module, "KeptChain", CountedChain)
+    outcome = execute_experiment(
+        "one plan",
+        make_synthetic("default", seed=7, total_transactions=300),
+        [("rate control", (OptimizationKind.TRANSACTION_RATE_CONTROL,))],
+    )
+    assert len(outcome.rows) == len(outcome.forensics) == 2
+    assert len(built) == 1
 
 
 def test_records_are_built_only_for_record_consumers(monkeypatch):
@@ -846,12 +875,11 @@ def test_run_streamed_refuses_workload_transforms():
 
 
 def test_finished_run_network_is_freed_by_reference_counting():
-    """A finished run() network keeps its chain and its run summary as
+    """A finished run() network keeps its chain and its outcome fold as
     consumers of its stream; neither refers back to the network, and no
     contract refers to itself, so with the cyclic collector off dropping
     the network frees it, its contracts included, at once."""
     from repro.fabric.ledger import KeptChain
-    from repro.fabric.results import RunFold
 
     gc.collect()
     gc.disable()
@@ -859,7 +887,7 @@ def test_finished_run_network_is_freed_by_reference_counting():
         network, result = _batch_run("default", 7, 2_000)
         assert result.total_issued >= 2_000
         assert [type(c) for c in network.stream.chain_consumers] == [KeptChain]
-        assert [type(c) for c in network.stream.tx_consumers] == [RunFold]
+        assert [type(c) for c in network.stream.tx_consumers] == [ForensicsAccumulator]
         network_ref = weakref.ref(network)
         state_ref = weakref.ref(network.state_db)
         contract_refs = [weakref.ref(c) for c in network.contracts.values()]
