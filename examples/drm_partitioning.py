@@ -11,7 +11,6 @@ states).
 """
 
 from repro import BlockOptR, run_workload
-from repro.contracts import drm_family
 from repro.core import OptimizationKind as K, apply_recommendations
 from repro.workloads import drm_workload
 from repro.workloads.usecases import UseCaseSpec
@@ -19,8 +18,8 @@ from repro.workloads.usecases import UseCaseSpec
 
 def main() -> None:
     spec = UseCaseSpec(total_transactions=3000, seed=7)
-    config, deployment, requests = drm_workload(spec)
-    network, baseline = run_workload(config, deployment.contracts, requests)
+    config, family, requests = drm_workload(spec)
+    network, baseline = run_workload(config, family.deploy().contracts, requests)
     print(f"baseline: {baseline}\n")
 
     report = BlockOptR().analyze_network(network)
@@ -31,8 +30,6 @@ def main() -> None:
         print(f"  {key}: failing activities {activities} "
               f"({metrics.kfreq[key]} failed accesses)")
     print()
-
-    family = drm_family()
 
     # Delta writes: play becomes a blind write; calcRevenue aggregates.
     delta = apply_recommendations([report.get(K.DELTA_WRITES)], config, family, requests)

@@ -10,7 +10,6 @@ applicationID.
 """
 
 from repro import BlockOptR, run_workload
-from repro.contracts import loan_family
 from repro.core import OptimizationKind as K, apply_recommendations, render_report
 from repro.workloads import generate_loan_event_log, loan_workload
 from repro.workloads.usecases import UseCaseSpec
@@ -21,10 +20,10 @@ def main() -> None:
     print(f"synthesized loan event log: {len(events)} events, "
           f"{len({e.application_id for e in events})} applications")
 
-    config, deployment, requests = loan_workload(
+    config, family, requests = loan_workload(
         UseCaseSpec(seed=7), events=events, send_rate=10.0
     )
-    network, baseline = run_workload(config, deployment.contracts, requests)
+    network, baseline = run_workload(config, family.deploy().contracts, requests)
     print(f"baseline (employee-keyed): {baseline}\n")
 
     report = BlockOptR().analyze_network(network)
@@ -32,7 +31,7 @@ def main() -> None:
     print()
 
     applied = apply_recommendations(
-        [report.get(K.DATA_MODEL_ALTERATION)], config, loan_family(), requests
+        [report.get(K.DATA_MODEL_ALTERATION)], config, family, requests
     )
     _, altered = run_workload(
         applied.config, applied.deployment.contracts, applied.requests

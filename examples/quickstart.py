@@ -9,7 +9,6 @@ the before/after numbers.
 """
 
 from repro import BlockOptR, run_workload
-from repro.contracts import genchain_family
 from repro.core import apply_recommendations, render_report
 from repro.workloads import ControlVariables, synthetic_workload
 
@@ -17,10 +16,10 @@ from repro.workloads import ControlVariables, synthetic_workload
 def main() -> None:
     # 1. Describe the experiment with the paper's Table 2 control variables.
     spec = ControlVariables(total_transactions=3000, send_rate=300.0, seed=7)
-    config, deployment, requests = synthetic_workload(spec)
+    config, family, requests = synthetic_workload(spec)
 
     # 2. Execute the workload on a fresh simulated Fabric network.
-    network, baseline = run_workload(config, deployment.contracts, requests)
+    network, baseline = run_workload(config, family.deploy().contracts, requests)
     print(f"baseline: {baseline}\n")
 
     # 3. BlockOptR reads the ledger and derives recommendations (Figure 5).
@@ -29,7 +28,6 @@ def main() -> None:
     print()
 
     # 4. Apply the recommended optimizations (Table 4 settings) and re-run.
-    family = genchain_family(num_keys=spec.num_keys)
     applied = apply_recommendations(report.recommendations, config, family, requests)
     _, optimized = run_workload(
         applied.config, applied.deployment.contracts, applied.requests

@@ -12,7 +12,6 @@ randomly-timed side activities.  Shows how BlockOptR
 """
 
 from repro import BlockOptR, run_workload
-from repro.contracts import scm_family
 from repro.core import OptimizationKind as K, apply_recommendations
 from repro.mining import model_diff
 from repro.workloads import scm_workload
@@ -21,8 +20,8 @@ from repro.workloads.usecases import UseCaseSpec
 
 def main() -> None:
     spec = UseCaseSpec(total_transactions=3000, seed=7)
-    config, deployment, requests = scm_workload(spec)
-    network, baseline = run_workload(config, deployment.contracts, requests)
+    config, family, requests = scm_workload(spec)
+    network, baseline = run_workload(config, family.deploy().contracts, requests)
     print(f"baseline: {baseline}\n")
 
     report = BlockOptR().analyze_network(network)
@@ -37,8 +36,6 @@ def main() -> None:
     for rec in report.recommendations:
         print(f"  {rec.describe()}")
     print()
-
-    family = scm_family()
 
     # Pruning: the smart contract aborts illogical transitions at endorsement.
     pruned = apply_recommendations(

@@ -9,17 +9,16 @@ removes all transaction dependencies — success jumps to ~100%.
 """
 
 from repro import BlockOptR, run_workload
-from repro.contracts import voting_family
 from repro.core import OptimizationKind as K, apply_recommendations
 from repro.workloads import voting_workload
 from repro.workloads.usecases import UseCaseSpec
 
 
 def main() -> None:
-    config, deployment, requests = voting_workload(
+    config, family, requests = voting_workload(
         UseCaseSpec(seed=7), query_count=400, vote_count=2000
     )
-    network, baseline = run_workload(config, deployment.contracts, requests)
+    network, baseline = run_workload(config, family.deploy().contracts, requests)
     print(f"baseline (party-keyed votes): {baseline}")
 
     report = BlockOptR().analyze_network(network)
@@ -27,7 +26,7 @@ def main() -> None:
     alteration = report.get(K.DATA_MODEL_ALTERATION)
     print(f"recommendation: {alteration.describe()}\n")
 
-    applied = apply_recommendations([alteration], config, voting_family(), requests)
+    applied = apply_recommendations([alteration], config, family, requests)
     network2, altered = run_workload(
         applied.config, applied.deployment.contracts, applied.requests
     )

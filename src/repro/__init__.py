@@ -13,8 +13,8 @@ Quickstart::
     from repro.workloads import ControlVariables, synthetic_workload
 
     spec = ControlVariables(total_transactions=2000)
-    config, deployment, requests = synthetic_workload(spec)
-    network, result = run_workload(config, deployment.contracts, requests)
+    config, family, requests = synthetic_workload(spec)
+    network, result = run_workload(config, family.deploy().contracts, requests)
     report = BlockOptR().analyze_network(network)
     for rec in report.recommendations:
         print(rec.kind.value, rec.evidence)

@@ -16,14 +16,6 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.bench.harness import MakeBundle
-from repro.contracts.registry import (
-    drm_family,
-    ehr_family,
-    genchain_family,
-    loan_family,
-    scm_family,
-    voting_family,
-)
 from repro.core.recommendations import OptimizationKind as K
 from repro.fabric.reorder import SCHEDULERS
 from repro.workloads.loan import generate_loan_event_log, loan_workload
@@ -157,8 +149,7 @@ def make_synthetic(
             spec.__post_init__()  # re-validate the combined knob settings
         if total_transactions is not None:
             _rescale_transactions(spec, total_transactions)
-        config, _, requests = synthetic_workload(spec)
-        return config, genchain_family(num_keys=spec.num_keys), requests
+        return synthetic_workload(spec)
 
     return make
 
@@ -490,20 +481,16 @@ def make_usecase(
     def make():
         spec = UseCaseSpec(total_transactions=total, seed=seed)
         if usecase == "scm":
-            config, _, requests = scm_workload(spec)
-            return config, scm_family(), requests
+            return scm_workload(spec)
         if usecase == "drm":
-            config, _, requests = drm_workload(spec)
-            return config, drm_family(), requests
+            return drm_workload(spec)
         if usecase == "ehr":
-            config, _, requests = ehr_workload(spec)
-            return config, ehr_family(), requests
-        config, _, requests = voting_workload(
+            return ehr_workload(spec)
+        return voting_workload(
             spec,
             query_count=scaled(1000, total),
             vote_count=scaled(5000, total),
         )
-        return config, voting_family(), requests
 
     return make
 
@@ -570,10 +557,7 @@ def make_loan(
 
     def make():
         events = generate_loan_event_log(num_applications=applications, seed=seed)
-        config, _, requests = loan_workload(
-            UseCaseSpec(seed=seed), events=events, send_rate=send_rate
-        )
-        return config, loan_family(), requests
+        return loan_workload(UseCaseSpec(seed=seed), events=events, send_rate=send_rate)
 
     return make
 

@@ -2,10 +2,10 @@
 
 A :class:`ControlSpec` rides on :attr:`repro.fabric.config.NetworkConfig
 .control`; the network installs an :class:`~repro.control.controller
-.SLOGuardian` when one is present.  Both dataclasses are frozen and
-JSON-round-trippable so controller experiments flow unchanged through
-the bench registry, the process-pool executor and the result cache —
-the spec *is* the cache-keyable description of the controller.
+.SLOGuardian` when one is present.  Both dataclasses are frozen.  A
+registry experiment names its controller by the ``policy`` string in its
+``maker_args``, which is what the result cache keys on;
+:func:`repro.bench.experiments.make_scenario` builds the spec from it.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ class SLOTargets:
                 f"max_p95_latency must be positive, got {self.max_p95_latency!r}"
             )
 
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-ready)."""
-        return {
-            "max_abort_rate": self.max_abort_rate,
-            "max_p95_latency": self.max_p95_latency,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SLOTargets":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            max_abort_rate=float(data["max_abort_rate"]),
-            max_p95_latency=float(data["max_p95_latency"]),
-        )
-
 
 @dataclass(frozen=True)
 class ControlSpec:
@@ -80,20 +65,3 @@ class ControlSpec:
         _finite(self.interval, "interval")
         if self.interval <= 0:
             raise ValueError(f"interval must be positive, got {self.interval!r}")
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-ready, cache-keyable)."""
-        return {
-            "policy": self.policy,
-            "interval": self.interval,
-            "slo": self.slo.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ControlSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            policy=str(data["policy"]),
-            interval=float(data["interval"]),
-            slo=SLOTargets.from_dict(data["slo"]),
-        )

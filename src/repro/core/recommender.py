@@ -46,9 +46,6 @@ class AnalysisReport:
     def recommended_kinds(self) -> set[OptimizationKind]:
         return {rec.kind for rec in self.recommendations}
 
-    def recommends(self, kind: OptimizationKind) -> bool:
-        return kind in self.recommended_kinds()
-
     def get(self, kind: OptimizationKind) -> Recommendation:
         for rec in self.recommendations:
             if rec.kind is kind:

@@ -82,10 +82,6 @@ class NetworkConditions:
         else:
             self._org_multipliers[org] = factor
 
-    def org_delay_multiplier(self, org: str) -> float:
-        """The org's current region multiplier (1.0 = nominal)."""
-        return self._org_multipliers.get(org, 1.0)
-
     def set_send_rate_cap(self, cap: float | None, source: str = "control") -> None:
         """Cap (or, with ``None``, uncap) the client submission admission rate.
 

@@ -72,10 +72,6 @@ class OrderingService:
         elif self._buffer_bytes >= self._config.block_bytes:
             self._cut("bytes")
 
-    def pending(self) -> int:
-        """Envelopes currently buffered toward the next block."""
-        return len(self._buffer)
-
     def set_scheduler(self, scheduler: Scheduler) -> None:
         """Swap the batch scheduler (mitigation toggle seam).
 

@@ -19,6 +19,7 @@ block-cut time, which is where the real systems intervene.
 
 from __future__ import annotations
 
+import heapq
 from typing import Protocol
 
 from repro.fabric.transaction import Transaction
@@ -49,68 +50,68 @@ class FifoScheduler:
         return list(batch), []
 
 
-def _precedence(batch: list[Transaction]) -> tuple[list[set[int]], list[int]]:
-    """The batch's reader-before-writer graph: ``(successors, indegree)``.
+def _schedule(
+    batch: list[Transaction], abort_cycles: bool
+) -> tuple[list[Transaction], list[Transaction]]:
+    """Order ``batch`` readers-before-writers: ``(ordered, aborted)``.
 
-    ``j`` is a successor of ``i`` whenever ``j`` writes a key ``i`` reads,
-    so ``i`` must come first (otherwise ``j``'s in-block commit bumps the
-    version and invalidates ``i``); ``indegree[j]`` counts ``j``'s
-    predecessors.
+    ``j`` must follow ``i`` whenever ``j`` writes a key ``i`` reads
+    (otherwise ``j``'s in-block commit bumps the version and invalidates
+    ``i``).  Kahn's algorithm emits the lowest-indexed source first.  When
+    only cycles remain, ``abort_cycles`` aborts the most conflicted member
+    (Fabric++); otherwise the earliest-arrived member is released as is
+    (the conflict-aware scheduler).
     """
-    reads = [tx.rwset.read_keys for tx in batch]
-    writes = [tx.rwset.write_keys for tx in batch]
-    successors: list[set[int]] = [set() for _ in batch]
+    writers: dict[str, list[int]] = {}
+    for j, tx in enumerate(batch):
+        for key in tx.rwset.writes:
+            writers.setdefault(key, []).append(j)
+    successors: list[set[int]] = []
     indegree = [0] * len(batch)
-    for i, read in enumerate(reads):
-        for j, write in enumerate(writes):
-            if i != j and write & read:
-                successors[i].add(j)
-                indegree[j] += 1
-    return successors, indegree
+    for i, tx in enumerate(batch):
+        after = {j for key in tx.rwset.read_keys for j in writers.get(key, ())}
+        after.discard(i)
+        successors.append(after)
+        for j in after:
+            indegree[j] += 1
+
+    sources = [i for i, count in enumerate(indegree) if count == 0]  # ascending: a heap
+    alive = set(range(len(batch)))
+    order: list[int] = []
+    aborted: list[int] = []
+    while alive:
+        if sources:
+            node = heapq.heappop(sources)
+            order.append(node)
+        elif abort_cycles:
+            node = max(alive, key=lambda i: (len(successors[i] & alive) + indegree[i], i))
+            aborted.append(node)
+        else:
+            node = min(alive)
+            order.append(node)
+        alive.discard(node)
+        for succ in successors[node]:
+            if succ in alive:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(sources, succ)
+    return [batch[i] for i in order], [batch[i] for i in sorted(aborted)]
 
 
 class FabricPlusPlusScheduler:
     """Intra-block conflict-graph reordering with cycle aborts.
 
     Within a batch, transaction ``r`` must precede ``w`` whenever ``w``
-    writes a key ``r`` reads (:func:`_precedence`).  We build that
-    precedence graph, break cycles greedily by aborting the transaction
-    with the highest conflict degree, and emit a topological order of the
-    survivors.
+    writes a key ``r`` reads.  We build that precedence graph, break
+    cycles greedily by aborting the transaction with the highest conflict
+    degree, and emit a topological order of the survivors.
     """
 
     def schedule(
         self, batch: list[Transaction]
     ) -> tuple[list[Transaction], list[Transaction]]:
         """Topologically order the batch, aborting cycle members."""
-        if len(batch) <= 1:
-            return list(batch), []
-
-        successors, indegree = _precedence(batch)
-        alive = set(range(len(batch)))
-        aborted: list[int] = []
-        order: list[int] = []
-        # Kahn's algorithm with greedy cycle-breaking: when no source node
-        # exists, abort the most conflicted remaining transaction.
-        while alive:
-            sources = sorted(i for i in alive if indegree[i] == 0)
-            if sources:
-                node = sources[0]
-                order.append(node)
-            else:
-                node = max(
-                    alive,
-                    key=lambda i: (len(successors[i] & alive) + indegree[i], i),
-                )
-                aborted.append(node)
-            alive.discard(node)
-            for succ in successors[node]:
-                if succ in alive:
-                    indegree[succ] -= 1
-
-        ordered_txs = [batch[i] for i in order]
-        aborted_txs = [batch[i] for i in sorted(aborted)]
-        return ordered_txs, aborted_txs
+        return _schedule(batch, abort_cycles=True)
 
 
 class ConflictAwareScheduler:
@@ -132,25 +133,7 @@ class ConflictAwareScheduler:
         self, batch: list[Transaction]
     ) -> tuple[list[Transaction], list[Transaction]]:
         """Topologically order the batch, breaking cycles by arrival order."""
-        if len(batch) <= 1:
-            return list(batch), []
-
-        successors, indegree = _precedence(batch)
-        alive = set(range(len(batch)))
-        order: list[int] = []
-        while alive:
-            sources = sorted(i for i in alive if indegree[i] == 0)
-            if sources:
-                node = sources[0]
-            else:
-                # A cycle: release its earliest-arrived member unchanged.
-                node = min(alive)
-            order.append(node)
-            alive.discard(node)
-            for succ in successors[node]:
-                if succ in alive:
-                    indegree[succ] -= 1
-        return [batch[i] for i in order], []
+        return _schedule(batch, abort_cycles=False)
 
 
 class FabricSharpScheduler:
@@ -169,14 +152,10 @@ class FabricSharpScheduler:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._inner = FabricPlusPlusScheduler()
-        #: key -> index of the scheduler batch that last ordered a write to it.
-        self._recent_writes: dict[str, int] = {}
-        #: key -> endorse time of that last ordered write.
-        self._write_times: dict[str, float] = {}
-        #: batch index -> keys written, for window expiry.
-        self._by_batch: dict[int, list[str]] = {}
-        self._next_batch = 0
+        #: key -> (index of the batch that last ordered a write to it, that
+        #: write's endorse time); an entry older than the window is ignored.
+        self._last_write: dict[str, tuple[int, float]] = {}
+        self._batches = 0
 
     def schedule(
         self, batch: list[Transaction]
@@ -189,40 +168,26 @@ class FabricSharpScheduler:
                 aborted.append(tx)
             else:
                 fresh.append(tx)
-        ordered, cycle_aborts = self._inner.schedule(fresh)
+        ordered, cycle_aborts = _schedule(fresh, abort_cycles=True)
         aborted.extend(cycle_aborts)
-
-        index = self._next_batch
-        self._next_batch += 1
-        written: list[str] = []
         for tx in ordered:
-            endorsed_at = tx.endorse_time if tx.endorse_time is not None else 0.0
-            for key in tx.rwset.write_keys:
-                self._recent_writes[key] = index
-                self._write_times[key] = endorsed_at
-                written.append(key)
-        self._by_batch[index] = written
-        expired = index - self.window
-        if expired in self._by_batch:
-            for key in self._by_batch.pop(expired):
-                if self._recent_writes.get(key) == expired:
-                    del self._recent_writes[key]
-                    del self._write_times[key]
+            stamp = (self._batches, tx.endorse_time if tx.endorse_time is not None else 0.0)
+            for key in tx.rwset.writes:
+                self._last_write[key] = stamp
+        self._batches += 1
         return ordered, aborted
 
     def _is_stale(self, tx: Transaction) -> bool:
         """A tx is doomed if a write to one of its read keys was ordered
-        after the tx executed (endorsement snapshot is already stale)."""
+        within the window after the tx executed (its endorsement snapshot
+        is already stale)."""
         endorsed_at = tx.endorse_time
         if endorsed_at is None:
             return False
-        keys = set(tx.rwset.reads)
-        for query in tx.rwset.range_queries:
-            keys.update(query.keys())
-        for key in keys:
-            if key not in self._recent_writes:
-                continue
-            if self._write_times[key] >= endorsed_at:
+        oldest = self._batches - self.window
+        for key in tx.rwset.read_keys:
+            stamp = self._last_write.get(key)
+            if stamp is not None and stamp[0] >= oldest and stamp[1] >= endorsed_at:
                 return True
         return False
 

@@ -77,20 +77,3 @@ class RetryPolicy:
         if self.jitter > 0.0 and uniform is not None:
             backoff *= 1.0 + self.jitter * (2.0 * uniform() - 1.0)
         return backoff
-
-    def to_dict(self) -> dict:
-        """JSON-able form (cache payloads, forensics reports)."""
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_multiplier": self.backoff_multiplier,
-            "jitter": self.jitter,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RetryPolicy":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            return RetryPolicy(**data)
-        except TypeError as exc:
-            raise ValueError(f"malformed retry policy: {exc}") from exc

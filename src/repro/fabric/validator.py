@@ -45,16 +45,18 @@ def rwset_conflict(namespace, rwset: ReadWriteSet) -> tuple[TxStatus, str] | Non
             return TxStatus.MVCC_CONFLICT, key
 
     # Range reads: membership change -> phantom, version change -> MVCC.
+    # An unchanged scan, the common case, settles in one tuple comparison.
     for query in rwset.range_queries:
-        current_scan = {
-            key: entry.version for key, entry in namespace.range_scan(query.start, query.end)
-        }
-        recorded = dict(query.results)
-        if set(current_scan) != set(recorded):
-            changed = min(set(current_scan) ^ set(recorded))
-            return TxStatus.PHANTOM_CONFLICT, changed
-        for key, read_version in recorded.items():
-            if current_scan[key] != read_version:
+        scan = tuple([
+            (key, entry.version) for key, entry in namespace.range_scan(query.start, query.end)
+        ])
+        if scan == query.results:
+            continue
+        current, recorded = dict(scan), dict(query.results)
+        if current.keys() != recorded.keys():
+            return TxStatus.PHANTOM_CONFLICT, min(current.keys() ^ recorded.keys())
+        for key, read_version in query.results:
+            if current[key] != read_version:
                 return TxStatus.MVCC_CONFLICT, key
     return None
 

@@ -1,9 +1,12 @@
 """Workload generation: Table 2 control variables, use cases, loan log.
 
-Every generator returns ``(NetworkConfig, ContractDeployment, requests)``
-so a single call sets up everything :func:`repro.fabric.run_workload`
-needs.  The send rate lives in the request submit times; skews and key
-choices flow through the seeded :class:`repro.sim.rng.SimRng`.
+Every generator returns ``(NetworkConfig, ContractFamily, requests)``:
+the one family the requests were drawn for, so
+``run_workload(config, family.deploy().contracts, requests)`` runs them
+and :func:`repro.core.apply.apply_recommendations` swaps in its
+variants.  The bench makers return these bundles as they are.  The send
+rate lives in the request submit times; skews and key choices flow
+through the seeded :class:`repro.sim.rng.SimRng`.
 """
 
 from repro.workloads.loan import LoanEvent, generate_loan_event_log, loan_workload

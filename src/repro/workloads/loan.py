@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.contracts.registry import ContractDeployment, loan_family
+from repro.contracts.registry import ContractFamily, loan_family
 from repro.fabric.config import NetworkConfig
 from repro.fabric.transaction import TxRequest
 from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
@@ -130,7 +130,7 @@ def loan_workload(
     spec: UseCaseSpec | None = None,
     events: list[LoanEvent] | None = None,
     send_rate: float | None = None,
-) -> tuple[NetworkConfig, ContractDeployment, list[TxRequest]]:
+) -> tuple[NetworkConfig, ContractFamily, list[TxRequest]]:
     """Turn a loan event log into a Fabric workload.
 
     The paper runs the same 20,000 transactions at 10 TPS (manual
@@ -142,8 +142,8 @@ def loan_workload(
         spec.send_rate = send_rate
     if events is None:
         events = generate_loan_event_log(seed=spec.seed)
-    deployment = loan_family().deploy()
-    contract_name = deployment.contracts[0].name
+    family = loan_family()
+    contract_name = family.deploy().contracts[0].name
 
     times = constant_rate_times(len(events), spec.send_rate)
     requests = [
@@ -155,4 +155,4 @@ def loan_workload(
         )
         for time, event in zip(times, sorted(events, key=lambda e: e.order))
     ]
-    return spec.to_network_config(), deployment, requests
+    return spec.to_network_config(), family, requests

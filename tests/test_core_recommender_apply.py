@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.contracts.registry import drm_family, genchain_family, scm_family, voting_family
+from repro.contracts.registry import drm_family, genchain_family, scm_family
 from repro.core import (
     BlockOptR,
     OptimizationKind as K,
@@ -22,8 +22,8 @@ from tests.conftest import CounterContract, counter_requests, small_config
 @pytest.fixture(scope="module")
 def synthetic_report():
     spec = ControlVariables(total_transactions=1500, seed=5)
-    config, deployment, requests = synthetic_workload(spec)
-    network, _ = run_workload(config, deployment.contracts, requests)
+    config, family, requests = synthetic_workload(spec)
+    network, _ = run_workload(config, family.deploy().contracts, requests)
     return BlockOptR().analyze_network(network), config, requests
 
 
@@ -64,7 +64,7 @@ class TestWorkflow:
         network, _ = finished_network
         strict = Thresholds(rate_high=1.0, failure_fraction=0.0)
         report = BlockOptR(strict).analyze_network(network)
-        assert report.recommends(K.TRANSACTION_RATE_CONTROL)
+        assert K.TRANSACTION_RATE_CONTROL in report.recommended_kinds()
 
 
 class TestApply:
@@ -174,10 +174,9 @@ class TestApply:
         from repro.workloads import voting_workload
         from repro.workloads.usecases import UseCaseSpec
 
-        config, _, requests = voting_workload(
+        config, family, requests = voting_workload(
             UseCaseSpec(total_transactions=600, seed=3), query_count=50, vote_count=400
         )
-        family = voting_family()
         _, baseline = run_workload(config, family.deploy().contracts, requests)
         rec = Recommendation(kind=K.DATA_MODEL_ALTERATION, rationale="")
         applied = apply_recommendations([rec], config, family, requests)

@@ -21,8 +21,7 @@ SMALL = 1500
 
 def run_and_analyze(make):
     config, family, requests = make()
-    deployment = family.deploy()
-    network, result = run_workload(config, deployment.contracts, requests)
+    network, result = run_workload(config, family.deploy().contracts, requests)
     report = BlockOptR().analyze_network(network)
     return config, family, requests, result, report
 
@@ -71,8 +70,8 @@ class TestRecommendationSets:
     def test_update_heavy_excludes_reordering(self):
         spec = synthetic_spec("workload_update_heavy")
         spec.total_transactions = 3000
-        config, deployment, requests = synthetic_workload(spec)
-        network, _ = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
         # Paper Table 3 experiment 5: Update has a self-dependency that
         # reordering cannot remove.
@@ -81,35 +80,35 @@ class TestRecommendationSets:
     def test_p1_detects_endorser_bottleneck(self):
         spec = synthetic_spec("endorsement_policy_p1")
         spec.total_transactions = 2000
-        config, deployment, requests = synthetic_workload(spec)
-        network, _ = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
-        assert report.recommends(K.ENDORSER_RESTRUCTURING)
+        assert K.ENDORSER_RESTRUCTURING in report.recommended_kinds()
         rec = report.get(K.ENDORSER_RESTRUCTURING)
         assert "Org1" in rec.evidence["bottleneck_orgs"]
 
     def test_tx_skew_detects_client_bottleneck(self):
         spec = synthetic_spec("tx_dist_skew_70")
         spec.total_transactions = 2000
-        config, deployment, requests = synthetic_workload(spec)
-        network, _ = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
-        assert report.recommends(K.CLIENT_RESOURCE_BOOST)
+        assert K.CLIENT_RESOURCE_BOOST in report.recommended_kinds()
         assert "Org1" in report.get(K.CLIENT_RESOURCE_BOOST).actions["orgs"]
 
     def test_small_blocks_detected(self):
         spec = synthetic_spec("block_count_50")
         spec.total_transactions = 2000
-        config, deployment, requests = synthetic_workload(spec)
-        network, _ = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
-        assert report.recommends(K.BLOCK_SIZE_ADAPTATION)
+        assert K.BLOCK_SIZE_ADAPTATION in report.recommended_kinds()
 
 
 class TestOptimizationEffects:
     def _apply_and_rerun(self, setup, kinds):
         config, family, requests, baseline, report = setup
-        recs = [report.get(k) for k in kinds if report.recommends(k)]
+        recs = [report.get(k) for k in kinds if k in report.recommended_kinds()]
         assert recs, f"none of {kinds} recommended"
         applied = apply_recommendations(recs, config, family, requests)
         _, optimized = run_workload(
@@ -147,17 +146,10 @@ class TestOptimizationEffects:
     def test_block_size_adaptation_fixes_small_blocks(self):
         spec = synthetic_spec("block_count_50")
         spec.total_transactions = 2000
-        config, deployment, requests = synthetic_workload(spec)
-        network, baseline = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, baseline = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
-        from repro.contracts.registry import genchain_family
-
-        applied = apply_recommendations(
-            [report.get(K.BLOCK_SIZE_ADAPTATION)],
-            config,
-            genchain_family(num_keys=spec.num_keys),
-            requests,
-        )
+        applied = apply_recommendations([report.get(K.BLOCK_SIZE_ADAPTATION)], config, family, requests)
         _, optimized = run_workload(
             applied.config, applied.deployment.contracts, applied.requests
         )
@@ -168,17 +160,10 @@ class TestOptimizationEffects:
         # The Org1 backlog builds over time; needs a few thousand txs to show.
         spec = synthetic_spec("endorsement_policy_p1")
         spec.total_transactions = 4000
-        config, deployment, requests = synthetic_workload(spec)
-        network, baseline = run_workload(config, deployment.contracts, requests)
+        config, family, requests = synthetic_workload(spec)
+        network, baseline = run_workload(config, family.deploy().contracts, requests)
         report = BlockOptR().analyze_network(network)
-        from repro.contracts.registry import genchain_family
-
-        applied = apply_recommendations(
-            [report.get(K.ENDORSER_RESTRUCTURING)],
-            config,
-            genchain_family(num_keys=spec.num_keys),
-            requests,
-        )
+        applied = apply_recommendations([report.get(K.ENDORSER_RESTRUCTURING)], config, family, requests)
         _, optimized = run_workload(
             applied.config, applied.deployment.contracts, applied.requests
         )
@@ -248,7 +233,8 @@ class TestAblations:
         log = run_and_analyze(_synthetic_800())[-1].log
 
         def fires(kind, **thresholds):
-            return BlockOptR(Thresholds(**thresholds)).analyze_log(log).recommends(kind)
+            report = BlockOptR(Thresholds(**thresholds)).analyze_log(log)
+            return kind in report.recommended_kinds()
 
         reorder = [
             fires(K.ACTIVITY_REORDERING, reorderable_mvcc_share=share)

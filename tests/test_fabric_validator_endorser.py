@@ -1,11 +1,26 @@
 """Focused tests for validation semantics and endorsement behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.fabric.chaincode import ChaincodeAbort, ChaincodeContext, contract_function
+from repro.fabric.chaincode import (
+    MISSING_VERSION,
+    ChaincodeAbort,
+    ChaincodeContext,
+    contract_function,
+)
 from repro.fabric.config import TimingConfig
 from repro.fabric.network import run_workload
-from repro.fabric.transaction import ReadWriteSet, TxRequest, TxStatus, TxType
+from repro.fabric.state import WorldState
+from repro.fabric.transaction import (
+    RangeQueryInfo,
+    ReadWriteSet,
+    TxRequest,
+    TxStatus,
+    TxType,
+    Version,
+)
+from repro.fabric.validator import rwset_conflict
 
 from tests.conftest import CounterContract, caused, small_config
 
@@ -207,3 +222,68 @@ def test_chaincode_abort_leaves_the_transaction_rwset_empty():
         assert tx.endorse_time is None
     committed = list(network.ledger.transactions(include_config=False))
     assert committed and all(tx.rwset.writes for tx in committed)
+
+
+# -- rwset_conflict against the body it replaced ----------------------------------
+
+
+def _reference_rwset_conflict(namespace, rwset):
+    """``rwset_conflict`` before its unchanged-scan shortcut: two dicts and
+    two key sets for every range query."""
+    for key, read_version in rwset.reads.items():
+        current = namespace.version(key)
+        if read_version == MISSING_VERSION:
+            if current is not None:
+                return TxStatus.MVCC_CONFLICT, key
+        elif current != read_version:
+            return TxStatus.MVCC_CONFLICT, key
+    for query in rwset.range_queries:
+        current_scan = {
+            key: entry.version for key, entry in namespace.range_scan(query.start, query.end)
+        }
+        recorded = dict(query.results)
+        if set(current_scan) != set(recorded):
+            changed = min(set(current_scan) ^ set(recorded))
+            return TxStatus.PHANTOM_CONFLICT, changed
+        for key, read_version in recorded.items():
+            if current_scan[key] != read_version:
+                return TxStatus.MVCC_CONFLICT, key
+    return None
+
+
+_KEYS = [f"k{i:02d}" for i in range(16)]
+_key = st.sampled_from(_KEYS)
+_version = st.builds(Version, st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.dictionaries(_key, _version, min_size=4),
+    reads=st.sets(_key, max_size=3),
+    ranges=st.lists(st.tuples(_key, _key).map(sorted), max_size=3),
+    changes=st.lists(st.tuples(_key, st.none() | _version), max_size=8),
+)
+def test_property_rwset_conflict_matches_reference(initial, reads, ranges, changes):
+    """Execute reads and range reads against one state, then delete,
+    insert and re-version keys (``None`` deletes) before validating: the
+    verdict, status and key alike, is the old body's."""
+    state = WorldState()
+    for key, version in initial.items():
+        state.put(key, 1, version)
+    rwset = ReadWriteSet(
+        reads={key: state.version(key) or MISSING_VERSION for key in sorted(reads)},
+        range_queries=[
+            RangeQueryInfo(
+                start,
+                end,
+                tuple([(key, entry.version) for key, entry in state.range_scan(start, end)]),
+            )
+            for start, end in ranges
+        ],
+    )
+    for key, version in changes:
+        if version is None:
+            state.delete(key)
+        else:
+            state.put(key, 1, version)
+    assert rwset_conflict(state, rwset) == _reference_rwset_conflict(state, rwset)

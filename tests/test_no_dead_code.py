@@ -12,10 +12,12 @@ A use is any of:
 
 * a name (``foo``) or an attribute (``x.foo``);
 * an imported name (``from m import foo``);
-* an identifier inside a string constant that is not a docstring, because
-  perfbench names its span boundaries as strings and contracts dispatch
-  activities by name.  A string that stands alone as a statement (a
-  docstring) does not count.
+* a string constant that is, as a whole, an identifier or a dotted path
+  (``"run"``, ``"Kernel.run"``), because perfbench names its span
+  boundaries and consumer registrations that way and contracts dispatch
+  activities by name.  A word inside a longer string (a message, a
+  format string) does not count, and neither does a string that stands
+  alone as a statement (a docstring).
 
 A method (a ``def`` in a class body) is only ever reached through an
 attribute, so a bare name does not count as its use: a ``scaled`` method
@@ -27,8 +29,8 @@ recursive function does not keep itself alive.
 Limit: uses are matched by name only, so a method that shares its name
 with a used attribute passes: a ``render`` method no caller reaches
 passes while another ``render`` is called.  Methods with common names,
-such as ``edges``, ``measure``, ``render`` or ``choice``, are checked by
-hand.
+such as ``edges``, ``measure``, ``render``, ``choice``, ``pending``,
+``to_dict`` or ``from_dict``, are checked by hand.
 
 ``KEEP`` lists the names kept without a caller, each with its reason.  A
 kept name that gains a caller, or is no longer defined, fails too, like a
@@ -66,7 +68,7 @@ KEEP = {
     ),
 }
 
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED_PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
 def _definitions(path: Path) -> list[tuple[str, str, bool]]:
@@ -124,7 +126,8 @@ def _uses(path: Path) -> tuple[set[str], set[str]]:
         elif isinstance(node, ast.alias):
             names.update(set(node.name.split(".")) - inside)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(set(_IDENTIFIER.findall(node.value)) - inside)
+            if _DOTTED_PATH.fullmatch(node.value):
+                names.update(set(node.value.split(".")) - inside)
         for child in ast.iter_child_nodes(node):
             walk(child, inside)
 

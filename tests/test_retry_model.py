@@ -73,12 +73,6 @@ class TestRetryPolicy:
 
         assert RetryPolicy().delay(1, uniform=exploding) == 0.25
 
-    def test_dict_round_trip(self):
-        policy = RetryPolicy(max_attempts=5, jitter=0.1)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-        with pytest.raises(ValueError):
-            RetryPolicy.from_dict({"max_attempt": 2})
-
 
 class TestNetworkRetries:
     def test_config_rejects_unknown_mitigation(self):

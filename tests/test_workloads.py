@@ -140,8 +140,9 @@ class TestControlVariables:
 class TestSyntheticWorkload:
     def test_count_and_contract(self):
         spec = ControlVariables(total_transactions=200)
-        _, deployment, requests = synthetic_workload(spec)
+        _, family, requests = synthetic_workload(spec)
         assert len(requests) == 200
+        assert family.deploy().contracts[0].name == "genchain"
         assert all(r.contract == "genchain" for r in requests)
 
     def test_mix_approximately_respected(self):
