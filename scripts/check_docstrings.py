@@ -10,10 +10,10 @@ dunders other than ``__init__``-free classes (dunders document themselves
 through the data model).
 
 Scope: all ``repro.*`` package ``__init__.py`` files plus the public-API
-modules the documentation contract names — the simulation kernel, the
-suite executor, the scenario engine and fuzzer, the run stream, the whole
-``repro.analysis`` and ``repro.control`` packages, and every public module
-of ``repro.fabric``.
+modules the documentation contract names — the suite executor, the
+genChain contract, the scenario engine and fuzzer, and every public module
+of the ``repro.fabric``, ``repro.logs``, ``repro.sim``, ``repro.analysis``
+and ``repro.control`` packages.
 
 Usage::
 
@@ -33,17 +33,17 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 
-#: Modules whose full public API must be documented.  The ``repro.fabric``,
-#: ``repro.analysis`` and ``repro.control`` packages are scoped wholesale
-#: (every non-dunder module), so new modules join the contract
-#: automatically.
+#: Modules whose full public API must be documented, besides the
+#: :data:`SCOPED_PACKAGES`.
 DEFAULT_SCOPE = [
-    SRC / "sim" / "kernel.py",
     SRC / "bench" / "executor.py",
+    SRC / "contracts" / "genchain.py",
     SRC / "scenario" / "engine.py",
     SRC / "scenario" / "fuzz.py",
-    SRC / "logs" / "stream.py",
 ]
+#: Packages scoped wholesale (every non-dunder module), so new modules
+#: join the contract automatically.
+SCOPED_PACKAGES = ("fabric", "logs", "sim", "analysis", "control")
 
 
 def package_modules(package: Path) -> list[Path]:
@@ -57,6 +57,12 @@ def package_modules(package: Path) -> list[Path]:
 def package_inits() -> list[Path]:
     """Every ``__init__.py`` under ``src/repro`` (package docstring scope)."""
     return sorted(SRC.rglob("__init__.py"))
+
+
+def default_scope() -> list[Path]:
+    """Every file checked when no file is named."""
+    modules = [path for name in SCOPED_PACKAGES for path in package_modules(SRC / name)]
+    return package_inits() + DEFAULT_SCOPE + modules
 
 
 def _is_public(name: str) -> bool:
@@ -101,16 +107,7 @@ def check_file(path: Path) -> list[str]:
 
 def main(argv: list[str]) -> int:
     """Check the given files (or the default scope); print violations."""
-    if argv:
-        paths = [Path(arg) for arg in argv]
-    else:
-        paths = (
-            package_inits()
-            + DEFAULT_SCOPE
-            + package_modules(SRC / "fabric")
-            + package_modules(SRC / "analysis")
-            + package_modules(SRC / "control")
-        )
+    paths = [Path(arg) for arg in argv] if argv else default_scope()
     missing = [path for path in paths if not path.is_file()]
     if missing:
         for path in missing:

@@ -180,14 +180,15 @@ def _record(row: RunRow, network: FabricNetwork) -> RunRecord:
 
 def run_baseline(
     bundle: tuple, plans: list[tuple[str, tuple[OptimizationKind, ...]]]
-) -> tuple[RunRecord, AnalysisReport, list[PlanTask]]:
+) -> tuple[RunRecord, set[OptimizationKind], list[PlanTask]]:
     """Run the unoptimized workload, analyze it, and resolve every plan.
 
-    Returns the baseline's record, BlockOptR's analysis report, and one
+    Returns the baseline's record, the kinds BlockOptR recommended, and one
     :data:`PlanTask` per plan: each plan kind maps to the report's
     recommendation, or to :func:`default_recommendation` (and the task is
     marked forced) when the rule did not fire.  The baseline keeps its
-    chain: BlockOptR replays it.
+    chain: BlockOptR replays it.  The report, whose log reads that chain,
+    is not returned, so the chain goes with this call.
     """
     config, family, requests, scenario = unpack_bundle(bundle)
     network, baseline = run_workload(
@@ -202,7 +203,7 @@ def run_baseline(
             for kind in kinds
         )
         tasks.append((label, recs, not recommended.issuperset(kinds)))
-    return _record(RunRow.from_result("without", baseline), network), report, tasks
+    return _record(RunRow.from_result("without", baseline), network), recommended, tasks
 
 
 def run_plan(bundle: tuple, task: PlanTask) -> RunRecord:
@@ -282,11 +283,10 @@ def execute_group(
     # One function per run, not one body: each run's network is freed
     # when its step returns, so the baseline's (and the chain it keeps)
     # does not stay alive across the plan runs.
-    baseline, report, tasks = run_baseline(
+    baseline, recommended, tasks = run_baseline(
         bundle, [(label, kinds) for kinds, label in distinct.items()]
     )
     task_of = dict(zip(distinct, tasks))
-    recommended = report.recommended_kinds()
     done: dict[tuple[OptimizationKind, ...], RunRecord] = {}
     runs = 1
     for name, plans, paper in experiments:

@@ -9,9 +9,14 @@ matches numeric order, which keeps range reads meaningful.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.fabric.chaincode import ChaincodeContext, Contract, contract_function
-from repro.fabric.state import WorldState
+from repro.fabric.state import VersionedValue, WorldState
 from repro.fabric.transaction import Version
+
+#: The value every genesis key holds.
+INITIAL_VALUE = 100
 
 
 class GenChainContract(Contract):
@@ -19,19 +24,22 @@ class GenChainContract(Contract):
 
     name = "genchain"
 
-    def __init__(self, num_keys: int = 1000, initial_value: int = 100) -> None:
-        if num_keys < 1:
-            raise ValueError(f"need at least one key, got {num_keys}")
+    def __init__(self, num_keys: int = 1000) -> None:
+        if not 1 <= num_keys <= 999_999:
+            raise ValueError(
+                f"num_keys must be in 1..999,999: a key is 'key' plus a 6-digit "
+                f"rank, and a 7-digit one sorts out of rank order; got {num_keys}"
+            )
         self.num_keys = num_keys
-        self.initial_value = initial_value
 
-    def key(self, index: int) -> str:
+    @staticmethod
+    def key(index: int) -> str:
         """Stable zero-padded key name for rank ``index``."""
         return f"key{index:06d}"
 
     def setup(self, state: WorldState) -> None:
-        for index in range(self.num_keys):
-            state.put(self.key(index), self.initial_value, Version(block=0, tx=index))
+        """Load the shared genesis snapshot: key ``i`` at version ``(0, i)``."""
+        state.load(_genesis(self.num_keys))
 
     @contract_function
     def read(self, ctx: ChaincodeContext, key: str) -> object:
@@ -66,3 +74,14 @@ class GenChainContract(Contract):
         """Delete after existence check (a read), like the original genChain."""
         ctx.get_state(key)
         ctx.delete_state(key)
+
+
+@lru_cache(maxsize=1)
+def _genesis(num_keys: int) -> dict[str, VersionedValue]:
+    """The genesis entries in rank order, shared by every network: ``load``
+    copies the dict and the entries are immutable.  A sweep over key
+    counts holds one snapshot at a time."""
+    return {
+        GenChainContract.key(index): VersionedValue(INITIAL_VALUE, Version(0, index))
+        for index in range(num_keys)
+    }

@@ -20,7 +20,7 @@ from repro.fabric.network import FabricNetwork
 from repro.logs.blockchain_log import BlockchainLog
 from repro.logs.eventlog import EventLog
 from repro.logs.export import CsvLog, log_from_json
-from repro.logs.extract import extract_blockchain_log
+from repro.logs.extract import ChainLog
 from repro.mining.dfg import DirectlyFollowsGraph
 from repro.mining.footprint import FootprintMatrix
 from repro.mining.heuristics import DependencyGraph, heuristics_miner
@@ -30,9 +30,10 @@ from repro.mining.heuristics import DependencyGraph, heuristics_miner
 class AnalysisReport:
     """Everything one BlockOptR run produces."""
 
-    #: The analyzed log; for a CSV file, the :class:`CsvLog` it was read
-    #: from (config and record count, no records).
-    log: BlockchainLog | CsvLog
+    #: The analyzed log; for a CSV file or a network's kept chain, the
+    #: :class:`CsvLog` or :class:`ChainLog` it was read through (config
+    #: and record count, no records).
+    log: BlockchainLog | CsvLog | ChainLog
     metrics: LogMetrics
     recommendations: list[Recommendation]
     event_log: EventLog
@@ -70,11 +71,8 @@ class BlockOptR:
     # -- entry points ------------------------------------------------------------
 
     def analyze_network(self, network: FabricNetwork) -> AnalysisReport:
-        """Analyze a just-run simulated network (reads its ledger)."""
-        log = extract_blockchain_log(
-            network, interval_seconds=self.thresholds.interval_seconds
-        )
-        return self.analyze_log(log)
+        """Analyze a just-run simulated network, one block of its chain at a time."""
+        return self.analyze_log(ChainLog(network))
 
     def analyze_file(self, path: str | Path) -> AnalysisReport:
         """Analyze an exported log (.csv or .json); a CSV streams through."""
@@ -87,22 +85,23 @@ class BlockOptR:
             raise ValueError(f"unsupported log format {path.suffix!r}")
         return self.analyze_log(log)
 
-    def analyze_log(self, log: BlockchainLog | CsvLog) -> AnalysisReport:
+    def analyze_log(self, log: BlockchainLog | CsvLog | ChainLog) -> AnalysisReport:
         """The Figure 5 pipeline over a preprocessed blockchain log.
 
         One pass over ``log`` appends each record to one column table,
         from which both the Section 4.3 metrics and the Section 4.2 event
-        log are counted, so a :class:`CsvLog` is read once and no record
-        outlives its step.
+        log are counted, so a :class:`CsvLog` or :class:`ChainLog` is read
+        once and no record outlives its step.  The config is attached
+        after the pass: a :class:`ChainLog` learns it during the pass.
         """
         accumulator = MetricsAccumulator(
-            config=log.config,
             interval_seconds=self.thresholds.interval_seconds,
             hotkey_failure_share=self.thresholds.hotkey_failure_share,
             hotkey_min_failures=self.thresholds.hotkey_min_failures,
         )
         for record in log:
             accumulator.consume(record)
+        accumulator.config = log.config
         metrics = accumulator.finish()
         event_log = EventLog.from_table(accumulator.table, self.case_attribute)
         # The table and the corDV/delta indexes are O(transactions); free

@@ -103,7 +103,7 @@ class KeptChain:
     A chain consumer of :class:`~repro.logs.stream.RunStream`: a network
     built without a caller's stream registers one before its genesis
     block, and the post-run readers (``run_digest``, ``forensics_report``,
-    ``extract_blockchain_log``, ``verify_serializability``) walk it.
+    ``ChainLog``, ``verify_serializability``) walk it.
     """
 
     def __init__(self) -> None:

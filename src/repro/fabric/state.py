@@ -16,7 +16,7 @@ from repro.fabric.transaction import DELETED, Version
 
 class VersionedValue(NamedTuple):
     """A committed value together with the version that wrote it (an
-    immutable pair, built on every committed write and genesis key)."""
+    immutable pair, so a genesis snapshot can be shared between networks)."""
 
     value: Any
     version: Version
@@ -58,6 +58,15 @@ class WorldState:
         if key not in self._data:
             bisect.insort(self._sorted_keys, key)
         self._data[key] = VersionedValue(value, version)
+
+    def load(self, entries: dict[str, VersionedValue]) -> None:
+        """Fill this empty namespace with ``entries`` in one step, as one
+        ``put`` per entry in dict order would; ``entries`` (which may be
+        shared) is copied, never written.  A non-empty namespace raises."""
+        if self._data:
+            raise ValueError(f"namespace {self.namespace!r} is not empty")
+        self._data = dict(entries)
+        self._sorted_keys = sorted(self._data)
 
     def delete(self, key: str) -> None:
         """Remove ``key`` from the namespace (committed deletion)."""

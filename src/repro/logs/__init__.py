@@ -1,7 +1,8 @@
 """Blockchain log pipeline (paper Sections 4.1-4.2).
 
-``extract`` reads the ledger of a simulated network, drops configuration
-transactions, and produces the nine-attribute :class:`BlockchainLog`;
+``extract`` reads the ledger of a simulated network one block at a time
+(:class:`ChainLog`), drops configuration transactions, and lists the
+nine-attribute :class:`BlockchainLog`;
 ``export`` round-trips it through CSV/JSON (the preprocessed log the
 paper releases for process-mining research) and streams a CSV log row by
 row (:class:`CsvLog`); ``eventlog`` derives CaseIDs from a common element
@@ -31,11 +32,12 @@ from repro.logs.export import (
     log_to_csv,
     log_to_json,
 )
-from repro.logs.extract import extract_blockchain_log
+from repro.logs.extract import ChainLog, extract_blockchain_log
 
 __all__ = [
     "BlockchainLog",
     "CaseIdDerivation",
+    "ChainLog",
     "ChannelConfig",
     "CsvLog",
     "Event",

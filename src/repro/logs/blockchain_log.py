@@ -112,6 +112,7 @@ class LogRecord:
 
     @property
     def is_failure(self) -> bool:
+        """True unless the transaction committed as valid (``SUCCESS``)."""
         return self.status.is_failure
 
 

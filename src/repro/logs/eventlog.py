@@ -183,6 +183,7 @@ class EventLog:
 
     @cached_property
     def events(self) -> list[Event]:
+        """Every event in log order, built from the columns on first read."""
         return list(map(Event, *self._columns))
 
     def __len__(self) -> int:
@@ -216,6 +217,7 @@ class EventLog:
         return dict(sorted(variants.items(), key=lambda item: (-item[1], item[0])))
 
     def activities(self) -> list[str]:
+        """The distinct activity names, sorted."""
         return sorted(set(self._columns[1]))
 
     @staticmethod

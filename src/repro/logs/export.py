@@ -111,6 +111,7 @@ def log_to_json(log: BlockchainLog, path: str | Path) -> None:
 
 
 def log_from_json(path: str | Path) -> BlockchainLog:
+    """Read a log written by :func:`log_to_json` (records listed in full)."""
     document = json.loads(Path(path).read_text())
     config = ChannelConfig(
         block_count=int(document["config"]["block_count"]),

@@ -11,31 +11,50 @@ block count/timeout from the log) and are then dropped from the records.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Iterator
 
 from repro.fabric.network import FabricNetwork
-from repro.logs.blockchain_log import BlockchainLog, LogRecord
+from repro.logs.blockchain_log import BlockchainLog, ChannelConfig, LogRecord
 from repro.logs.stream import RunStream
 
 
-def extract_blockchain_log(
-    network: FabricNetwork, interval_seconds: float = 1.0
-) -> BlockchainLog:
-    """Extract the nine-attribute blockchain log of a network's kept chain.
+class ChainLog:
+    """A network's kept chain read as a log, one block of records at a time.
 
-    The chain is replayed once through a fresh :class:`RunStream` with a
-    record consumer on it, so each record is numbered, built and checked
-    exactly as a run's stream does it, and the config transactions are
-    folded the same way (the last one to set a key wins); the network's
-    own stream and its counters are left alone.  Transactions that never
-    reached the chain are not in the log, as in a real Fabric ledger.  A
-    chain without a config transaction raises ``ValueError``.
+    Each pass replays the chain through a fresh :class:`RunStream`, so each
+    record is numbered, built and checked as a run's stream does it, and
+    yields a block's records before it replays the next block; the
+    network's own stream is left alone.  ``len()`` is the number of records
+    the latest pass read.  ``config`` is set when a pass ends (the last
+    config transaction to set a key wins); a chain without one raises
+    ``ValueError`` there.
     """
-    records: list[LogRecord] = []
-    replay = RunStream().add_record_consumer(SimpleNamespace(consume=records.append))
-    for block in network.ledger:
-        replay.accept_block(block)
-    if replay.config is None:
-        raise ValueError("ledger contains no configuration transaction")
-    return BlockchainLog(
-        records=records, config=replay.config, interval_seconds=interval_seconds
-    )
+
+    def __init__(self, network: FabricNetwork) -> None:
+        self._ledger = network.ledger
+        self.config: ChannelConfig | None = None
+        self._read = 0
+
+    def __len__(self) -> int:
+        return self._read
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        records: list[LogRecord] = []  # one block's
+        replay = RunStream().add_record_consumer(SimpleNamespace(consume=records.append))
+        self._read = 0
+        for block in self._ledger:
+            replay.accept_block(block)
+            yield from records
+            self._read += len(records)
+            records.clear()
+        if replay.config is None:
+            raise ValueError("ledger contains no configuration transaction")
+        self.config = replay.config
+
+
+def extract_blockchain_log(network: FabricNetwork) -> BlockchainLog:
+    """Extract the nine-attribute blockchain log of a network's kept chain:
+    one :class:`ChainLog` pass, with its records listed."""
+    chain = ChainLog(network)
+    records = list(chain)
+    return BlockchainLog(records=records, config=chain.config)

@@ -45,8 +45,8 @@ class RunStream:
     Records are emitted in commit order, numbered by ``tx.commit_order``
     (set here, for every committed data transaction) and their position
     in the block, so a consumer fed live produces byte-identical results
-    to one fed from :func:`~repro.logs.extract.extract_blockchain_log`,
-    which replays the kept chain through a fresh stream.
+    to one fed from a :class:`~repro.logs.extract.ChainLog`, which
+    replays the kept chain through a fresh stream.
     """
 
     def __init__(self) -> None:

@@ -1,7 +1,10 @@
 """Golden-file regression test for BlockOptR's analysis of the use-case logs.
 
 Pins, per use case (scm, drm, ehr, voting and loan at 600 transactions,
-seed 7), everything one ``BlockOptR.analyze_log`` pass derives:
+seed 7), everything one ``BlockOptR.analyze_log`` pass derives, through
+both ways a run reaches it: ``analyze_network`` (the kept chain read
+block by block through a ``ChainLog``) and ``analyze_log`` of the listed
+``extract_blockchain_log``.  Both must match the one golden file:
 
 * the ``render_report(..., include_insights=True)`` text;
 * a digest of the whole :class:`~repro.core.metrics.LogMetrics`, with
@@ -72,7 +75,7 @@ def canonical_metrics(metrics) -> dict:
     return canonical
 
 
-def _compute(usecase: str) -> dict:
+def _compute(usecase: str, entry: str = "analyze_log") -> dict:
     from repro.bench.experiments import make_usecase
     from repro.core import BlockOptR, render_report
     from repro.fabric.network import run_workload
@@ -82,7 +85,10 @@ def _compute(usecase: str) -> dict:
         usecase, total_transactions=GOLDEN_TXS, seed=GOLDEN_SEED
     )()
     network, _ = run_workload(config, family.deploy().contracts, requests)
-    report = BlockOptR().analyze_log(extract_blockchain_log(network))
+    if entry == "analyze_network":
+        report = BlockOptR().analyze_network(network)
+    else:
+        report = BlockOptR().analyze_log(extract_blockchain_log(network))
     dfg = report.dfg
     return {
         "report": render_report(report, include_insights=True),
@@ -104,19 +110,26 @@ def _compute(usecase: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("usecase", USECASES)
-def test_analysis_matches_golden(usecase):
+#: (use case, entry point) cases; the analyze_log ones keep bare use-case ids.
+CASES = [pytest.param(usecase, "analyze_log", id=usecase) for usecase in USECASES] + [
+    pytest.param(usecase, "analyze_network", id=f"{usecase}-analyze_network")
+    for usecase in USECASES
+]
+
+
+@pytest.mark.parametrize("usecase, entry", CASES)
+def test_analysis_matches_golden(usecase, entry):
     assert GOLDEN_PATH.is_file(), (
         f"missing golden file {GOLDEN_PATH}; regenerate with "
         f"`PYTHONPATH=src python tests/test_analysis_golden.py --regenerate`"
     )
     golden = json.loads(GOLDEN_PATH.read_text())["usecases"][usecase]
-    measured = _compute(usecase)
+    measured = _compute(usecase, entry)
     assert measured["report"] == golden["report"]
     for part in ("metrics", "events", "dfg"):
         assert measured[part] == golden[part], (
-            f"{usecase}: the {part} digest drifted from tests/golden — if the "
-            f"change is intended, regenerate"
+            f"{usecase} through {entry}: the {part} digest drifted from "
+            f"tests/golden — if the change is intended, regenerate"
         )
 
 

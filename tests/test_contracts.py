@@ -70,6 +70,104 @@ class TestGenChain:
         with pytest.raises(ValueError):
             GenChainContract(num_keys=0)
 
+    def test_key_space_holds_only_ranks_that_sort_in_order(self):
+        """Keys carry a 6-digit rank; ``key1000000`` would sort between
+        ``key100000`` and ``key100001``, so range reads over a larger key
+        space would scan the wrong keys."""
+        assert GenChainContract(num_keys=1).num_keys == 1
+        assert GenChainContract(num_keys=999_999).num_keys == 999_999
+        for num_keys in (0, 1_000_000, 1_000_005):
+            with pytest.raises(ValueError, match="6-digit rank"):
+                GenChainContract(num_keys=num_keys)
+        assert GenChainContract.key(100_000) < GenChainContract.key(1_000_000)
+        assert GenChainContract.key(1_000_000) < GenChainContract.key(100_001)
+
+    def test_tuned_bundle_with_too_many_keys_fails_when_built(self):
+        from repro.bench.experiments import make_synthetic
+
+        make = make_synthetic("default", seed=7, total_transactions=50, num_keys=1_000_000)
+        with pytest.raises(ValueError, match="6-digit rank"):
+            make()
+
+    @pytest.mark.parametrize("num_keys", [1, 7, 1500])
+    def test_setup_matches_the_per_key_reference(self, num_keys):
+        """The shared genesis snapshot gives the state the per-key puts
+        gave: same entries, same dict order, same sorted index."""
+        loaded, reference = WorldState("genchain"), WorldState("genchain")
+        GenChainContract(num_keys=num_keys).setup(loaded)
+        _reference_genesis(reference, num_keys)
+        assert list(loaded._data.items()) == list(reference._data.items())
+        assert loaded.keys() == reference.keys()
+
+    def test_a_network_never_writes_into_the_shared_snapshot(self):
+        """Inserts, updates and deletes committed on one network leave the
+        next network's genesis state as the reference builds it."""
+        from repro.fabric.network import FabricNetwork, run_workload
+        from repro.fabric.transaction import TxRequest
+        from tests.conftest import small_config
+
+        num_keys = 60
+        key = GenChainContract.key
+        requests = []
+        for index in range(num_keys):
+            for activity, args in (
+                ("write", (f"{key(index)}x{index:06d}", index)),
+                ("update", (key(index), -index)),
+                ("delete", (key((index + 1) % num_keys),)),
+            ):
+                requests.append(
+                    TxRequest(
+                        submit_time=len(requests) / 200.0,
+                        activity=activity,
+                        args=args,
+                        contract=GenChainContract.name,
+                    )
+                )
+        first, result = run_workload(
+            small_config(), [GenChainContract(num_keys=num_keys)], requests
+        )
+        written = first.state_db.namespace(GenChainContract.name)
+        assert result.success_count > 0
+        assert any("x" in name for name in written.keys())
+        assert len([name for name in written.keys() if "x" not in name]) < num_keys
+        assert any(entry.value != 100 for _, entry in written.range_scan("key", "kez"))
+
+        second = FabricNetwork(small_config(), [GenChainContract(num_keys=num_keys)])
+        fresh = second.state_db.namespace(GenChainContract.name)
+        reference = WorldState(GenChainContract.name)
+        _reference_genesis(reference, num_keys)
+        assert list(fresh._data.items()) == list(reference._data.items())
+        assert fresh.keys() == reference.keys()
+
+    def test_a_second_setup_allocates_almost_nothing(self):
+        """Once the snapshot is built, a setup copies one dict and sorts
+        one key list: not two tuples per key (about 3,000 tracked objects for
+        1,500 keys, built one ``put`` at a time)."""
+        import gc
+
+        contract = GenChainContract(num_keys=1500)
+        contract.setup(WorldState(contract.name))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            state = WorldState(contract.name)
+            contract.setup(state)
+            allocated = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(state) == 1500
+        assert allocated < 16, f"{allocated} GC-tracked objects allocated"
+
+
+def _reference_genesis(state, num_keys):
+    """genChain's genesis as one ``put`` per key, the setup body before the
+    shared snapshot."""
+    from repro.fabric.transaction import Version
+
+    for index in range(num_keys):
+        state.put(f"key{index:06d}", 100, Version(block=0, tx=index))
+
 
 class TestScm:
     def test_normal_flow(self):

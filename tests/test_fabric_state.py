@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fabric.state import StateDatabase, WorldState
+from repro.fabric.state import StateDatabase, VersionedValue, WorldState
 from repro.fabric.transaction import DELETED, Version
 
 
@@ -117,3 +117,41 @@ def test_property_range_scan_equals_filter(data, start, end):
     scanned = {k: e.value for k, e in ws.range_scan(start, end)}
     expected = {k: v for k, v in data.items() if start <= k < end}
     assert scanned == expected
+
+
+@given(
+    st.lists(
+        st.tuples(st.text(alphabet="abcdef", min_size=1, max_size=4), st.integers()),
+        unique_by=lambda item: item[0],
+        max_size=60,
+    )
+)
+def test_property_load_equals_puts_in_the_same_order(items):
+    """One ``load`` gives the entries, dict order and sorted index that
+    one ``put`` per entry gives, whatever order the entries come in."""
+    entries = {
+        key: VersionedValue(value, Version(0, index))
+        for index, (key, value) in enumerate(items)
+    }
+    put = WorldState()
+    for key, entry in entries.items():
+        put.put(key, entry.value, entry.version)
+    loaded = WorldState()
+    loaded.load(entries)
+    assert list(loaded._data.items()) == list(put._data.items())
+    assert loaded.keys() == put.keys()
+
+
+def test_load_refuses_a_non_empty_namespace_and_copies_its_entries():
+    entries = {"b": VersionedValue(2, Version(0, 0))}
+    ws = WorldState("ns")
+    ws.put("a", 1, Version(1, 0))
+    with pytest.raises(ValueError, match="'ns' is not empty"):
+        ws.load(entries)
+    assert ws.keys() == ["a"]
+    fresh = WorldState("ns")
+    fresh.load(entries)
+    fresh.put("c", 3, Version(1, 0))
+    fresh.delete("b")
+    assert entries == {"b": VersionedValue(2, Version(0, 0))}
+    assert fresh.keys() == ["c"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fabric.transaction import TxStatus, TxType
 from repro.logs import (
     BlockchainLog,
+    ChainLog,
     ChannelConfig,
     EventLog,
     LogRecord,
@@ -86,7 +87,8 @@ class TestExtraction:
 
     def test_extraction_replays_the_live_records(self, counter_contract):
         """One replay of the kept chain gives the records the run's own
-        stream built live, and leaves that stream's counters alone."""
+        stream built live, and leaves that stream's counters alone; so
+        does each pass of a ChainLog, which yields them block by block."""
         from repro.fabric.network import FabricNetwork
         from tests.conftest import counter_requests, small_config
 
@@ -99,6 +101,27 @@ class TestExtraction:
         assert log.records == live and len(live) == streamed > 0
         assert network.stream.records_streamed == streamed
         assert log.config == network.stream.config
+
+        chain = ChainLog(network)
+        assert chain.config is None and len(chain) == 0
+        for _ in range(2):
+            assert list(chain) == live
+            assert len(chain) == network.stream.committed_txs == streamed
+            assert chain.config == network.stream.config
+        assert network.stream.records_streamed == streamed
+
+    def test_chain_log_without_config_raises_at_the_end_of_a_pass(self):
+        from repro.fabric.ledger import Ledger
+
+        ledger = Ledger()
+        for block in _chain([_data_tx("tx-1")]):
+            ledger.append(block)
+        chain = ChainLog(SimpleNamespace(ledger=ledger))
+        records = iter(chain)
+        assert next(records).tx_id == "tx-1"
+        with pytest.raises(ValueError, match="no configuration transaction"):
+            next(records)
+        assert chain.config is None and len(chain) == 1
 
     def test_ledger_without_config_rejected(self):
         from repro.fabric.ledger import Ledger

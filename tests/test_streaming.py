@@ -681,6 +681,30 @@ def test_streamed_run_never_holds_more_than_one_block_of_records():
     )
 
 
+def test_analysis_of_a_kept_chain_holds_one_block_of_records(monkeypatch):
+    """BlockOptR reads a network's kept chain one block at a time: while
+    it folds a 4,000-tx run's records in, no more are alive than the
+    largest block holds (listing the log first would keep all of them)."""
+    from repro.core import BlockOptR
+
+    network, _ = _batch_run("default", 7, 4_000)
+    census = _RecordCensus(every=250)
+    consume = MetricsAccumulator.consume
+
+    def counted(accumulator, record):
+        census.consume(record)
+        consume(accumulator, record)
+
+    monkeypatch.setattr(MetricsAccumulator, "consume", counted)
+    report = BlockOptR().analyze_network(network)
+    assert census.seen == len(report.log) == network.stream.committed_txs == 4_000
+    ceiling = network.stream.max_block_transactions
+    assert 0 < census.max_live <= ceiling, (
+        f"{census.max_live} live records at a sample point; "
+        f"expected at most one block ({ceiling})"
+    )
+
+
 def test_finished_streamed_network_is_freed_by_reference_counting():
     """A finished network, world state and contracts included, leaves no
     reference cycle.
