@@ -60,13 +60,12 @@ def step_2_run_scenario(scenario: ScenarioSpec) -> None:
     )()
     _, steady = run_workload(config, family.deploy().contracts, requests)
 
-    # A fresh bundle from the same seed: the same workload, now under faults.
-    config, family, requests, scenario = make_scenario(
+    # A fresh bundle from the same seed: the same workload, now under faults
+    # (the scenario rides on the bundle's config).
+    config, family, requests = make_scenario(
         "default", scenario, seed=7, total_transactions=TXS
     )()
-    network, faulted = run_workload(
-        config, family.deploy().contracts, requests, scenario
-    )
+    network, faulted = run_workload(config, family.deploy().contracts, requests)
 
     print(f"{'run':<16}{'tput(tps)':>10}{'lat(s)':>8}{'success%':>10}")
     for label, result in (("steady-state", steady), ("under scenario", faulted)):

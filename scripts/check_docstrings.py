@@ -10,10 +10,10 @@ dunders other than ``__init__``-free classes (dunders document themselves
 through the data model).
 
 Scope: all ``repro.*`` package ``__init__.py`` files plus the public-API
-modules the documentation contract names — the suite executor, the
-genChain contract, the scenario engine and fuzzer, and every public module
-of the ``repro.fabric``, ``repro.logs``, ``repro.sim``, ``repro.analysis``
-and ``repro.control`` packages.
+modules the documentation contract names — the genChain contract, and
+every public module of the ``repro.fabric``, ``repro.logs``,
+``repro.sim``, ``repro.analysis``, ``repro.control``, ``repro.bench``
+and ``repro.scenario`` packages.
 
 Usage::
 
@@ -35,15 +35,10 @@ SRC = REPO_ROOT / "src" / "repro"
 
 #: Modules whose full public API must be documented, besides the
 #: :data:`SCOPED_PACKAGES`.
-DEFAULT_SCOPE = [
-    SRC / "bench" / "executor.py",
-    SRC / "contracts" / "genchain.py",
-    SRC / "scenario" / "engine.py",
-    SRC / "scenario" / "fuzz.py",
-]
+DEFAULT_SCOPE = [SRC / "contracts" / "genchain.py"]
 #: Packages scoped wholesale (every non-dunder module), so new modules
 #: join the contract automatically.
-SCOPED_PACKAGES = ("fabric", "logs", "sim", "analysis", "control")
+SCOPED_PACKAGES = ("fabric", "logs", "sim", "analysis", "control", "bench", "scenario")
 
 
 def package_modules(package: Path) -> list[Path]:

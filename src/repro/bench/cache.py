@@ -7,9 +7,10 @@ name is a SHA-256 over
 * the experiment's declarative identity (:meth:`ExperimentSpec.payload`:
   bundle factory + its keyword arguments, seed, resolved transaction
   budget, optimization plans), and
-* a *code version* — a hash over every ``repro`` source file — so any
-  change to the simulator, workloads or recommender invalidates every
-  cached result automatically.
+* a *code version* — a hash over every ``repro`` source file, this
+  module included — so any change to the simulator, workloads,
+  recommender or cache layout invalidates every cached result
+  automatically.
 
 A warm suite re-run therefore performs zero simulation runs; nothing ever
 needs manual invalidation beyond deleting the directory (or ``--no-cache``).
@@ -29,11 +30,6 @@ from repro.bench.harness import ExperimentOutcome, RunRow
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.bench.registry import ExperimentSpec
 
-#: Bump to invalidate every existing cache entry on format changes.
-#: Format 2 added the per-row failure-forensics reports; format 3 the
-#: per-row SLO-guardian control timelines.
-CACHE_FORMAT = 3
-
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 
@@ -52,7 +48,7 @@ def code_version() -> str:
 
 
 def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
-    """JSON-able form of an outcome (the analysis report is not kept).
+    """JSON-able form of an outcome.
 
     The per-row forensics reports ride along when present (the ``rows``
     shape itself is unchanged, so golden files keyed on rows stay stable).
@@ -81,6 +77,7 @@ def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
 
 
 def outcome_from_dict(data: dict) -> ExperimentOutcome:
+    """Inverse of :func:`outcome_to_dict`."""
     return ExperimentOutcome(
         name=data["name"],
         rows=[
@@ -112,15 +109,13 @@ class ResultCache:
         )
 
     def key(self, spec: "ExperimentSpec") -> str:
-        identity = {
-            "format": CACHE_FORMAT,
-            "code": code_version(),
-            "spec": spec.payload(),
-        }
+        """SHA-256 over ``spec``'s payload and the code version."""
+        identity = {"code": code_version(), "spec": spec.payload()}
         blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def path(self, spec: "ExperimentSpec") -> Path:
+        """Where ``spec``'s entry lives: ``<root>/<key>.json``."""
         return self.root / f"{self.key(spec)}.json"
 
     def get(self, spec: "ExperimentSpec") -> ExperimentOutcome | None:
@@ -150,6 +145,11 @@ class ResultCache:
             pass
 
     def put(self, spec: "ExperimentSpec", outcome: ExperimentOutcome) -> Path:
+        """Write ``outcome`` as ``spec``'s entry (atomically); returns its path.
+
+        Compact separators keep ``json`` on its C encoder, which an
+        ``indent`` would switch off.
+        """
         path = self.path(spec)
         self.root.mkdir(parents=True, exist_ok=True)
         record = {
@@ -158,7 +158,7 @@ class ResultCache:
             "outcome": outcome_to_dict(outcome),
         }
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, indent=1, sort_keys=True))
+        tmp.write_text(json.dumps(record, separators=(",", ":"), sort_keys=True))
         os.replace(tmp, path)
         return path
 

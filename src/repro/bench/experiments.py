@@ -508,9 +508,9 @@ def make_scenario(
 
     ``base`` is any :func:`synthetic_spec` experiment name; ``scenario``
     is a :mod:`repro.scenario.library` name or a
-    :class:`~repro.scenario.spec.ScenarioSpec`.  The bundle carries the
-    spec as its fourth element, which the baseline and every plan run
-    thread into ``run_workload``.  On top ride a ``mitigation``
+    :class:`~repro.scenario.spec.ScenarioSpec`, set as the config's
+    ``scenario``, so the baseline and every plan run (a copy of that
+    config) run under it.  Beside it ride a ``mitigation``
     (:data:`repro.fabric.config.MITIGATIONS`), a client
     :class:`~repro.fabric.retry.RetryPolicy` when ``retry_attempts`` > 1,
     and the live SLO-guardian controller: ``policy`` is ``"off"``, a
@@ -539,7 +539,8 @@ def make_scenario(
         config.mitigation = mitigation
         config.retry = retry
         config.control = control
-        return config, family, requests, scenario
+        config.scenario = scenario
+        return config, family, requests
 
     return make
 

@@ -28,28 +28,10 @@ from repro.fabric.policy import parse_policy
 from repro.fabric.results import RunResult
 from repro.fabric.transaction import TxRequest
 from repro.logs.stream import RunStream
-from repro.scenario.spec import ScenarioSpec
 
-#: A factory producing one experiment's ingredients: ``(config, family,
-#: requests)`` or, for scenario experiments, ``(config, family, requests,
-#: scenario)``.
-MakeBundle = Callable[[], tuple]
-
-
-def unpack_bundle(
-    bundle: tuple,
-) -> tuple[NetworkConfig, ContractFamily, list[TxRequest], ScenarioSpec | None]:
-    """Normalize a bundle to ``(config, family, requests, scenario)``.
-
-    Pre-scenario makers return 3-tuples; scenario makers append the
-    :class:`ScenarioSpec`.  :func:`run_baseline` and :func:`run_plan`
-    handle the two shapes through this one helper.
-    """
-    if len(bundle) == 3:
-        config, family, requests = bundle
-        return config, family, requests, None
-    config, family, requests, scenario = bundle
-    return config, family, requests, scenario
+#: A factory producing one experiment's ingredients, ``(config, family,
+#: requests)``; a scenario experiment's config carries its scenario.
+MakeBundle = Callable[[], tuple[NetworkConfig, ContractFamily, list[TxRequest]]]
 
 
 @dataclass
@@ -68,6 +50,7 @@ class RunRow:
 
     @staticmethod
     def from_result(label: str, result: RunResult, applied=(), forced=False) -> "RunRow":
+        """The row of ``result``, its numbers rounded as the tables print them."""
         return RunRow(
             label=label,
             throughput=round(result.success_throughput, 1),
@@ -87,7 +70,6 @@ class ExperimentOutcome:
     recommendations: list[str]
     #: Paper-reported (throughput, latency, success%) per row label.
     paper: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-    report: AnalysisReport | None = None
     #: One failure-forensics report (dict form, see
     #: :class:`repro.analysis.forensics.ForensicsReport`) per row, in row
     #: order; ``None`` on outcomes hydrated from pre-forensics caches.
@@ -99,6 +81,7 @@ class ExperimentOutcome:
     control: list[dict | None] | None = None
 
     def row(self, label: str) -> RunRow:
+        """The row labelled ``label``; ``KeyError`` when there is none."""
         for row in self.rows:
             if row.label == label:
                 return row
@@ -190,10 +173,8 @@ def run_baseline(
     chain: BlockOptR replays it.  The report, whose log reads that chain,
     is not returned, so the chain goes with this call.
     """
-    config, family, requests, scenario = unpack_bundle(bundle)
-    network, baseline = run_workload(
-        config, family.deploy().contracts, requests, scenario=scenario
-    )
+    config, family, requests = bundle
+    network, baseline = run_workload(config, family.deploy().contracts, requests)
     report = BlockOptR().analyze_network(network)
     recommended = report.recommended_kinds()
     tasks = []
@@ -209,19 +190,17 @@ def run_baseline(
 def run_plan(bundle: tuple, task: PlanTask) -> RunRecord:
     """Apply one resolved plan to ``bundle`` and re-run it.
 
-    Scenario bundles re-run under the same scenario as the baseline: the
+    Scenario bundles re-run under the same scenario as the baseline (the
+    applied config is a copy of the bundle's, scenario included): the
     recommendations are evaluated under the faults they were derived from.
     Nothing reads a plan run's chain, so its network runs on a stream of
     its own and keeps none.
     """
     label, recs, forced = task
-    config, family, requests, scenario = unpack_bundle(bundle)
+    config, family, requests = bundle
     applied = apply_recommendations(list(recs), config, family, requests)
     network = FabricNetwork(
-        applied.config,
-        applied.deployment.contracts,
-        scenario=scenario,
-        stream=RunStream(),
+        applied.config, applied.deployment.contracts, stream=RunStream()
     )
     optimized = network.run(applied.requests)
     row = RunRow.from_result(label, optimized, applied=applied.applied, forced=forced)
@@ -233,7 +212,6 @@ def assemble_outcome(
     records: list[RunRecord],
     recommended: set[OptimizationKind],
     paper: dict[str, tuple[float, float, float]] | None = None,
-    report: AnalysisReport | None = None,
 ) -> ExperimentOutcome:
     """The outcome of one experiment from its records, baseline first."""
     rows, forensics, control = (list(column) for column in zip(*records))
@@ -242,7 +220,6 @@ def assemble_outcome(
         rows=rows,
         recommendations=sorted(kind.value for kind in recommended),
         paper=dict(paper or {}),
-        report=report,
         forensics=forensics,
         control=control if any(entry is not None for entry in control) else None,
     )

@@ -74,6 +74,7 @@ class ExperimentSpec:
         ]
 
     def paper_dict(self) -> dict[str, tuple[float, float, float]]:
+        """The paper's (throughput, latency, success%) per row label."""
         return {label: values for label, values in self.paper}
 
     def run_count(self) -> int:

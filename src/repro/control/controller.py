@@ -5,7 +5,8 @@
 :class:`~repro.control.spec.ControlSpec`, it ticks on the kernel's
 control lane (after interventions, before arrivals at the same instant):
 each tick closes the :class:`~repro.control.monitor.WindowedMonitor`
-window, asks the policy for proposals, clamps them through
+window, reads the actuator values in effect off the network, asks the
+policy for proposals, clamps them through
 :mod:`repro.control.bounds`, applies them to the network's *live*
 actuation seams and records the decision in the
 :class:`~repro.control.timeline.ControlTimeline`.
@@ -25,7 +26,7 @@ both journaled).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.control.bounds import ActuationError, clamp_actuation, validate_actuation
 from repro.control.monitor import WindowedMonitor
@@ -37,6 +38,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.network import FabricNetwork
 
 
+#: How each actuator reaches the live network, as ``setter(network,
+#: value)`` (docs/CONTROL.md's "applied through" column).
+SETTERS: dict[str, Callable[["FabricNetwork", object], None]] = {
+    "send_rate_cap": lambda network, cap: (
+        network.conditions.set_send_rate_cap(cap, source="control")
+    ),
+    "block_count": lambda network, count: (
+        setattr(network.orderer, "block_count", count)
+    ),
+    "block_timeout": lambda network, timeout: (
+        setattr(network.orderer, "block_timeout", timeout)
+    ),
+    "mitigation": lambda network, mitigation: network.set_mitigation(mitigation),
+    "retry_max_attempts": lambda network, attempts: network.set_retry_policy(
+        replace(network.retry_policy, max_attempts=attempts)
+    ),
+}
+
+
 class SLOGuardian:
     """Windowed monitor + policy + bounded actuators, wired to one network."""
 
@@ -46,8 +66,13 @@ class SLOGuardian:
         self.monitor = WindowedMonitor()
         self.policy = make_policy(spec.policy, spec.slo)
         self.timeline = ControlTimeline(policy=spec.policy)
+
+    @property
+    def state(self) -> ControllerState:
+        """The actuator values in effect now, read off the live network."""
+        network = self.network
         retry = network.retry_policy
-        self.state = ControllerState(
+        return ControllerState(
             block_count=network.orderer.block_count,
             block_timeout=network.orderer.block_timeout,
             mitigation=network.mitigation,
@@ -93,62 +118,19 @@ class SLOGuardian:
 
     def _apply(self, proposal: Proposal) -> ControlAction | None:
         """Clamp and apply one proposal; ``None`` when it is a no-op."""
-        network = self.network
-        state = self.state
         name, value = proposal.actuator, proposal.value
-
-        if name == "send_rate_cap":
-            old = state.send_rate_cap
-            if value is None:
-                if old is None:
-                    return None
-                network.conditions.set_send_rate_cap(None, source="control")
-                state.send_rate_cap = None
-                return ControlAction("send_rate_cap", old, None)
-            new, clamped = clamp_actuation("send_rate_cap", float(value))
-            if new == old:
-                return None
-            network.conditions.set_send_rate_cap(new, source="control")
-            state.send_rate_cap = new
-            return ControlAction("send_rate_cap", old, new, clamped=clamped)
-
-        if name == "block_count":
-            new, clamped = clamp_actuation("block_count", float(value))
-            old = network.orderer.block_count
-            if new == old:
-                return None
-            network.orderer.block_count = new
-            state.block_count = new
-            return ControlAction("block_count", old, new, clamped=clamped)
-
-        if name == "block_timeout":
-            new, clamped = clamp_actuation("block_timeout", float(value))
-            old = network.orderer.block_timeout
-            if new == old:
-                return None
-            network.orderer.block_timeout = new
-            state.block_timeout = new
-            return ControlAction("block_timeout", old, new, clamped=clamped)
-
+        setter = SETTERS.get(name)
+        if setter is None:
+            raise ActuationError(f"policy proposed unknown actuator {name!r}")
+        old = getattr(self.state, name)
+        if name == "retry_max_attempts" and old is None:
+            return None  # no retry policy to tighten
+        clamped = False
         if name == "mitigation":
-            validate_actuation("mitigation", value)
-            old = state.mitigation
-            if value == old:
-                return None
-            network.set_mitigation(str(value))
-            state.mitigation = str(value)
-            return ControlAction("mitigation", old, value)
-
-        if name == "retry_max_attempts":
-            retry = network.retry_policy
-            if retry is None:
-                return None
-            new, clamped = clamp_actuation("retry_max_attempts", float(value))
-            if new == retry.max_attempts:
-                return None
-            old = retry.max_attempts
-            network.set_retry_policy(replace(retry, max_attempts=new))
-            state.retry_max_attempts = new
-            return ControlAction("retry_max_attempts", old, new, clamped=clamped)
-
-        raise ActuationError(f"policy proposed unknown actuator {name!r}")
+            validate_actuation(name, value)
+        elif not (name == "send_rate_cap" and value is None):  # None clears the cap
+            value, clamped = clamp_actuation(name, float(value))
+        if value == old:
+            return None
+        setter(self.network, value)
+        return ControlAction(name, old, value, clamped=clamped)

@@ -2,7 +2,7 @@
 
 A policy is a pure decision function — it never touches the network.  It
 receives the closed :class:`~repro.control.monitor.WindowObservables` and
-the :class:`ControllerState` mirror of the current actuator values, and
+the :class:`ControllerState` of the current actuator values, and
 returns :class:`Proposal`s; the :class:`~repro.control.controller
 .SLOGuardian` clamps each proposal through :mod:`repro.control.bounds`,
 applies it and records the decision.  The interface is deliberately the
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.control.bounds import BOUNDS
 from repro.control.monitor import WindowObservables
 from repro.control.spec import SLOTargets
 
@@ -34,14 +35,14 @@ class Proposal:
     value: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerState:
-    """Live mirror of the actuator values the controller manages.
+    """A read-only snapshot of the actuator values the controller manages.
 
-    The controller reads initial values off the network at install time
-    and updates the mirror after every applied actuation, so policies
-    decide against what is *currently in effect* — never against the
-    immutable :class:`~repro.fabric.config.NetworkConfig`.
+    The controller reads it off the live network at every tick
+    (:attr:`~repro.control.controller.SLOGuardian.state`): policies decide
+    against what is *currently in effect*, never against the immutable
+    :class:`~repro.fabric.config.NetworkConfig`, and act only by proposing.
     """
 
     block_count: int
@@ -116,8 +117,9 @@ class GuardianPolicy(ControlPolicy):
     MIN_SAMPLES = 8
     #: Multiplicative relax step for the recovery ramp.
     CAP_STEP = 0.75
-    #: The throttle never caps below this admission rate (tx/s).
-    CAP_FLOOR = 10.0
+    #: The throttle never caps below this admission rate (tx/s): the
+    #: floor of the send cap's bounded envelope.
+    CAP_FLOOR = BOUNDS["send_rate_cap"][0]
     #: Relative block-count move below which rule 3 holds steady.
     RESIZE_DEADBAND = 0.2
 

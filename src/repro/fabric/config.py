@@ -12,8 +12,12 @@ growth with backlog.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.fabric.retry import RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.scenario.spec import ScenarioSpec
 
 #: Selectable failure-mitigation strategies (see docs/FAILURES.md):
 #: ``none`` is the seed behaviour, ``early_abort`` drops transactions with
@@ -108,6 +112,11 @@ class NetworkConfig:
     #: keeps the run controller-free and byte-identical to builds without
     #: the control package.
     control: "object | None" = None
+    #: Fault-injection scenario (:class:`repro.scenario.spec.ScenarioSpec`)
+    #: the network installs after its genesis block and whose workload
+    #: transforms :meth:`~repro.fabric.network.FabricNetwork.run` applies;
+    #: ``None`` — the default — runs the static network.
+    scenario: "ScenarioSpec | None" = None
 
     def __post_init__(self) -> None:
         if self.control is not None:
@@ -145,21 +154,7 @@ class NetworkConfig:
 
     def copy(self) -> "NetworkConfig":
         """Deep-enough copy: orgs are cloned, immutable members shared."""
-        return NetworkConfig(
-            orgs=[replace(org) for org in self.orgs],
-            endorsement_policy=self.endorsement_policy,
-            block_count=self.block_count,
-            block_timeout=self.block_timeout,
-            block_bytes=self.block_bytes,
-            endorser_selection_skew=self.endorser_selection_skew,
-            scheduler=self.scheduler,
-            scheduler_window=self.scheduler_window,
-            timing=self.timing,
-            seed=self.seed,
-            retry=self.retry,
-            mitigation=self.mitigation,
-            control=self.control,
-        )
+        return replace(self, orgs=[replace(org) for org in self.orgs])
 
 
 def default_orgs(n: int, num_clients: int = 5, endorsers_per_org: int = 1) -> list[OrgConfig]:

@@ -42,11 +42,11 @@ class EndorserPool:
         state_db: StateDatabase,
         contracts: dict[str, Contract],
         rng: SimRng,
-        conditions: NetworkConditions | None = None,
+        conditions: NetworkConditions,
     ) -> None:
         self._kernel = kernel
         self._timing = config.timing
-        self._conditions = conditions or NetworkConditions(config.timing)
+        self._conditions = conditions
         self._policy = policy
         self._state_db = state_db
         self._contracts = contracts

@@ -46,7 +46,6 @@ from repro.sim.rng import SimRng
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.forensics import ForensicsAccumulator
     from repro.logs.stream import RunStream
-    from repro.scenario.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,11 @@ class StreamedRunStats:
 class FabricNetwork:
     """A simulated Fabric network ready to execute workloads.
 
-    An optional :class:`~repro.scenario.spec.ScenarioSpec` turns the
-    static network into a dynamic one: its interventions are installed on
-    the kernel's intervention lane at construction time and its workload
-    transforms are applied to the requests in :meth:`run`.
+    A config carrying a :class:`~repro.scenario.spec.ScenarioSpec`
+    (``config.scenario``) turns the static network into a dynamic one:
+    its interventions are installed on the kernel's intervention lane at
+    construction time and its workload transforms are applied to the
+    requests in :meth:`run`.
 
     Built without a ``stream``, the network makes one and keeps the
     chain on it (:attr:`ledger`, :attr:`aborted`); built on a caller's
@@ -79,7 +79,6 @@ class FabricNetwork:
         self,
         config: NetworkConfig,
         contracts: list[Contract],
-        scenario: "ScenarioSpec | None" = None,
         stream: "RunStream | None" = None,
     ) -> None:
         if not contracts:
@@ -87,7 +86,7 @@ class FabricNetwork:
         self.config = config
         self.kernel = Kernel()
         self.rng = SimRng(config.seed)
-        fixed = scenario is None and config.control is None  # no writer
+        fixed = config.scenario is None and config.control is None  # no writer
         self.conditions = NetworkConditions(config.timing, fixed)
         self.policy = parse_policy(config.endorsement_policy)
         unknown = self.policy.organizations() - set(config.org_names())
@@ -151,10 +150,10 @@ class FabricNetwork:
         self._append_genesis()
 
         self.scenario_engine = None
-        if scenario is not None:
+        if config.scenario is not None:
             from repro.scenario.engine import ScenarioEngine
 
-            self.scenario_engine = ScenarioEngine(scenario)
+            self.scenario_engine = ScenarioEngine(config.scenario)
             self.scenario_engine.install(self)
 
         #: The SLO-guardian controller (:mod:`repro.control`), installed
@@ -602,17 +601,14 @@ class _Flight:
 
 
 def run_workload(
-    config: NetworkConfig,
-    contracts: list[Contract],
-    requests: list[TxRequest],
-    scenario: "ScenarioSpec | None" = None,
+    config: NetworkConfig, contracts: list[Contract], requests: list[TxRequest]
 ) -> tuple[FabricNetwork, RunResult]:
     """Build a fresh network, run ``requests``, return (network, result).
 
     The paper restarts the Fabric network for every experiment; this helper
-    is that restart.  ``scenario`` injects faults and dynamic network
-    conditions into the run (see :mod:`repro.scenario`).
+    is that restart.  ``config.scenario`` injects faults and dynamic
+    network conditions into the run (see :mod:`repro.scenario`).
     """
-    network = FabricNetwork(config, contracts, scenario=scenario)
+    network = FabricNetwork(config, contracts)
     result = network.run(requests)
     return network, result

@@ -32,12 +32,12 @@ class OrderingService:
         config: NetworkConfig,
         scheduler: Scheduler,
         deliver: Callable[[list[Transaction], str], None],
-        conditions: NetworkConditions | None = None,
+        conditions: NetworkConditions,
     ) -> None:
         self._kernel = kernel
         self._config = config
         self._timing = config.timing
-        self._conditions = conditions or NetworkConditions(config.timing)
+        self._conditions = conditions
         self._scheduler = scheduler
         self._deliver = deliver
         #: Called as ``early_abort(tx, now)`` for each envelope the batch

@@ -294,19 +294,17 @@ class Execution:
 
 
 def execute(
-    config: NetworkConfig,
-    family: ContractFamily,
-    requests: list[TxRequest],
-    scenario: ScenarioSpec | None = None,
+    config: NetworkConfig, family: ContractFamily, requests: list[TxRequest]
 ) -> Execution:
-    """One fresh batch run of ``requests`` under ``scenario``, kernel-traced.
+    """One fresh batch run of ``requests`` under ``config``, kernel-traced.
 
     The arguments are a run bundle (see
     :data:`repro.bench.harness.MakeBundle`), so ``execute(*make())``
-    runs any bundle factory's output.  The forensics report comes from
-    the run's live outcome fold (``network.outcomes``).
+    runs any bundle factory's output, under its config's scenario.  The
+    forensics report comes from the run's live outcome fold
+    (``network.outcomes``).
     """
-    network = FabricNetwork(config, family.deploy().contracts, scenario=scenario)
+    network = FabricNetwork(config, family.deploy().contracts)
     trace = network.kernel.enable_trace()
     result = network.run(list(requests))
     report = network.outcomes.finish_run(network)
@@ -377,7 +375,9 @@ class FuzzHarness:
         ``config`` defaults to the campaign's network config.
         """
         config = config if config is not None else self.network_config
-        return execute(config, self._family, self.requests, spec)
+        return execute(
+            dataclasses.replace(config, scenario=spec), self._family, self.requests
+        )
 
     def primary(self, spec: ScenarioSpec) -> Execution:
         """The composition's reference execution (memoized per spec name)."""
@@ -400,7 +400,8 @@ class FuzzHarness:
         from repro.logs.extract import extract_blockchain_log
 
         network = FabricNetwork(
-            self.network_config, self._family.deploy().contracts, scenario=spec
+            dataclasses.replace(self.network_config, scenario=spec),
+            self._family.deploy().contracts,
         )
         metrics = MetricsAccumulator()
         network.stream.add_record_consumer(metrics)
@@ -484,10 +485,10 @@ class FuzzHarness:
         """
         from repro.control.spec import ControlSpec
 
-        def config_for(policy: str):
-            config = self.network_config.copy()
-            config.control = ControlSpec(policy=policy)
-            return config
+        def config_for(policy: str) -> NetworkConfig:
+            return dataclasses.replace(
+                self.network_config, control=ControlSpec(policy=policy)
+            )
 
         violations = []
         primary = self.primary(spec)

@@ -333,6 +333,7 @@ class ScenarioSpec:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """Plain-dict form (JSON-ready)."""
         return {
             "name": self.name,
             "description": self.description,
@@ -341,6 +342,7 @@ class ScenarioSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioSpec":
+        """Inverse of :meth:`to_dict`; a malformed record raises ``ValueError``."""
         try:
             interventions = tuple(
                 Intervention(**record) for record in data["interventions"]
@@ -356,8 +358,10 @@ class ScenarioSpec:
             raise ValueError(f"scenario spec missing field {exc.args[0]!r}") from exc
 
     def to_json(self, indent: int = 1) -> str:
+        """:meth:`to_dict` as sorted-key JSON text."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ScenarioSpec":
+        """Inverse of :meth:`to_json`."""
         return ScenarioSpec.from_dict(json.loads(text))

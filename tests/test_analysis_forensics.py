@@ -22,7 +22,6 @@ from repro.analysis import (
     report_digest,
 )
 from repro.bench.experiments import make_scenario, make_synthetic
-from repro.bench.harness import unpack_bundle
 from repro.fabric.network import run_workload
 from repro.fabric.transaction import Transaction, TxStatus
 from repro.scenario.library import get_scenario
@@ -48,12 +47,8 @@ def _partial_outage_network(txs=800):
     config, family, requests = make_synthetic(
         "default", seed=7, total_transactions=txs
     )()
-    return run_workload(
-        config,
-        family.deploy().contracts,
-        requests,
-        scenario=get_scenario("partial_outage"),
-    )
+    config.scenario = get_scenario("partial_outage")
+    return run_workload(config, family.deploy().contracts, requests)
 
 
 class TestClassification:
@@ -135,12 +130,8 @@ class TestReport:
         config, family, requests = make_synthetic(
             "workload_update_heavy", seed=7, total_transactions=600
         )()
-        network, _ = run_workload(
-            config,
-            family.deploy().contracts,
-            requests,
-            scenario=get_scenario("conflict_storm"),
-        )
+        config.scenario = get_scenario("conflict_storm")
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         report = forensics_report(network)
         assert report.hot_keys
         top_key, top_count = report.hot_keys[0]
@@ -215,11 +206,9 @@ class TestBenchWiring:
         assert baseline_spec.seed == mitigated_spec.seed
 
         def baseline_report(spec):
-            bundle = unpack_bundle(spec.with_overrides(total_transactions=600).make_bundle()())
-            config, family, requests, scenario = bundle
-            network, _ = run_workload(
-                config, family.deploy().contracts, requests, scenario=scenario
-            )
+            bundle = spec.with_overrides(total_transactions=600).make_bundle()()
+            config, family, requests = bundle
+            network, _ = run_workload(config, family.deploy().contracts, requests)
             return forensics_report(network)
 
         plain = baseline_report(baseline_spec)
@@ -233,28 +222,21 @@ class TestBenchWiring:
         """The sweep's baseline cell reproduces the unmitigated run."""
         from repro.scenario.engine import run_digest
 
-        bundle = unpack_bundle(
-            make_scenario(
-                "workload_update_heavy",
-                "conflict_storm",
-                mitigation="none",
-                retry_attempts=1,
-                total_transactions=400,
-            )()
-        )
-        config, family, requests, scenario = bundle
-        network, _ = run_workload(
-            config, family.deploy().contracts, requests, scenario=scenario
-        )
+        config, family, requests = make_scenario(
+            "workload_update_heavy",
+            "conflict_storm",
+            mitigation="none",
+            retry_attempts=1,
+            total_transactions=400,
+        )()
+        network, _ = run_workload(config, family.deploy().contracts, requests)
 
         plain_config, plain_family, plain_requests = make_synthetic(
             "workload_update_heavy", seed=7, total_transactions=400
         )()
+        plain_config.scenario = get_scenario("conflict_storm")
         plain_network, _ = run_workload(
-            plain_config,
-            plain_family.deploy().contracts,
-            plain_requests,
-            scenario=get_scenario("conflict_storm"),
+            plain_config, plain_family.deploy().contracts, plain_requests
         )
         assert run_digest(network) == run_digest(plain_network)
 

@@ -63,6 +63,25 @@ class TestExperimentSpecs:
         with pytest.raises(KeyError):
             make_usecase("nope")()
 
+    @pytest.mark.parametrize("maker", ["synthetic", "scenario", "usecase", "loan"])
+    def test_every_maker_returns_config_family_and_requests(self, maker):
+        """One bundle shape for every maker: a scenario rides on the config."""
+        from repro.bench.experiments import MAKERS
+        from repro.bench.registry import all_specs
+        from repro.contracts.registry import ContractFamily
+        from repro.fabric.config import NetworkConfig
+        from repro.fabric.transaction import TxRequest
+
+        assert maker in MAKERS
+        spec = next(spec for spec in all_specs() if spec.maker == maker)
+        bundle = spec.with_overrides(total_transactions=200).make_bundle()()
+        assert len(bundle) == 3
+        config, family, requests = bundle
+        assert isinstance(config, NetworkConfig)
+        assert isinstance(family, ContractFamily)
+        assert requests and all(isinstance(r, TxRequest) for r in requests)
+        assert (config.scenario is not None) == (maker == "scenario")
+
 
 class TestHarness:
     @pytest.fixture(scope="class")

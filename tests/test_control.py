@@ -287,8 +287,8 @@ def test_controller_throttle_composes_with_latency_spike():
     def run_once():
         config, family, requests = _bundle(total=300)
         config.control = ControlSpec()
-        network, result = run_workload(config, family.deploy().contracts, requests, spike)
-        return network, result
+        config.scenario = spike
+        return run_workload(config, family.deploy().contracts, requests)
 
     net_a, res_a = run_once()
     net_b, res_b = run_once()
@@ -329,9 +329,8 @@ def test_noop_controller_run_is_byte_identical_to_controller_off():
     def run(spec):
         config, family, requests = _bundle(total=300)
         config.control = spec
-        network = FabricNetwork(
-            config, family.deploy().contracts, scenario=get_scenario("crash_burst")
-        )
+        config.scenario = get_scenario("crash_burst")
+        network = FabricNetwork(config, family.deploy().contracts)
         trace = network.kernel.enable_trace()
         network.run(requests)
         return run_digest(network), trace
@@ -349,12 +348,12 @@ def test_noop_controller_run_is_byte_identical_to_controller_off():
 
 def test_guardian_reduces_aborts_on_crash_burst():
     config, family, requests = _bundle(total=600)
-    _, off = run_workload(config, family.deploy().contracts, requests, get_scenario("crash_burst"))
+    config.scenario = get_scenario("crash_burst")
+    _, off = run_workload(config, family.deploy().contracts, requests)
     config2, family2, requests2 = _bundle(total=600)
     config2.control = ControlSpec()
-    network, on = run_workload(
-        config2, family2.deploy().contracts, requests2, get_scenario("crash_burst")
-    )
+    config2.scenario = get_scenario("crash_burst")
+    network, on = run_workload(config2, family2.deploy().contracts, requests2)
     assert on.success_rate > off.success_rate
     assert network.controller.timeline.decisions
 
@@ -368,6 +367,56 @@ def test_controller_state_seeds_from_the_live_network():
     assert state.block_timeout == config.block_timeout
     assert state.retry_max_attempts == config.retry.max_attempts
     assert state.send_rate_cap is None
+
+
+def test_controller_state_reads_the_live_network():
+    """No mirror: a value written on the network outside the controller
+    is what the next state shows."""
+    config, family, requests = _bundle(total=40)
+    config.control = ControlSpec(policy="noop")
+    network = FabricNetwork(config, family.deploy().contracts)
+    network.orderer.block_count = 77
+    network.orderer.block_timeout = 0.5
+    network.set_mitigation("reorder")
+    network.conditions.set_send_rate_cap(50.0, source="test")
+    network.set_retry_policy(RetryPolicy(max_attempts=5))
+    assert network.controller.state == ControllerState(
+        block_count=77,
+        block_timeout=0.5,
+        mitigation="reorder",
+        send_rate_cap=50.0,
+        retry_max_attempts=5,
+    )
+
+
+@pytest.mark.parametrize(
+    "actuator",
+    [
+        "block_count",
+        "block_timeout",
+        "mitigation",
+        "send_rate_cap",
+        "retry_max_attempts",
+    ],
+)
+def test_a_proposal_equal_to_the_live_value_is_a_no_op(actuator):
+    from types import SimpleNamespace
+
+    from repro.control.policy import Proposal
+
+    config, family, requests = _bundle(total=40)
+    config.control = ControlSpec(policy="noop")
+    network = FabricNetwork(config, family.deploy().contracts)
+    controller = network.controller
+    before = controller.state
+    hold = Proposal(rule="hold", actuator=actuator, value=getattr(before, actuator))
+    assert controller._apply(hold) is None
+    controller.policy = SimpleNamespace(decide=lambda window, state: [hold])
+    controller._tick()
+    assert controller.timeline.ticks == 1
+    assert controller.timeline.decisions == []
+    assert controller.state == before
+    assert network.conditions.journal == []
 
 
 def test_unknown_actuator_raises_actuation_error():
@@ -415,7 +464,8 @@ def test_controller_on_is_deterministic_per_seed_policy_scenario(
     def run():
         config, family, requests = _bundle(total=250, seed=seed)
         config.control = ControlSpec(policy=policy)
-        network = FabricNetwork(config, family.deploy().contracts, scenario=spec)
+        config.scenario = spec
+        network = FabricNetwork(config, family.deploy().contracts)
         trace = network.kernel.enable_trace()
         network.run(requests)
         return (
@@ -440,12 +490,11 @@ def test_controller_on_is_deterministic_per_seed_policy_scenario(
             if network_ivs
             else None
         )
+        config.scenario = live
         stream = RunStream()
         forensics = ForensicsAccumulator()
         stream.add_transaction_consumer(forensics)
-        network = FabricNetwork(
-            config, family.deploy().contracts, scenario=live, stream=stream
-        )
+        network = FabricNetwork(config, family.deploy().contracts, stream=stream)
         network.run_streamed(ordered)
         timeline = list(pre.timeline)
         if network.scenario_engine is not None:

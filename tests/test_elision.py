@@ -128,7 +128,8 @@ def test_a_scenario_network_reads_the_hop_delay_at_the_finish():
     spike = ScenarioSpec(
         "spike", [Intervention("latency_spike", at=timing.client_per_tx / 2, factor=4.0)]
     )
-    network = FabricNetwork(config, [CounterContract()], scenario=spike)
+    config.scenario = spike
+    network = FabricNetwork(config, [CounterContract()])
     assert not network.conditions.fixed
     network.run([TxRequest(0.0, "get", ("ctr:0000",), "counter")])
     [tx] = network.ledger.transactions(include_config=False)

@@ -1,5 +1,7 @@
 """Integration tests for the full EOV pipeline."""
 
+import dataclasses
+
 import pytest
 
 from repro.fabric.config import NetworkConfig, TimingConfig, default_orgs
@@ -196,3 +198,48 @@ def test_latency_positive_for_all_successes(finished_network):
     for tx in network.ledger.transactions(include_config=False):
         if tx.status is TxStatus.SUCCESS:
             assert tx.latency is not None and tx.latency > 0
+
+
+def _non_default_config_fields() -> dict:
+    """A value other than its default for every :class:`NetworkConfig` field."""
+    from repro.control.spec import ControlSpec
+    from repro.fabric.retry import RetryPolicy
+    from repro.scenario.library import get_scenario
+
+    return {
+        "orgs": default_orgs(3, num_clients=4),
+        "endorsement_policy": "OutOf(2,Org1,Org2,Org3)",
+        "block_count": 77,
+        "block_timeout": 2.5,
+        "block_bytes": 4096,
+        "endorser_selection_skew": 0.5,
+        "scheduler": "fabricsharp",
+        "scheduler_window": 9,
+        "timing": TimingConfig(client_per_tx=0.02),
+        "seed": 11,
+        "retry": RetryPolicy(max_attempts=4),
+        "mitigation": "early_abort",
+        "control": ControlSpec(policy="noop"),
+        "scenario": get_scenario("crash_burst"),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", [field.name for field in dataclasses.fields(NetworkConfig)]
+)
+def test_config_copy_keeps_every_field(name):
+    values = _non_default_config_fields()
+    assert name in values, f"give NetworkConfig.{name} a non-default value above"
+    config = NetworkConfig(**values)
+    assert getattr(config, name) != getattr(NetworkConfig(), name)
+    assert getattr(config.copy(), name) == getattr(config, name)
+
+
+def test_config_copy_clones_the_orgs():
+    """A client boost applied to the copy leaves the original alone."""
+    config = NetworkConfig()
+    clone = config.copy()
+    assert clone.orgs == config.orgs and clone.orgs is not config.orgs
+    clone.org("Org1").num_clients *= 2
+    assert config.org("Org1").num_clients == 5
+    assert clone.org("Org1").num_clients == 10

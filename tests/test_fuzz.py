@@ -251,9 +251,8 @@ class TestPromotedScenarios:
                 seed=golden["seed"],
                 total_transactions=golden["total_transactions"],
             )()
-            network = FabricNetwork(
-                config, family.deploy().contracts, scenario=get_scenario(name)
-            )
+            config.scenario = get_scenario(name)
+            network = FabricNetwork(config, family.deploy().contracts)
             network.run(requests)
             assert run_digest(network) == expected, (
                 f"promoted scenario {name} drifted from its pinned digest"

@@ -83,15 +83,12 @@ def _forensics_path(exp_id: str) -> Path:
 def _compute_forensics(exp_id: str) -> dict:
     """The baseline run's forensics report for ``exp_id`` at GOLDEN_TXS."""
     from repro.analysis import forensics_report
-    from repro.bench.harness import unpack_bundle
     from repro.bench.registry import get
     from repro.fabric.network import run_workload
 
     spec = get(exp_id).with_overrides(total_transactions=GOLDEN_TXS)
-    config, family, requests, scenario = unpack_bundle(spec.make_bundle()())
-    network, _ = run_workload(
-        config, family.deploy().contracts, requests, scenario=scenario
-    )
+    config, family, requests = spec.make_bundle()()
+    network, _ = run_workload(config, family.deploy().contracts, requests)
     return {
         "exp_id": exp_id,
         "total_transactions": GOLDEN_TXS,

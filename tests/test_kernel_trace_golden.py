@@ -21,6 +21,11 @@ seq)`` with each side's callback ``__qualname__``::
 
     PYTHONPATH=src python tests/test_kernel_trace_golden.py --diff OTHER/src
 
+The other side runs this file's ``_run`` on ``OTHER/src``, so both trees
+must build runs the same way: a ``(config, family, requests)`` bundle
+whose config carries its scenario.  Across a change to that shape,
+compare against the pinned golden instead.
+
 Regenerate after an intentional change to event order::
 
     PYTHONPATH=src python tests/test_kernel_trace_golden.py --regenerate
@@ -45,7 +50,6 @@ else:
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.bench.experiments import make_synthetic
-from repro.bench.harness import unpack_bundle
 from repro.bench.registry import get
 from repro.fabric.network import FabricNetwork
 from repro.sim.kernel import Kernel
@@ -71,8 +75,8 @@ def _bundle(name: str, total: int) -> tuple:
 
 
 def _run(name: str, total: int) -> tuple[FabricNetwork, list]:
-    config, family, requests, scenario = unpack_bundle(_bundle(name, total))
-    network = FabricNetwork(config, family.deploy().contracts, scenario=scenario)
+    config, family, requests = _bundle(name, total)
+    network = FabricNetwork(config, family.deploy().contracts)
     trace = network.kernel.enable_trace()
     network.run(requests)
     return network, trace

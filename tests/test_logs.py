@@ -294,12 +294,10 @@ class TestExport:
         from repro.bench.experiments import make_scenario
         from repro.fabric.network import run_workload
 
-        config, family, requests, scenario = make_scenario(
+        config, family, requests = make_scenario(
             "default", "crash_burst", retry_attempts=3, total_transactions=400
         )()
-        network, _ = run_workload(
-            config, family.deploy().contracts, requests, scenario=scenario
-        )
+        network, _ = run_workload(config, family.deploy().contracts, requests)
         return extract_blockchain_log(network)
 
     def test_csv_and_json_round_trips_agree_field_for_field(self, retried_log, tmp_path):

@@ -205,10 +205,8 @@ class TestExpansion:
         assert dict(run.spec.maker_args) == dict(registered.maker_args)
         digests = []
         for spec in (run.spec, registered):
-            config, family, requests, scenario = spec.make_bundle()()
-            network, _ = run_workload(
-                config, family.deploy().contracts, requests, scenario=scenario
-            )
+            config, family, requests = spec.make_bundle()()
+            network, _ = run_workload(config, family.deploy().contracts, requests)
             digests.append(run_digest(network))
         assert digests[0] == digests[1]
 

@@ -27,8 +27,8 @@ def _run(retry=None, mitigation="none", scenario_name="conflict_storm", txs=400,
     config, family, requests = make_synthetic(base, seed=7, total_transactions=txs)()
     config.retry = retry
     config.mitigation = mitigation
-    scenario = get_scenario(scenario_name) if scenario_name else None
-    return run_workload(config, family.deploy().contracts, requests, scenario=scenario)
+    config.scenario = get_scenario(scenario_name) if scenario_name else None
+    return run_workload(config, family.deploy().contracts, requests)
 
 
 class TestRetryPolicy:

@@ -23,7 +23,9 @@ def _bundle(total=400, experiment="default"):
 
 
 def _run(scenario=None, total=400, experiment="default"):
-    return run_workload(*_bundle(total, experiment), scenario=scenario)
+    config, contracts, requests = _bundle(total, experiment)
+    config.scenario = scenario
+    return run_workload(config, contracts, requests)
 
 
 # -- spec validation and serialization -------------------------------------------------
@@ -321,8 +323,9 @@ class TestNetworkInterventions:
                 Intervention(kind="peer_crash", at=0.5, target="Org9-peer3"),
             ),
         )
+        config.scenario = bad
         with pytest.raises(KeyError, match="unknown endorser target"):
-            FabricNetwork(config, contracts, scenario=bad)
+            FabricNetwork(config, contracts)
 
     def test_accounting_survives_interventions(self):
         # run() raises on any transaction-accounting mismatch, so a clean
@@ -445,17 +448,53 @@ class TestScenarioBench:
     def test_make_scenario_takes_specs_as_well_as_names(self):
         from repro.bench.experiments import make_scenario
         from repro.control import ControlSpec, SLOTargets
+        from repro.fabric.retry import RetryPolicy
 
         control = ControlSpec("guardian", 0.5, SLOTargets(max_abort_rate=0.2))
         by_spec = make_scenario(
-            "default", get_scenario("crash_burst"), policy=control, total_transactions=100
+            "default",
+            get_scenario("crash_burst"),
+            mitigation="reorder",
+            retry_attempts=3,
+            policy=control,
+            total_transactions=100,
         )()
         by_name = make_scenario(
             "default", "crash_burst", policy="noop", total_transactions=100
         )()
-        assert by_spec[3] == by_name[3] == get_scenario("crash_burst")
-        assert by_spec[0].control is control
-        assert by_name[0].control == ControlSpec("noop")
+        assert len(by_spec) == len(by_name) == 3
+        spec_config, name_config = by_spec[0], by_name[0]
+        # Every run setting rides on the bundle's config.
+        assert spec_config.scenario == name_config.scenario == get_scenario("crash_burst")
+        assert (spec_config.mitigation, name_config.mitigation) == ("reorder", "none")
+        assert spec_config.retry == RetryPolicy(max_attempts=3)
+        assert name_config.retry is None
+        assert spec_config.control is control
+        assert name_config.control == ControlSpec("noop")
+
+    def test_plan_runs_stay_under_the_baseline_scenario(self):
+        """A plan's config is a copy of the bundle's, scenario included, so
+        the plan network installs the engine the baseline ran under."""
+        from repro.bench.experiments import make_scenario
+        from repro.bench.harness import run_plan
+        from repro.core.apply import apply_recommendations
+        from repro.core.recommendations import OptimizationKind, Recommendation
+
+        bundle = make_scenario("default", "crash_burst", total_transactions=200)()
+        resize = Recommendation(
+            kind=OptimizationKind.BLOCK_SIZE_ADAPTATION,
+            rationale="test",
+            actions={"block_count": 50},
+        )
+        applied = apply_recommendations([resize], *bundle)
+        assert applied.config is not bundle[0]
+        assert applied.config.block_count == 50
+        assert applied.config.scenario == bundle[0].scenario == get_scenario("crash_burst")
+        network = FabricNetwork(applied.config, applied.deployment.contracts)
+        assert network.scenario_engine.spec == get_scenario("crash_burst")
+        _, forensics, _ = run_plan(bundle, ("block size", (resize,), False))
+        assert forensics["scenario"] == "crash_burst"
+        assert any(kind == "peer_crash" for _, kind, _ in forensics["timeline"])
 
     def test_make_scenario_rejects_a_policy_that_is_not_off_or_a_name(self):
         """Unquoted YAML ``off`` reaches the factory as False: it must fail

@@ -22,8 +22,8 @@ def _execute(scenario_name: str | None, seed: int, total: int = 350):
     config, family, requests = make_synthetic(
         "default", seed=seed, total_transactions=total
     )()
-    scenario = get_scenario(scenario_name) if scenario_name else None
-    network = FabricNetwork(config, family.deploy().contracts, scenario=scenario)
+    config.scenario = get_scenario(scenario_name) if scenario_name else None
+    network = FabricNetwork(config, family.deploy().contracts)
     trace = network.kernel.enable_trace()
     result = network.run(requests)
     return network, result, trace

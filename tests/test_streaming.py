@@ -780,14 +780,14 @@ def _fold_case(case):
         config, family, requests = make_synthetic(
             "workload_update_heavy", seed=7, total_transactions=600
         )()
-        config = dataclasses.replace(
-            config, mitigation=case, retry=RetryPolicy(max_attempts=2)
-        )
         # The conflict storm retargets keys, not submit times.
-        network, result = run_workload(
-            config, family.deploy().contracts, requests,
+        config = dataclasses.replace(
+            config,
+            mitigation=case,
+            retry=RetryPolicy(max_attempts=2),
             scenario=get_scenario("conflict_storm"),
         )
+        network, result = run_workload(config, family.deploy().contracts, requests)
     return network, result, min(request.submit_time for request in requests)
 
 
@@ -891,10 +891,11 @@ def test_run_streamed_refuses_workload_transforms():
             Intervention(kind="conflict_storm", at=0.1, duration=0.3, fraction=0.5),
         ),
     )
-    network = FabricNetwork(config, family.deploy().contracts, scenario=storm)
+    config.scenario = storm
+    network = FabricNetwork(config, family.deploy().contracts)
     with pytest.raises(ValueError, match="workload-transform"):
         network.run_streamed(iter(requests))
-    network = FabricNetwork(config, family.deploy().contracts, scenario=storm)
+    network = FabricNetwork(config, family.deploy().contracts)
     assert network.run(requests).total_issued >= len(requests)
 
 
